@@ -18,6 +18,8 @@ Rational = Fraction
 
 HALF = Fraction(1, 2)
 
+_ZERO = Fraction(0)
+
 
 def rational_str(value) -> str:
     """Serialize a rational as "p/q" with q > 0 and gcd(|p|, q) = 1."""
@@ -37,13 +39,17 @@ class GRational:
     """Gaussian rational re + im*i with exact rational parts.
 
     Values are immutable by convention; every operation returns a new value.
+    Every real value holds the one shared zero `_ZERO` as its imaginary
+    part, so the arithmetic tests for realness by identity and takes a
+    real-only path that skips the products and sums of imaginary parts.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         self.re = re if type(re) is Fraction else Fraction(re)
-        self.im = im if type(im) is Fraction else Fraction(im)
+        im = im if type(im) is Fraction else Fraction(im)
+        self.im = im if im else _ZERO
 
     @staticmethod
     def _coerce(value):
@@ -54,18 +60,38 @@ class GRational:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.im, other.im
+        if a is _ZERO:
+            im = b
+        elif b is _ZERO:
+            im = a
+        else:
+            im = a + b
+            if not im:
+                im = _ZERO
+        return _make(self.re + other.re, im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.im, other.im
+        if b is _ZERO:
+            im = a
+        elif a is _ZERO:
+            im = -b
+        else:
+            im = a - b
+            if not im:
+                im = _ZERO
+        return _make(self.re - other.re, im)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -74,30 +100,39 @@ class GRational:
         return other - self
 
     def __neg__(self):
-        return GRational(-self.re, -self.im)
+        im = self.im
+        return _make(-self.re, im if im is _ZERO else -im)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, ai, b, bi = self.re, self.im, other.re, other.im
+        if ai is _ZERO:
+            if bi is _ZERO:
+                return _make(a * b, _ZERO)
+            return _make(a * b, a * bi if a else _ZERO)
+        if bi is _ZERO:
+            return _make(a * b, ai * b if b else _ZERO)
+        im = a * bi + ai * b
+        return _make(a * b - ai * bi, im if im else _ZERO)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        if other.__class__ is not GRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, ai, b, bi = self.re, self.im, other.re, other.im
+        if bi is _ZERO:
+            if not b:
+                raise ZeroDivisionError("division by zero Gaussian rational")
+            return _make(a / b, ai if ai is _ZERO else ai / b)
+        norm = b * b + bi * bi
+        im = (ai * b - a * bi) / norm
+        return _make((a * b + ai * bi) / norm, im if im else _ZERO)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -106,22 +141,25 @@ class GRational:
         return other / self
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GRational:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.im, other.im
+        return (a is b or a == b) and self.re == other.re
 
     def __hash__(self):
         # Matches hash of the plain rational when the value is real.
-        if not self.im:
+        if self.im is _ZERO:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.im is not _ZERO or bool(self.re)
 
     def conjugate(self) -> "GRational":
-        return GRational(self.re, -self.im)
+        im = self.im
+        return _make(self.re, im if im is _ZERO else -im)
 
     def __repr__(self):
         return f"GRational({self.re!s}, {self.im!s})"
@@ -133,6 +171,18 @@ class GRational:
 
     def to_json_dict(self) -> dict:
         return {"re": rational_str(self.re), "im": rational_str(self.im)}
+
+
+_new = object.__new__
+
+
+def _make(re: Fraction, im: Fraction) -> GRational:
+    """Unchecked constructor: both parts are Fractions, and im is _ZERO
+    whenever it is zero."""
+    out = _new(GRational)
+    out.re = re
+    out.im = im
+    return out
 
 
 I = GRational(0, 1)

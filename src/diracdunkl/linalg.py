@@ -26,12 +26,12 @@ def _eliminate(rows: list[list]) -> tuple[list[list], list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
+        recip = 1 / rows[r][c]
+        pivot = rows[r] = [v * recip for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], pivot)]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -6,6 +6,12 @@ verified on all monomial-spinor basis elements of degrees 0..d is an identity
 on the whole space of spinor polynomials of degree at most d.  The checker
 exploits this: it applies both sides to each basis element and demands exact
 equality, reporting the first counterexample on failure.
+
+Operators are expression trees.  When a batch of identities shares
+subexpressions (the Bannai-Ito generators, the sCasimir, the Casimir), the
+checker caches the image of each monomial spinor at the shared nodes, so each
+of those columns is computed once per degree slice instead of once per
+identity and per occurrence.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import HALF, MINUS_I, Params, as_grational
+from .exact import HALF, MINUS_I, GRational, Params, as_grational
 from .poly import (
     ScalarPoly,
     SpinorPoly,
@@ -26,37 +32,45 @@ from .poly import (
     spinor_basis_labels,
 )
 
+_ONE = GRational(1)
+
 
 class LinOp:
     """Linear map on spinor polynomials, closed under +, -, scaling,
-    composition (via *) and integer powers."""
+    composition (via *) and integer powers.
 
-    __slots__ = ("_fn",)
+    Each value is an expression node: a primitive (a function applied to a
+    whole spinor polynomial, built from the `poly` operators) or a sum,
+    difference, negation, scaling or composition of its `operands`.  A
+    scaling keeps its factor in `payload`; a primitive keeps its function
+    there.
+    """
 
-    def __init__(self, fn):
-        self._fn = fn
+    __slots__ = ("kind", "operands", "payload")
+
+    def __init__(self, kind: str, operands: tuple = (), payload=None):
+        self.kind = kind
+        self.operands = operands
+        self.payload = payload
 
     def __call__(self, f: SpinorPoly) -> SpinorPoly:
-        return self._fn(f)
+        return _evaluate(self, f, None)
 
     def __add__(self, other: "LinOp") -> "LinOp":
-        return LinOp(lambda f: self(f) + other(f))
+        return LinOp("add", (self, other))
 
     def __sub__(self, other: "LinOp") -> "LinOp":
-        return LinOp(lambda f: self(f) - other(f))
+        return LinOp("sub", (self, other))
 
     def __neg__(self) -> "LinOp":
-        return LinOp(lambda f: -self(f))
+        return LinOp("neg", (self,))
 
     def __mul__(self, other):
         if isinstance(other, LinOp):
-            return LinOp(lambda f: self(other(f)))
-        value = as_grational(other)
-        return LinOp(lambda f: self(f).scale(value))
+            return LinOp("compose", (self, other))
+        return LinOp("scale", (self,), as_grational(other))
 
-    def __rmul__(self, other):
-        value = as_grational(other)
-        return LinOp(lambda f: self(f).scale(value))
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LinOp":
         if n < 0:
@@ -67,45 +81,123 @@ class LinOp:
         return out
 
 
+def primitive(fn) -> LinOp:
+    """Operator applying fn, a linear map, to whole spinor polynomials."""
+    return LinOp("primitive", (), fn)
+
+
+def _evaluate(op: LinOp, f: SpinorPoly, memo: dict | None) -> SpinorPoly:
+    """Image of f under op, recursing through the operands.  Nodes that key
+    a column cache in memo are applied through their cached columns."""
+    kind = op.kind
+    if kind == "primitive":
+        return op.payload(f)
+    args = op.operands
+    if kind == "compose":
+        inner = _apply(args[1], f, memo)
+        return _apply(args[0], inner, memo) if inner else inner
+    if kind == "add":
+        return _apply(args[0], f, memo) + _apply(args[1], f, memo)
+    if kind == "sub":
+        return _apply(args[0], f, memo) - _apply(args[1], f, memo)
+    if kind == "scale":
+        return _apply(args[0], f, memo).scale(op.payload)
+    if kind == "neg":
+        return -_apply(args[0], f, memo)
+    raise ValueError(f"unknown operator node {kind!r}")
+
+
+def _apply(op: LinOp, f: SpinorPoly, memo: dict | None) -> SpinorPoly:
+    if memo:
+        columns = memo.get(op)
+        if columns is not None:
+            return _apply_by_columns(op, f, columns, memo)
+    return _evaluate(op, f, memo)
+
+
+def _apply_by_columns(op: LinOp, f: SpinorPoly, columns: dict, memo: dict) -> SpinorPoly:
+    """Image of f by linearity: the sum of coefficient times the image
+    column of each monomial spinor in f, with columns cached by key
+    (exponents, sign)."""
+    parts = []
+    for sign, terms in ((1, f.up.terms), (-1, f.down.terms)):
+        for exps, coef in terms.items():
+            key = (exps, sign)
+            column = columns.get(key)
+            if column is None:
+                unit = SpinorPoly.from_scalar(ScalarPoly._raw({exps: _ONE}), sign)
+                column = columns[key] = _evaluate(op, unit, memo)
+            parts.append((column, coef))
+    if len(parts) == 1 and parts[0][1] == _ONE:
+        return parts[0][0]
+    up: dict = {}
+    down: dict = {}
+    for column, coef in parts:
+        _add_scaled(up, column.up.terms, coef)
+        _add_scaled(down, column.down.terms, coef)
+    return SpinorPoly(ScalarPoly._raw(up), ScalarPoly._raw(down))
+
+
+def _add_scaled(acc: dict, terms: dict, coef: GRational) -> None:
+    for e, c in terms.items():
+        term = c * coef
+        s = acc.get(e)
+        acc[e] = term if s is None else s + term
+
+
+def _shared_nodes(roots: list[LinOp]) -> list[LinOp]:
+    """Nodes with two or more parents in the graph spanned by roots, where
+    each entry of roots counts as one parent of its node."""
+    parents: dict[LinOp, int] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        count = parents.get(node, 0)
+        parents[node] = count + 1
+        if not count:
+            stack.extend(node.operands)
+    return [node for node, count in parents.items() if count > 1]
+
+
 def identity() -> LinOp:
-    return LinOp(lambda f: f)
+    return primitive(lambda f: f)
 
 
 def zero_op() -> LinOp:
-    return LinOp(lambda f: SpinorPoly.zero())
+    return primitive(lambda f: SpinorPoly.zero())
 
 
 def scalar_op(value) -> LinOp:
     value = as_grational(value)
-    return LinOp(lambda f: f.scale(value))
+    return primitive(lambda f: f.scale(value))
 
 
 def reflect_op(axis: int) -> LinOp:
-    return LinOp(lambda f: reflect(f, axis))
+    return primitive(lambda f: reflect(f, axis))
 
 
 def pauli_op(index: int) -> LinOp:
-    return LinOp(lambda f: pauli(f, index))
+    return primitive(lambda f: pauli(f, index))
 
 
 def dunkl_op(axis: int, params: Params) -> LinOp:
-    return LinOp(lambda f: dunkl(f, axis, params))
+    return primitive(lambda f: dunkl(f, axis, params))
 
 
 def partial_op(axis: int) -> LinOp:
-    return LinOp(lambda f: diff(f, axis))
+    return primitive(lambda f: diff(f, axis))
 
 
 def coordinate_op(axis: int) -> LinOp:
-    return LinOp(lambda f: coordinate_multiply(f, axis))
+    return primitive(lambda f: coordinate_multiply(f, axis))
 
 
 def multiply_op(scalar: ScalarPoly) -> LinOp:
-    return LinOp(lambda f: f.mul_scalar_poly(scalar))
+    return primitive(lambda f: f.mul_scalar_poly(scalar))
 
 
 def euler_op(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
-    return LinOp(lambda f: euler(f, axes))
+    return primitive(lambda f: euler(f, axes))
 
 
 def commutator(a: LinOp, b: LinOp) -> LinOp:
@@ -132,7 +224,7 @@ def dirac(params: Params, axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
             out = out + pauli(dunkl(f, a, params), a)
         return out
 
-    return LinOp(apply)
+    return primitive(apply)
 
 
 def x_underline(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
@@ -143,7 +235,7 @@ def x_underline(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
             out = out + pauli(coordinate_multiply(f, a), a)
         return out
 
-    return LinOp(apply)
+    return primitive(apply)
 
 
 def norm_sq(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
@@ -162,7 +254,7 @@ def laplace(params: Params, axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
             out = out + dunkl(dunkl(f, a, params), a, params)
         return out
 
-    return LinOp(apply)
+    return primitive(apply)
 
 
 def laplace_explicit(params: Params) -> LinOp:
@@ -194,7 +286,7 @@ def laplace_explicit(params: Params) -> LinOp:
                 out[key] = add if s is None else s + add
         return ScalarPoly._raw(out)
 
-    return LinOp(lambda f: SpinorPoly(component(f.up), component(f.down)))
+    return primitive(lambda f: SpinorPoly(component(f.up), component(f.down)))
 
 
 def laplace_s2(params: Params) -> LinOp:
@@ -214,14 +306,11 @@ def angular(params: Params, i: int) -> LinOp:
 
 def spherical_dirac(params: Params) -> LinOp:
     """Spherical Dirac-Dunkl operator: sigma . L + mu . R."""
-    def apply(f: SpinorPoly) -> SpinorPoly:
-        out = SpinorPoly.zero()
-        for i in (1, 2, 3):
-            out = out + pauli(angular(params, i)(f), i)
-            out = out + reflect(f, i).scale(params.mu(i))
-        return out
-
-    return LinOp(apply)
+    t1, t2, t3 = (
+        pauli_op(i) * angular(params, i) + params.mu(i) * reflect_op(i)
+        for i in (1, 2, 3)
+    )
+    return t1 + t2 + t3
 
 
 def spherical_dirac_commutator(params: Params) -> LinOp:
@@ -299,6 +388,52 @@ class IdentityReport:
         }
 
 
+def verify_identities(
+    items: list[tuple[str, LinOp, LinOp]],
+    max_degree: int,
+    *,
+    axes: tuple[int, ...] = (1, 2, 3),
+) -> list[IdentityReport]:
+    """Check each (name, lhs, rhs) item on every monomial spinor of degree
+    0..max_degree, in the order degree, basis element, identity.
+
+    Passing certifies an identity on the full space of those degrees, by
+    linearity.  A failing identity records its first counterexample and is
+    not applied again.  Nodes shared by two or more parents across the
+    batch cache their image columns; the caches hold one degree slice at a
+    time and are dropped on return.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    shared = _shared_nodes([op for _, lhs, rhs in items for op in (lhs, rhs)])
+    basis_size = 0
+
+    def report(name: str, counterexample: dict | None = None) -> IdentityReport:
+        status = "pass" if counterexample is None else "fail"
+        return IdentityReport(name, 0, max_degree, basis_size, status, counterexample)
+
+    failed: list[IdentityReport | None] = [None] * len(items)
+    for degree in range(max_degree + 1):
+        memo = {node: {} for node in shared}
+        for exps, sign in spinor_basis_labels(degree, axes):
+            basis_size += 1
+            f = SpinorPoly.monomial(exps, sign)
+            for index, (name, lhs, rhs) in enumerate(items):
+                if failed[index] is not None:
+                    continue
+                left = _apply(lhs, f, memo)
+                right = _apply(rhs, f, memo)
+                if left != right:
+                    failed[index] = report(name, {
+                        "degree": degree,
+                        "exponents": list(exps),
+                        "spinor": "+" if sign == 1 else "-",
+                        "lhs": left.to_json_dict(),
+                        "rhs": right.to_json_dict(),
+                    })
+    return [bad or report(name) for bad, (name, _, _) in zip(failed, items)]
+
+
 def verify_identity(
     lhs: LinOp,
     rhs: LinOp,
@@ -307,40 +442,7 @@ def verify_identity(
     name: str = "",
     axes: tuple[int, ...] = (1, 2, 3),
 ) -> IdentityReport:
-    """Check lhs = rhs on every monomial-spinor of degree 0..max_degree.
-
-    Passing certifies the identity on the full space of those degrees, by
-    linearity.  On failure the first counterexample is recorded.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    basis_size = 0
-    for degree in range(max_degree + 1):
-        for exps, sign in spinor_basis_labels(degree, axes):
-            basis_size += 1
-            f = SpinorPoly.monomial(exps, sign)
-            left = lhs(f)
-            right = rhs(f)
-            if left != right:
-                return IdentityReport(
-                    name=name,
-                    degree_lo=0,
-                    degree_hi=max_degree,
-                    basis_size=basis_size,
-                    status="fail",
-                    counterexample={
-                        "degree": degree,
-                        "exponents": list(exps),
-                        "spinor": "+" if sign == 1 else "-",
-                        "lhs": left.to_json_dict(),
-                        "rhs": right.to_json_dict(),
-                    },
-                )
-    return IdentityReport(
-        name=name,
-        degree_lo=0,
-        degree_hi=max_degree,
-        basis_size=basis_size,
-        status="pass",
-        counterexample=None,
-    )
+    """Check lhs = rhs on every monomial-spinor of degree 0..max_degree;
+    a one-item `verify_identities`."""
+    (report,) = verify_identities([(name, lhs, rhs)], max_degree, axes=axes)
+    return report

@@ -32,7 +32,7 @@ from .operators import (
     spherical_dirac,
     spherical_dirac_commutator,
     symmetry,
-    verify_identity,
+    verify_identities,
     x_underline,
     zero_op,
 )
@@ -77,10 +77,7 @@ def suite_osp12(params: Params, degree: int, mutation: str | None = None) -> lis
         ("[euler + gamma3, |x|^2] = 2 |x|^2", commutator(hh, r2), 2 * r2),
         ("[laplacian, |x|^2] = 4 (euler + gamma3)", commutator(lap, r2), 4 * hh),
     ]
-    return [
-        verify_identity(lhs, rhs, degree, name=name).to_json_dict()
-        for name, lhs, rhs in items
-    ]
+    return [report.to_json_dict() for report in verify_identities(items, degree)]
 
 
 def suite_symmetry(params: Params, degree: int, mutation: str | None = None) -> list[dict]:
@@ -228,10 +225,7 @@ def suite_symmetry(params: Params, degree: int, mutation: str | None = None) -> 
         items.append((f"[Q, K{i}] = 0", commutator(cas, gen[i]), zero))
         items.append((f"[Q, Z{i}] = 0", commutator(cas, inv[i]), zero))
 
-    return [
-        verify_identity(lhs, rhs, degree, name=name).to_json_dict()
-        for name, lhs, rhs in items
-    ]
+    return [report.to_json_dict() for report in verify_identities(items, degree)]
 
 
 def suite_monogenic(params: Params, n_max: int, mutation: str | None = None) -> list[dict]:

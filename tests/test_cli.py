@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -142,3 +143,17 @@ def test_rejects_negative_n():
 def test_degree_flag_spellings(flag):
     result = run_cli("verify", flag, "0", "--mu", "0,0,0")
     assert result.returncode == 0
+
+
+@pytest.mark.parametrize("extra, returncode, digest", [
+    ((), 0, "081e46b0bdacbf794e708910d52766f64568c9764bc2e3e9b4ab14907a41b628"),
+    (("--mutate", "quad+1"), 1,
+     "d8a154d9219374c0c975c7ccc5f03888b857ff04758efae75c60106ebf22de6d"),
+])
+def test_verify_report_golden_digest(extra, returncode, digest):
+    # SHA-256 of the full report, recorded before the identity checker
+    # cached operator columns; any change to checks, counts or
+    # counterexamples shows here.
+    result = run_cli("verify", "--degree", "2", "--mu", MU, *extra)
+    assert result.returncode == returncode
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest

@@ -17,6 +17,9 @@ from diracdunkl.exact import (
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 grationals = st.builds(GRational, rationals, rationals)
+# Real and complex values in even measure, so every real/complex pairing of
+# the arithmetic's real-only paths is reached.
+mixed_grationals = st.one_of(st.builds(GRational, rationals), grationals)
 
 
 def test_pochhammer_examples():
@@ -60,6 +63,28 @@ def test_grational_division_and_conjugation(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
     if b:
         assert (a / b) * b == a
+
+
+@settings(derandomize=True, max_examples=500)
+@given(mixed_grationals, mixed_grationals)
+def test_grational_matches_pair_reference(a, b):
+    # Reference arithmetic on (re, im) pairs of Fractions.
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    cases = [
+        (a + b, (ar + br, ai + bi)),
+        (a - b, (ar - br, ai - bi)),
+        (a * b, (ar * br - ai * bi, ar * bi + ai * br)),
+        (-a, (-ar, -ai)),
+    ]
+    if b:
+        norm = br * br + bi * bi
+        cases.append((a / b, ((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)))
+    for value, (re, im) in cases:
+        assert (value.re, value.im) == (re, im)
+        assert type(value.re) is Fraction and type(value.im) is Fraction
+        if not im:
+            assert hash(value) == hash(value.re)
+            assert value == value.re
 
 
 def test_imaginary_unit():

@@ -6,6 +6,8 @@ from conftest import mu_triples, random_spinor
 
 from diracdunkl.exact import GRational, I, Params
 from diracdunkl.operators import (
+    _apply,
+    _shared_nodes,
     anticommutator,
     angular,
     bi_generator,
@@ -25,6 +27,7 @@ from diracdunkl.operators import (
     spherical_dirac,
     spherical_dirac_commutator,
     symmetry,
+    verify_identities,
     verify_identity,
     x_underline,
     zero_op,
@@ -236,13 +239,47 @@ def test_degree_six_invariants():
 def test_linop_linearity():
     rng = random.Random(23)
     gamma = spherical_dirac(P)
+    k1 = bi_generator(P, 1)
+    # gamma and k1 each feed both sides of the commutator's difference.
+    bracket = commutator(gamma, k1)
     f = random_spinor(rng, 3)
     g = random_spinor(rng, 3)
+    assert f.up and f.down and not f.is_homogeneous()
     a = GRational(Fraction(2, 3), Fraction(-1, 5))
     b = GRational(Fraction(-3), Fraction(1, 2))
-    assert gamma(f.scale(a) + g.scale(b)) == gamma(f).scale(a) + gamma(g).scale(b)
+    h = f.scale(a) + g.scale(b)
+    for op in (gamma, bracket):
+        assert op(h) == op(f).scale(a) + op(g).scale(b)
+    # The cached-column path of the identity checker agrees with direct
+    # application on inhomogeneous inputs, before and after its caches fill.
+    memo = {node: {} for node in _shared_nodes([bracket])}
+    assert gamma in memo and k1 in memo
+    assert _apply(bracket, f, memo).scale(a) + _apply(bracket, g, memo).scale(b) == bracket(h)
+    assert _apply(bracket, h, memo) == bracket(h)
+
+
+def test_verify_identities_matches_one_item_calls():
+    gamma = spherical_dirac(P)
+    lap_sphere = laplace_s2(P)
+    quad = P.mu_sum * (P.mu_sum + 1)
+    items = [
+        ("quadratic relation", gamma * gamma + gamma, -1 * lap_sphere + scalar_op(quad)),
+        ("quadratic relation, shifted", gamma * gamma + gamma,
+         -1 * lap_sphere + scalar_op(quad + 1)),
+        ("commutator form", gamma, spherical_dirac_commutator(P)),
+        ("euler added", gamma + euler_op(), gamma),
+    ]
+    batch = verify_identities(items, 3)
+    single = [verify_identity(lhs, rhs, 3, name=name) for name, lhs, rhs in items]
+    assert [r.to_json_dict() for r in batch] == [r.to_json_dict() for r in single]
+    assert [r.status for r in batch] == ["pass", "fail", "pass", "fail"]
+    assert [r.basis_size for r in batch] == [40, 1, 40, 3]
+    assert batch[3].counterexample["degree"] == 1
+    assert batch[1].counterexample["lhs"] != batch[1].counterexample["rhs"]
 
 
 def test_verify_identity_rejects_negative_degree():
     with pytest.raises(ValueError):
         verify_identity(zero_op(), zero_op(), -1)
+    with pytest.raises(ValueError):
+        verify_identities([], -1)
