@@ -293,8 +293,8 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
 
     Checks the three anticommutator relations, the Casimir value, truncation,
     positivity and irreducibility of the tridiagonal data, the ladder-norm
-    identities and (for N <= 4) the full spectrum factorization of the
-    similar generator.  omega3_shift perturbs the expected structure constant
+    identities and the full spectrum factorization of the similar
+    generator.  omega3_shift perturbs the expected structure constant
     so the suite can demonstrate sensitivity.
     """
     rep = rep_matrices(N, params)
@@ -429,10 +429,9 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
     if not (abs(m1 - m2) <= abs(lam0 + HALF) <= upper2):
         return fail("admissibility window (lowering side)", {})
 
-    if N <= 4:
-        bad = _spectrum_factorization(rep)
-        if bad is not None:
-            return fail("spectrum factorization", {"eigenvalue": rational_str(bad)})
+    bad = _spectrum_factorization(rep)
+    if bad is not None:
+        return fail("spectrum factorization", {"eigenvalue": rational_str(bad)})
 
     return IdentityReport(
         name=name,

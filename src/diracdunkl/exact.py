@@ -9,6 +9,7 @@ each operator identity into a strict equality check, with no tolerances.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,10 +28,34 @@ def rational_str(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# Size limits of a rational literal: characters after stripping, and the
+# absolute value of a decimal exponent ("1e3").  Within them a literal
+# parses in microseconds; "1e1000000" would build a 3.3-Mbit numerator.
+MAX_LITERAL_CHARS = 100
+MAX_LITERAL_EXPONENT = 100
+
+_EXPONENT = re.compile(r"[eE]([+-]?\d+)")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a bare, possibly signed, integer)."""
+    """Parse "p/q", a bare, possibly signed, integer or a decimal such as
+    "1.5" or "1e3".  Raises ValueError for malformed text and for literals
+    longer than MAX_LITERAL_CHARS or with a decimal exponent above
+    MAX_LITERAL_EXPONENT in absolute value."""
+    text = text.strip()
+    if len(text) > MAX_LITERAL_CHARS:
+        raise ValueError(
+            f"rational literal too large: {len(text)} characters "
+            f"(at most {MAX_LITERAL_CHARS})"
+        )
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > MAX_LITERAL_EXPONENT:
+        raise ValueError(
+            f"rational literal too large: exponent {exponent.group(1)} "
+            f"(at most {MAX_LITERAL_EXPONENT} in absolute value)"
+        )
     try:
-        return Fraction(text.strip())
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 

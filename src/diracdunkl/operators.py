@@ -7,31 +7,38 @@ on the whole space of spinor polynomials of degree at most d.  The checker
 exploits this: it applies both sides to each basis element and demands exact
 equality, reporting the first counterexample on failure.
 
-Operators are expression trees.  When a batch of identities shares
-subexpressions (the Bannai-Ito generators, the sCasimir, the Casimir), the
-checker caches the image of each monomial spinor at the shared nodes, so each
-of those columns is computed once per degree slice instead of once per
-identity and per occurrence.
+Operators are expression trees over primitives that are plain data: a
+hashable tag such as ("dunkl", axis, mu) or ("pauli", i), whose integer
+kernel maps one monomial spinor to a column.  A column is an exact spinor
+polynomial over the Gaussian integers, `(den, {(sign, exps): (re, im)})`,
+standing for the sum of (re + i im) / den times x^exps chi_sign.  Columns are
+always reduced (den > 0, gcd of den and every entry 1), so two polynomials
+are equal exactly when their columns are equal as Python values, and sums
+and scalings cost only integer products plus one gcd.
+
+Evaluation, both for `LinOp.__call__` and for the checker, first merges
+structurally equal nodes of the trees it is given and folds each sum of
+scaled terms into one linear combination.  A merged node with two or more
+parents (an identity side counts as a parent) is shared: it caches the image
+column of each monomial spinor and applies to a column by linearity.
+The caches last for one `__call__`, or for one degree slice of
+`verify_identities`, and are dropped after it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .exact import HALF, MINUS_I, GRational, Params, as_grational
-from .poly import (
-    ScalarPoly,
-    SpinorPoly,
-    coordinate_multiply,
-    diff,
-    dunkl,
-    euler,
-    pauli,
-    reflect,
-    spinor_basis_labels,
-)
+from .poly import ScalarPoly, SpinorPoly, spinor_basis_labels
+# The reference for the ("dunkl", axis, mu) kernel, kept importable from here
+# because benchmarks/test_harness.py patches and restores `operators.dunkl`.
+from .poly import dunkl  # noqa: F401
 
+_UNIT = (1, 0)
 _ONE = GRational(1)
 
 
@@ -39,11 +46,9 @@ class LinOp:
     """Linear map on spinor polynomials, closed under +, -, scaling,
     composition (via *) and integer powers.
 
-    Each value is an expression node: a primitive (a function applied to a
-    whole spinor polynomial, built from the `poly` operators) or a sum,
-    difference, negation, scaling or composition of its `operands`.  A
-    scaling keeps its factor in `payload`; a primitive keeps its function
-    there.
+    Each value is an expression node: a primitive, whose `payload` is its
+    tag, or a sum, difference, negation, scaling or composition of its
+    `operands`.  A scaling keeps its factor in `payload`.
     """
 
     __slots__ = ("kind", "operands", "payload")
@@ -54,7 +59,8 @@ class LinOp:
         self.payload = payload
 
     def __call__(self, f: SpinorPoly) -> SpinorPoly:
-        return _evaluate(self, f, None)
+        (root,), _ = _compile([self])
+        return _to_spinor(_eval(root, _from_spinor(f)))
 
     def __add__(self, other: "LinOp") -> "LinOp":
         return LinOp("add", (self, other))
@@ -81,123 +87,60 @@ class LinOp:
         return out
 
 
-def primitive(fn) -> LinOp:
-    """Operator applying fn, a linear map, to whole spinor polynomials."""
-    return LinOp("primitive", (), fn)
-
-
-def _evaluate(op: LinOp, f: SpinorPoly, memo: dict | None) -> SpinorPoly:
-    """Image of f under op, recursing through the operands.  Nodes that key
-    a column cache in memo are applied through their cached columns."""
-    kind = op.kind
-    if kind == "primitive":
-        return op.payload(f)
-    args = op.operands
-    if kind == "compose":
-        inner = _apply(args[1], f, memo)
-        return _apply(args[0], inner, memo) if inner else inner
-    if kind == "add":
-        return _apply(args[0], f, memo) + _apply(args[1], f, memo)
-    if kind == "sub":
-        return _apply(args[0], f, memo) - _apply(args[1], f, memo)
-    if kind == "scale":
-        return _apply(args[0], f, memo).scale(op.payload)
-    if kind == "neg":
-        return -_apply(args[0], f, memo)
-    raise ValueError(f"unknown operator node {kind!r}")
-
-
-def _apply(op: LinOp, f: SpinorPoly, memo: dict | None) -> SpinorPoly:
-    if memo:
-        columns = memo.get(op)
-        if columns is not None:
-            return _apply_by_columns(op, f, columns, memo)
-    return _evaluate(op, f, memo)
-
-
-def _apply_by_columns(op: LinOp, f: SpinorPoly, columns: dict, memo: dict) -> SpinorPoly:
-    """Image of f by linearity: the sum of coefficient times the image
-    column of each monomial spinor in f, with columns cached by key
-    (exponents, sign)."""
-    parts = []
-    for sign, terms in ((1, f.up.terms), (-1, f.down.terms)):
-        for exps, coef in terms.items():
-            key = (exps, sign)
-            column = columns.get(key)
-            if column is None:
-                unit = SpinorPoly.from_scalar(ScalarPoly._raw({exps: _ONE}), sign)
-                column = columns[key] = _evaluate(op, unit, memo)
-            parts.append((column, coef))
-    if len(parts) == 1 and parts[0][1] == _ONE:
-        return parts[0][0]
-    up: dict = {}
-    down: dict = {}
-    for column, coef in parts:
-        _add_scaled(up, column.up.terms, coef)
-        _add_scaled(down, column.down.terms, coef)
-    return SpinorPoly(ScalarPoly._raw(up), ScalarPoly._raw(down))
-
-
-def _add_scaled(acc: dict, terms: dict, coef: GRational) -> None:
-    for e, c in terms.items():
-        term = c * coef
-        s = acc.get(e)
-        acc[e] = term if s is None else s + term
-
-
-def _shared_nodes(roots: list[LinOp]) -> list[LinOp]:
-    """Nodes with two or more parents in the graph spanned by roots, where
-    each entry of roots counts as one parent of its node."""
-    parents: dict[LinOp, int] = {}
-    stack = list(roots)
-    while stack:
-        node = stack.pop()
-        count = parents.get(node, 0)
-        parents[node] = count + 1
-        if not count:
-            stack.extend(node.operands)
-    return [node for node, count in parents.items() if count > 1]
+def primitive(*tag) -> LinOp:
+    """Primitive operator named by a hashable tag; see `_kernel`."""
+    return LinOp("primitive", (), tag)
 
 
 def identity() -> LinOp:
-    return primitive(lambda f: f)
+    return scalar_op(1)
 
 
 def zero_op() -> LinOp:
-    return primitive(lambda f: SpinorPoly.zero())
+    return scalar_op(0)
 
 
 def scalar_op(value) -> LinOp:
-    value = as_grational(value)
-    return primitive(lambda f: f.scale(value))
+    return primitive("scalar", as_grational(value))
 
 
 def reflect_op(axis: int) -> LinOp:
-    return primitive(lambda f: reflect(f, axis))
+    return primitive("reflect", axis)
 
 
 def pauli_op(index: int) -> LinOp:
-    return primitive(lambda f: pauli(f, index))
+    if index not in (1, 2, 3):
+        raise ValueError("Pauli index must be 1, 2 or 3")
+    return primitive("pauli", index)
 
 
 def dunkl_op(axis: int, params: Params) -> LinOp:
-    return primitive(lambda f: dunkl(f, axis, params))
+    return primitive("dunkl", axis, params.mu(axis))
 
 
 def partial_op(axis: int) -> LinOp:
-    return primitive(lambda f: diff(f, axis))
+    return primitive("diff", axis)
 
 
 def coordinate_op(axis: int) -> LinOp:
-    return primitive(lambda f: coordinate_multiply(f, axis))
+    return primitive("coord", axis)
 
 
 def multiply_op(scalar: ScalarPoly) -> LinOp:
-    return primitive(lambda f: f.mul_scalar_poly(scalar))
+    """Multiplication by a scalar polynomial, stored in integer form as
+    ("multiply", den, ((exps, re, im), ...))."""
+    den = _lcm_of_denominators(
+        part for c in scalar.terms.values() for part in (c.re, c.im)
+    )
+    terms = tuple(sorted(
+        (exps, _scaled(c.re, den), _scaled(c.im, den))
+        for exps, c in scalar.terms.items()
+    ))
+    return primitive("multiply", den, terms)
 
 
 def euler_op(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
-    return primitive(lambda f: euler(f, axes))
+    return primitive("euler", tuple(axes))
 
 
 def commutator(a: LinOp, b: LinOp) -> LinOp:
@@ -213,48 +156,35 @@ def cyclic(i: int) -> tuple[int, int]:
     return (i % 3 + 1, (i + 1) % 3 + 1)
 
 
+def _sum(ops) -> LinOp:
+    ops = iter(ops)
+    out = next(ops)
+    for op in ops:
+        out = out + op
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Named operators.
 
 def dirac(params: Params, axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
     """Dirac-Dunkl operator: sum of Pauli-weighted Dunkl derivatives."""
-    def apply(f: SpinorPoly) -> SpinorPoly:
-        out = SpinorPoly.zero()
-        for a in axes:
-            out = out + pauli(dunkl(f, a, params), a)
-        return out
-
-    return primitive(apply)
+    return _sum(pauli_op(a) * dunkl_op(a, params) for a in axes)
 
 
 def x_underline(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
     """Clifford coordinate multiplication: sum of sigma_a x_a."""
-    def apply(f: SpinorPoly) -> SpinorPoly:
-        out = SpinorPoly.zero()
-        for a in axes:
-            out = out + pauli(coordinate_multiply(f, a), a)
-        return out
-
-    return primitive(apply)
+    return _sum(pauli_op(a) * coordinate_op(a) for a in axes)
 
 
 def norm_sq(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
     """Multiplication by the squared radius over the given axes."""
-    total = ScalarPoly.zero()
-    for a in axes:
-        total = total + ScalarPoly.variable(a) * ScalarPoly.variable(a)
-    return multiply_op(total)
+    return _sum(coordinate_op(a) * coordinate_op(a) for a in axes)
 
 
 def laplace(params: Params, axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
     """Laplace-Dunkl operator as composed squares of Dunkl derivatives."""
-    def apply(f: SpinorPoly) -> SpinorPoly:
-        out = SpinorPoly.zero()
-        for a in axes:
-            out = out + dunkl(dunkl(f, a, params), a, params)
-        return out
-
-    return primitive(apply)
+    return _sum(dunkl_op(a, params) * dunkl_op(a, params) for a in axes)
 
 
 def laplace_explicit(params: Params) -> LinOp:
@@ -265,28 +195,7 @@ def laplace_explicit(params: Params) -> LinOp:
     so the combined second-order/difference expression never leaves the
     polynomial ring even though its summands individually would.
     """
-    mus = (params.mu1, params.mu2, params.mu3)
-
-    def component(p: ScalarPoly) -> ScalarPoly:
-        out: dict = {}
-        for e, c in p.terms.items():
-            for i in range(3):
-                a = e[i]
-                if a < 2:
-                    continue
-                mu = mus[i]
-                factor = Fraction(a * (a - 1)) + 2 * mu * a - mu * (1 - (-1) ** a)
-                if not factor:
-                    continue
-                low = list(e)
-                low[i] = a - 2
-                key = tuple(low)
-                add = c * factor
-                s = out.get(key)
-                out[key] = add if s is None else s + add
-        return ScalarPoly._raw(out)
-
-    return primitive(lambda f: SpinorPoly(component(f.up), component(f.down)))
+    return primitive("laplace_explicit", params.mu1, params.mu2, params.mu3)
 
 
 def laplace_s2(params: Params) -> LinOp:
@@ -361,6 +270,315 @@ def central_element(params: Params) -> LinOp:
 
 
 # ---------------------------------------------------------------------------
+# Integer kernels of the primitives.
+
+def _scaled(value: Fraction, den: int) -> int:
+    """The integer value * den, for a den that value's denominator divides."""
+    return value.numerator * (den // value.denominator)
+
+
+def _lcm_of_denominators(values) -> int:
+    den = 1
+    for value in values:
+        d = value.denominator
+        if den % d:
+            den = den // math.gcd(den, d) * d
+    return den
+
+
+def _shift(exps: tuple, i: int, delta: int) -> tuple:
+    low = list(exps)
+    low[i] += delta
+    return tuple(low)
+
+
+def _kernel(tag: tuple):
+    """(den, image) for a primitive tag, where image(sign, exps) lists the
+    triples (key, re, im) of the image of the monomial spinor x^exps chi_sign:
+    the sum of (re + i im) / den times the monomial spinor key."""
+    name = tag[0]
+    if name == "scalar":
+        value = tag[1]
+        den = _lcm_of_denominators((value.re, value.im))
+        re, im = _scaled(value.re, den), _scaled(value.im, den)
+        if not (re or im):
+            return 1, lambda sign, exps: ()
+        return den, lambda sign, exps: (((sign, exps), re, im),)
+    if name == "pauli":
+        index = tag[1]
+        if index == 1:
+            return 1, lambda sign, exps: (((-sign, exps), 1, 0),)
+        if index == 2:  # chi+ -> i chi-, chi- -> -i chi+
+            return 1, lambda sign, exps: (((-sign, exps), 0, sign),)
+        return 1, lambda sign, exps: (((sign, exps), sign, 0),)
+    if name == "reflect":
+        i = tag[1] - 1
+        return 1, lambda sign, exps: (((sign, exps), -1 if exps[i] % 2 else 1, 0),)
+    if name == "coord":
+        i = tag[1] - 1
+        return 1, lambda sign, exps: (((sign, _shift(exps, i, 1)), 1, 0),)
+    if name == "diff":
+        i = tag[1] - 1
+        return 1, lambda sign, exps: (
+            (((sign, _shift(exps, i, -1)), exps[i], 0),) if exps[i] else ()
+        )
+    if name == "euler":
+        idx = [a - 1 for a in tag[1]]
+
+        def euler_image(sign, exps):
+            d = sum(exps[i] for i in idx)
+            return (((sign, exps), d, 0),) if d else ()
+
+        return 1, euler_image
+    if name == "dunkl":
+        # T(x^a) = a x^(a-1) for even a, (a + 2 mu) x^(a-1) for odd a.
+        i, mu = tag[1] - 1, tag[2]
+        p, q = mu.numerator, mu.denominator
+
+        def dunkl_image(sign, exps):
+            a = exps[i]
+            factor = a * q if a % 2 == 0 else a * q + 2 * p
+            return (((sign, _shift(exps, i, -1)), factor, 0),) if factor else ()
+
+        return q, dunkl_image
+    if name == "laplace_explicit":
+        mus = tag[1:]
+        den = _lcm_of_denominators(mus)
+        nums = [_scaled(mu, den) for mu in mus]
+
+        def laplace_image(sign, exps):
+            out = []
+            for i in range(3):
+                a = exps[i]
+                if a < 2:
+                    continue
+                factor = a * (a - 1) * den + nums[i] * (2 * a - (1 - (-1) ** a))
+                if factor:
+                    out.append(((sign, _shift(exps, i, -2)), factor, 0))
+            return out
+
+        return den, laplace_image
+    if name == "multiply":
+        den, terms = tag[1], tag[2]
+
+        def multiply_image(sign, exps):
+            return [
+                ((sign, (exps[0] + e[0], exps[1] + e[1], exps[2] + e[2])), re, im)
+                for e, re, im in terms
+            ]
+
+        return den, multiply_image
+    raise ValueError(f"unknown primitive {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# Columns: reduced exact spinor polynomials over the Gaussian integers.
+
+def _reduced(den: int, entries: dict) -> tuple:
+    """The canonical column of entries / den: zero entries dropped, den > 0
+    coprime to the entries (den = 1 for the zero column)."""
+    entries = {key: value for key, value in entries.items() if value[0] or value[1]}
+    if den == 1 or not entries:
+        return (1, entries)
+    g = math.gcd(den, *chain.from_iterable(entries.values()))
+    if g == 1:
+        return (den, entries)
+    return (den // g, {key: (re // g, im // g) for key, (re, im) in entries.items()})
+
+
+def _combine(parts: list, den: int) -> tuple:
+    """Canonical column of (sum of (cr + i ci) * column) / den over the
+    (cr, ci, column) triples in parts."""
+    common = 1
+    for _, _, (d, _) in parts:
+        if common % d:
+            common = common // math.gcd(common, d) * d
+    out: dict = {}
+    get = out.get
+    for cr, ci, (d, entries) in parts:
+        if d != common:
+            m = common // d
+            cr *= m
+            ci *= m
+        if ci:
+            for key, (re, im) in entries.items():
+                x = cr * re - ci * im
+                y = cr * im + ci * re
+                acc = get(key)
+                out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
+        else:
+            for key, (re, im) in entries.items():
+                x = cr * re
+                y = cr * im
+                acc = get(key)
+                out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
+    return _reduced(common * den, out)
+
+
+def _from_spinor(f: SpinorPoly) -> tuple:
+    parts = [
+        (sign, exps, c)
+        for sign, terms in ((1, f.up.terms), (-1, f.down.terms))
+        for exps, c in terms.items()
+    ]
+    den = _lcm_of_denominators(part for _, _, c in parts for part in (c.re, c.im))
+    return (den, {
+        (sign, exps): (_scaled(c.re, den), _scaled(c.im, den)) for sign, exps, c in parts
+    })
+
+
+def _to_spinor(column: tuple) -> SpinorPoly:
+    den, entries = column
+    up: dict = {}
+    down: dict = {}
+    for (sign, exps), (re, im) in entries.items():
+        (up if sign == 1 else down)[exps] = GRational(Fraction(re, den), Fraction(im, den))
+    return SpinorPoly(ScalarPoly._raw(up), ScalarPoly._raw(down))
+
+
+# ---------------------------------------------------------------------------
+# Merged expression graphs and their evaluation.
+
+class _Node:
+    """A node of the merged graph, with the kind and payload of its LinOp
+    and merged `args`.  `_compile` rewrites sums, differences, negations and
+    scalings into "linear" nodes whose `data` lists (cr, ci, child) terms
+    over `den`, child None standing for the identity; a primitive keeps its
+    kernel in `den` and `data`.  `memo` caches image columns by monomial
+    spinor at shared nodes and is None elsewhere."""
+
+    __slots__ = ("kind", "args", "payload", "den", "data", "parents", "memo")
+
+    def __init__(self, kind: str, args: tuple, payload):
+        self.kind = kind
+        self.args = args
+        self.payload = payload
+        self.parents = 0
+        self.memo = None
+
+
+_LINEAR = ("add", "sub", "neg", "scale")
+
+
+def _linear_terms(node: _Node, coef: GRational, terms: dict) -> None:
+    """Add coef * node to terms (a map from child, or None for the
+    identity, to its coefficient), expanding the linear nodes that have no
+    other parent and folding scalar primitives into the identity."""
+    kind, args = node.kind, node.args
+    if kind == "add":
+        _expand(args[0], coef, terms)
+        _expand(args[1], coef, terms)
+    elif kind == "sub":
+        _expand(args[0], coef, terms)
+        _expand(args[1], -coef, terms)
+    elif kind == "neg":
+        _expand(args[0], -coef, terms)
+    else:
+        _expand(args[0], coef * node.payload, terms)
+
+
+def _expand(node: _Node, coef: GRational, terms: dict) -> None:
+    if node.kind in _LINEAR and node.parents == 1:
+        _linear_terms(node, coef, terms)
+        return
+    if node.kind == "primitive" and node.payload[0] == "scalar":
+        coef, node = coef * node.payload[1], None
+    previous = terms.get(node)
+    terms[node] = coef if previous is None else previous + coef
+
+
+def _compile(roots: list[LinOp]) -> tuple[list[_Node], list[_Node]]:
+    """Merge structurally equal nodes of the graphs spanned by roots, and
+    flatten each maximal sum of unshared linear nodes into one "linear"
+    node.  Returns the merged roots and the shared nodes, whose `memo` is
+    set; each entry of roots counts as one parent of its node."""
+    merged: dict = {}
+    by_id: dict = {}
+
+    def build(op: LinOp) -> _Node:
+        node = by_id.get(id(op))
+        if node is None:
+            args = tuple(build(arg) for arg in op.operands)
+            key = (op.kind, op.payload, args)
+            node = merged.get(key)
+            if node is None:
+                node = merged[key] = _Node(op.kind, args, op.payload)
+                for arg in args:
+                    arg.parents += 1
+            by_id[id(op)] = node
+        return node
+
+    out = [build(op) for op in roots]
+    for node in out:
+        node.parents += 1
+    nodes = list(merged.values())
+    expansions = {}
+    for node in nodes:
+        if node.kind in _LINEAR:
+            terms: dict = {}
+            _linear_terms(node, _ONE, terms)
+            expansions[node] = [(child, c) for child, c in terms.items() if c]
+    for node in nodes:
+        if node.kind == "primitive":
+            node.den, node.data = _kernel(node.payload)
+        elif node in expansions:
+            terms = expansions[node]
+            den = _lcm_of_denominators(part for _, c in terms for part in (c.re, c.im))
+            node.kind, node.args, node.den = "linear", (), den
+            node.data = [(_scaled(c.re, den), _scaled(c.im, den), child) for child, c in terms]
+    shared = [
+        node for node in nodes
+        if node.parents > 1 and node.kind != "primitive"
+    ]
+    for node in shared:
+        node.memo = {}
+    return out, shared
+
+
+def _eval(node: _Node, column: tuple) -> tuple:
+    """Image of a column under a merged node."""
+    memo = node.memo
+    if memo is None:
+        return _direct(node, column)
+    den, entries = column
+    parts = []
+    for key, (re, im) in entries.items():
+        image = memo.get(key)
+        if image is None:
+            image = memo[key] = _direct(node, (1, {key: _UNIT}))
+        parts.append((re, im, image))
+    if den == 1 and len(parts) == 1 and parts[0][:2] == _UNIT:
+        return parts[0][2]
+    return _combine(parts, den)
+
+
+def _direct(node: _Node, column: tuple) -> tuple:
+    kind = node.kind
+    if kind == "linear":
+        return _combine([
+            (cr, ci, column if child is None else _eval(child, column))
+            for cr, ci, child in node.data
+        ], node.den)
+    if kind == "compose":
+        inner = _eval(node.args[1], column)
+        return _eval(node.args[0], inner) if inner[1] else inner
+    if kind == "primitive":
+        image = node.data
+        out: dict = {}
+        get = out.get
+        for (sign, exps), (re, im) in column[1].items():
+            for key, kr, ki in image(sign, exps):
+                if ki:
+                    x, y = re * kr - im * ki, re * ki + im * kr
+                else:
+                    x, y = re * kr, im * kr
+                acc = get(key)
+                out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
+        return _reduced(column[0] * node.den, out)
+    raise ValueError(f"unknown operator node {kind!r}")
+
+
+# ---------------------------------------------------------------------------
 # Identity verification.
 
 @dataclass
@@ -399,13 +617,13 @@ def verify_identities(
 
     Passing certifies an identity on the full space of those degrees, by
     linearity.  A failing identity records its first counterexample and is
-    not applied again.  Nodes shared by two or more parents across the
-    batch cache their image columns; the caches hold one degree slice at a
-    time and are dropped on return.
+    not applied again.  All sides are evaluated on one merged graph whose
+    shared nodes cache their image columns for one degree slice at a time.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    shared = _shared_nodes([op for _, lhs, rhs in items for op in (lhs, rhs)])
+    roots, shared = _compile([op for _, lhs, rhs in items for op in (lhs, rhs)])
+    sides = list(zip(roots[::2], roots[1::2]))
     basis_size = 0
 
     def report(name: str, counterexample: dict | None = None) -> IdentityReport:
@@ -414,22 +632,23 @@ def verify_identities(
 
     failed: list[IdentityReport | None] = [None] * len(items)
     for degree in range(max_degree + 1):
-        memo = {node: {} for node in shared}
+        for node in shared:
+            node.memo.clear()
         for exps, sign in spinor_basis_labels(degree, axes):
             basis_size += 1
-            f = SpinorPoly.monomial(exps, sign)
-            for index, (name, lhs, rhs) in enumerate(items):
+            unit = (1, {(sign, exps): _UNIT})
+            for index, (lhs, rhs) in enumerate(sides):
                 if failed[index] is not None:
                     continue
-                left = _apply(lhs, f, memo)
-                right = _apply(rhs, f, memo)
+                left = _eval(lhs, unit)
+                right = _eval(rhs, unit)
                 if left != right:
-                    failed[index] = report(name, {
+                    failed[index] = report(items[index][0], {
                         "degree": degree,
                         "exponents": list(exps),
                         "spinor": "+" if sign == 1 else "-",
-                        "lhs": left.to_json_dict(),
-                        "rhs": right.to_json_dict(),
+                        "lhs": _to_spinor(left).to_json_dict(),
+                        "rhs": _to_spinor(right).to_json_dict(),
                     })
     return [bad or report(name) for bad, (name, _, _) in zip(failed, items)]
 

@@ -18,7 +18,7 @@ from diracdunkl.birep import (
     structure_constants,
     verify_rep,
 )
-from diracdunkl import linalg
+from diracdunkl import birep, linalg
 from diracdunkl.closedform import UnivariatePoly
 from diracdunkl.exact import HALF, Params
 
@@ -181,3 +181,11 @@ def test_rep_rejects_negative_degree():
         rep_matrices(-1, P)
     with pytest.raises(ValueError):
         ladder_norms(-2, P)
+
+
+def test_verify_rep_runs_spectrum_factorization_beyond_degree_four(monkeypatch):
+    assert verify_rep(6, P).passed
+    monkeypatch.setattr(birep, "_spectrum_factorization", lambda rep: HALF)
+    report = verify_rep(6, P)
+    assert not report.passed
+    assert report.counterexample == {"check": "spectrum factorization", "eigenvalue": "1/2"}

@@ -149,11 +149,26 @@ def test_degree_flag_spellings(flag):
     ((), 0, "081e46b0bdacbf794e708910d52766f64568c9764bc2e3e9b4ab14907a41b628"),
     (("--mutate", "quad+1"), 1,
      "d8a154d9219374c0c975c7ccc5f03888b857ff04758efae75c60106ebf22de6d"),
+    (("--mutate", "gamma3+1"), 1,
+     "fd876c6b65556d8a6424dfc238001d185ec83d1bb8a123e99978acc6cb8705f2"),
+    (("--mu", "0,0,0"), 0,
+     "b29d053ca91361f06f337eeda3b1bc76c86f18b0860c2c13ed015bd4ab771a2f"),
+    (("--mu", "1e3,1,1"), 0,
+     "c2567642e77839d319bc038a30c596bd617fee618c159a5be37a7a2be2c0b2ca"),
 ])
 def test_verify_report_golden_digest(extra, returncode, digest):
     # SHA-256 of the full report, recorded before the identity checker
-    # cached operator columns; any change to checks, counts or
-    # counterexamples shows here.
+    # cached operator columns (the first two rows) or evaluated operators
+    # on Gaussian-integer columns (the others); any change to checks,
+    # counts or counterexamples shows here.  A later --mu replaces MU.
     result = run_cli("verify", "--degree", "2", "--mu", MU, *extra)
     assert result.returncode == returncode
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mu", ["1e1000000,1,1", "1e100000000,1,1", "1" * 5000 + ",1,1"],
+                         ids=["exponent-1e6", "exponent-1e8", "5000-digits"])
+def test_verify_rejects_huge_mu_literals(mu):
+    result = run_cli("verify", "--degree", "0", "--mu", mu)
+    assert result.returncode == 2
+    assert "too large" in result.stderr

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracdunkl.exact import (
+    MAX_LITERAL_CHARS,
+    MAX_LITERAL_EXPONENT,
     GRational,
     I,
     Params,
@@ -105,6 +107,27 @@ def test_rational_string_round_trip():
     assert parse_rational("-2") == -2
     with pytest.raises(ValueError):
         parse_rational("one half")
+
+
+def test_parse_rational_size_limits():
+    assert parse_rational("1e3") == 1000
+    assert parse_rational(" 1.5E-2 ") == Fraction(3, 200)
+    assert parse_rational(f"1e{MAX_LITERAL_EXPONENT}") == 10**MAX_LITERAL_EXPONENT
+    assert parse_rational(f"1e-{MAX_LITERAL_EXPONENT}") == Fraction(1, 10**MAX_LITERAL_EXPONENT)
+    assert parse_rational("7" * MAX_LITERAL_CHARS) == int("7" * MAX_LITERAL_CHARS)
+    for text in (
+        f"1e{MAX_LITERAL_EXPONENT + 1}",
+        f"1e-{MAX_LITERAL_EXPONENT + 1}",
+        "1e1000000",
+        "1e100000000",
+        "7" * (MAX_LITERAL_CHARS + 1),
+        "1/" + "3" * MAX_LITERAL_CHARS,
+    ):
+        with pytest.raises(ValueError, match="too large"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational("1/0")
+    assert Params.parse("1e3,1,1").mu1 == 1000
 
 
 def test_params_invariants():

@@ -6,9 +6,12 @@ from conftest import mu_triples, random_spinor
 
 from diracdunkl.exact import GRational, I, Params
 from diracdunkl.operators import (
-    _apply,
-    _shared_nodes,
     anticommutator,
+    coordinate_op,
+    dunkl_op,
+    identity,
+    multiply_op,
+    partial_op,
     angular,
     bi_generator,
     casimir,
@@ -32,7 +35,17 @@ from diracdunkl.operators import (
     x_underline,
     zero_op,
 )
-from diracdunkl.poly import SpinorPoly
+from diracdunkl.poly import (
+    ScalarPoly,
+    SpinorPoly,
+    coordinate_multiply,
+    diff,
+    dunkl,
+    euler,
+    pauli,
+    reflect,
+    spinor_basis_labels,
+)
 
 P = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 CHI_PLUS = SpinorPoly.unit(1)
@@ -240,7 +253,8 @@ def test_linop_linearity():
     rng = random.Random(23)
     gamma = spherical_dirac(P)
     k1 = bi_generator(P, 1)
-    # gamma and k1 each feed both sides of the commutator's difference.
+    # gamma and k1 each feed both sides of the commutator's difference, so
+    # one call of the bracket applies them through their cached columns.
     bracket = commutator(gamma, k1)
     f = random_spinor(rng, 3)
     g = random_spinor(rng, 3)
@@ -250,12 +264,10 @@ def test_linop_linearity():
     h = f.scale(a) + g.scale(b)
     for op in (gamma, bracket):
         assert op(h) == op(f).scale(a) + op(g).scale(b)
-    # The cached-column path of the identity checker agrees with direct
-    # application on inhomogeneous inputs, before and after its caches fill.
-    memo = {node: {} for node in _shared_nodes([bracket])}
-    assert gamma in memo and k1 in memo
-    assert _apply(bracket, f, memo).scale(a) + _apply(bracket, g, memo).scale(b) == bracket(h)
-    assert _apply(bracket, h, memo) == bracket(h)
+    # The cached-column path agrees with calls in which every node has one
+    # parent and applies to the whole inhomogeneous input at once.
+    assert bracket(h) == gamma(k1(h)) - k1(gamma(h))
+    assert bracket(f).scale(a) + bracket(g).scale(b) == gamma(k1(h)) - k1(gamma(h))
 
 
 def test_verify_identities_matches_one_item_calls():
@@ -283,3 +295,88 @@ def test_verify_identity_rejects_negative_degree():
         verify_identity(zero_op(), zero_op(), -1)
     with pytest.raises(ValueError):
         verify_identities([], -1)
+
+
+# Parameter triples for the kernel tests: zeros, mixed zeros and large heights
+# next to the seeded small ones.
+KERNEL_MUS = [
+    Params(0, 0, 0),
+    Params(0, Fraction(1, 2), 0),
+    Params(1000, 1, 1),
+    Params(Fraction(997, 3), 0, Fraction(2, 5)),
+] + mu_triples(2, seed=41)
+
+
+def _mixed_coefficient(rng):
+    dens = (1, 2, 3, 7, 12, 997)
+    return GRational(
+        Fraction(rng.randint(-9, 9), rng.choice(dens)),
+        Fraction(rng.randint(-9, 9), rng.choice(dens)),
+    )
+
+
+def _mixed_spinor(rng, max_degree=4):
+    """Inhomogeneous spinor polynomial with non-real coefficients whose
+    denominators differ from term to term."""
+    out = SpinorPoly.zero()
+    for degree in range(max_degree + 1):
+        for exps, sign in spinor_basis_labels(degree):
+            if rng.random() < 0.4:
+                out = out + SpinorPoly.monomial(exps, sign, _mixed_coefficient(rng))
+    return out
+
+
+def _mixed_scalar(rng):
+    out = ScalarPoly.zero()
+    for degree in range(3):
+        for exps, sign in spinor_basis_labels(degree):
+            if sign == 1 and rng.random() < 0.5:
+                out = out + ScalarPoly.monomial(exps, _mixed_coefficient(rng))
+    return out
+
+
+def test_primitive_kernels_match_poly_references():
+    rng = random.Random(31)
+    for params in KERNEL_MUS:
+        for _ in range(3):
+            f = _mixed_spinor(rng)
+            assert f.up and f.down and not f.is_homogeneous()
+            for axis in (1, 2, 3):
+                assert dunkl_op(axis, params)(f) == dunkl(f, axis, params)
+                assert pauli_op(axis)(f) == pauli(f, axis)
+                assert reflect_op(axis)(f) == reflect(f, axis)
+                assert coordinate_op(axis)(f) == coordinate_multiply(f, axis)
+                assert partial_op(axis)(f) == diff(f, axis)
+            for axes in ((1, 2, 3), (1, 2), (3,)):
+                assert euler_op(axes)(f) == euler(f, axes)
+            for value in (0, 1, Fraction(-997, 3), _mixed_coefficient(rng), I):
+                assert scalar_op(value)(f) == f.scale(value)
+            scalar = _mixed_scalar(rng)
+            assert multiply_op(scalar)(f) == f.mul_scalar_poly(scalar)
+            assert multiply_op(ScalarPoly.zero())(f) == SpinorPoly.zero()
+            composed = SpinorPoly.zero()
+            for a in (1, 2, 3):
+                composed = composed + dunkl(dunkl(f, a, params), a, params)
+            assert laplace_explicit(params)(f) == composed
+            assert laplace(params)(f) == composed
+            dd = xx = r2 = SpinorPoly.zero()
+            for a in (1, 2, 3):
+                dd = dd + pauli(dunkl(f, a, params), a)
+                xx = xx + pauli(coordinate_multiply(f, a), a)
+                r2 = r2 + coordinate_multiply(coordinate_multiply(f, a), a)
+            assert dirac(params)(f) == dd
+            assert x_underline()(f) == xx
+            assert norm_sq()(f) == r2
+        assert dirac(params)(SpinorPoly.zero()) == SpinorPoly.zero()
+
+
+def test_columns_are_reduced():
+    # Each identity holds only if equal images reduce to equal columns.
+    for params in KERNEL_MUS:
+        for axis in (1, 2, 3):
+            t, x = dunkl_op(axis, params), coordinate_op(axis)
+            rhs = identity() + (2 * params.mu(axis)) * reflect_op(axis)
+            assert verify_identity(commutator(t, x), rhs, 3).passed
+        third = Fraction(1, 3) * identity()
+        assert verify_identity(third + third + third, identity(), 2).passed
+        assert verify_identity(scalar_op(997) * scalar_op(Fraction(1, 997)), identity(), 2).passed
