@@ -7,7 +7,7 @@ the monogenic bases, closed-form wavefunctions and finite-dimensional
 representation matrices, and verifies every identity by strict equality.
 """
 
-from .exact import GRational, Params, Rational, gamma_ratio, pochhammer
+from .exact import GRational, Params, Rational, pochhammer
 from .poly import ScalarPoly, SpinorPoly, divide_by_coordinate, dunkl, euler, pauli, reflect
 from .operators import (
     IdentityReport,
@@ -54,7 +54,7 @@ from .birep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GRational", "Params", "Rational", "gamma_ratio", "pochhammer",
+    "GRational", "Params", "Rational", "pochhammer",
     "ScalarPoly", "SpinorPoly", "divide_by_coordinate", "dunkl", "euler",
     "pauli", "reflect",
     "IdentityReport", "LinOp", "angular", "bi_generator", "casimir", "dirac",

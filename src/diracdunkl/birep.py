@@ -114,12 +114,6 @@ def _lower_coeff(k: int, N: int, params: Params) -> Fraction:
     return -(k + 2 * m1) * (k + m1 + m2 - m3 + mu_n) / (2 * (k + m1 + m2))
 
 
-def _identity(n: int) -> list[list[Fraction]]:
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
-
-
 def _scalar_matrix(n: int, value: Fraction) -> list[list[Fraction]]:
     return [
         [value if i == j else Fraction(0) for j in range(n)] for i in range(n)

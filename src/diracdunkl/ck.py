@@ -13,6 +13,11 @@ where Dt is the Dirac-Dunkl operator in the remaining coordinates and (q)_a
 is the rising factorial.  The series terminates because Dt lowers degree by
 one; the result restricts to p at x_e = 0 and lies in the kernel of the full
 Dirac-Dunkl operator.  Substituting x_e = 0 inverts the map.
+
+Operators are applied only as `operators.LinOp` values, on the exact
+integer kernels of `operators`: Dt is `operators.dirac(params, axes)`, the
+Clifford coordinate is `operators.x_underline(axes)`, and x_e, sigma_e and
+all powers are built from the same primitives.
 """
 
 from __future__ import annotations
@@ -23,27 +28,18 @@ from functools import lru_cache
 
 from . import linalg
 from .exact import HALF, Params, pochhammer
-from .poly import (
-    SpinorPoly,
-    coordinate_keys,
-    coordinate_multiply,
-    coordinates,
-    dunkl,
-    pauli,
-)
-
-
-def _tangent_dirac(f: SpinorPoly, axes: tuple[int, ...], params: Params) -> SpinorPoly:
-    out = SpinorPoly.zero()
-    for a in axes:
-        out = out + pauli(dunkl(f, a, params), a)
-    return out
+from .operators import coordinate_op, dirac, pauli_op, x_underline
+from .poly import SpinorPoly, coordinate_keys, coordinates
+# Kept importable from here because benchmarks/test_harness.py patches and
+# restores `ck.dunkl`.
+from .poly import dunkl  # noqa: F401
 
 
 def _ck_extend(
     p: SpinorPoly, ext_axis: int, tangent_axes: tuple[int, ...], params: Params
 ) -> SpinorPoly:
     mu = params.mu(ext_axis)
+    tangent = dirac(params, tangent_axes)
     result = SpinorPoly.zero()
     current = p  # holds Dt^alpha p
     alpha = 0
@@ -55,11 +51,9 @@ def _ck_extend(
             else 2 * (mu + HALF) * pochhammer(mu + Fraction(3, 2), a)
         )
         coef /= pochhammer(1, a)  # a!
-        term = pauli(current, ext_axis) if odd else current
-        for _ in range(alpha):
-            term = coordinate_multiply(term, ext_axis)
-        result = result + term.scale(coef)
-        current = _tangent_dirac(current, tangent_axes, params)
+        term = coef * coordinate_op(ext_axis) ** alpha * pauli_op(ext_axis) ** odd
+        result = result + term(current)
+        current = tangent(current)
         alpha += 1
     return result
 
@@ -78,22 +72,6 @@ def ck_extend_x2(p: SpinorPoly, params: Params) -> SpinorPoly:
     if p.involves(2) or p.involves(3):
         raise ValueError("input must involve x1 only")
     return _ck_extend(p, 2, (1,), params)
-
-
-def x_underline_apply(f: SpinorPoly, axes: tuple[int, ...] = (1, 2, 3)) -> SpinorPoly:
-    """Multiply by the Clifford coordinate sum over the given axes."""
-    out = SpinorPoly.zero()
-    for a in axes:
-        out = out + pauli(coordinate_multiply(f, a), a)
-    return out
-
-
-def x_power_apply(
-    f: SpinorPoly, n: int, axes: tuple[int, ...] = (1, 2, 3)
-) -> SpinorPoly:
-    for _ in range(n):
-        f = x_underline_apply(f, axes)
-    return f
 
 
 @dataclass(frozen=True)
@@ -131,7 +109,7 @@ def monogenic_basis(N: int, params: Params) -> MonogenicBasis:
         for sign in (1, -1):
             seed = SpinorPoly.monomial((k, 0, 0), sign)
             planar = ck_extend_x2(seed, params)
-            lifted = x_power_apply(planar, N - k, axes=(1, 2))
+            lifted = (x_underline((1, 2)) ** (N - k))(planar)
             elements.append(BasisElement(k, sign, ck_extend_x3(lifted, params)))
     return MonogenicBasis(N, params, tuple(elements))
 
@@ -146,7 +124,7 @@ class FischerComponents:
     def reconstruct(self) -> SpinorPoly:
         out = SpinorPoly.zero()
         for k, part in enumerate(self.components):
-            out = out + x_power_apply(part, k)
+            out = out + (x_underline() ** k)(part)
         return out
 
 
@@ -166,7 +144,7 @@ def fischer_decompose(f: SpinorPoly, params: Params) -> FischerComponents:
     for k in range(N + 1):
         basis = monogenic_basis(N - k, params)
         for idx, element in enumerate(basis.elements):
-            columns.append(x_power_apply(element.poly, k))
+            columns.append((x_underline() ** k)(element.poly))
             labels.append((k, idx))
     keys = coordinate_keys(columns + [f])
     matrix = [list(row) for row in zip(*(coordinates(c, keys) for c in columns))]

@@ -255,10 +255,6 @@ class Params:
     def mu(self, axis: int) -> Fraction:
         return (self.mu1, self.mu2, self.mu3)[axis - 1]
 
-    def cycled(self) -> "Params":
-        """Parameters under the cyclic relabeling 1 -> 2 -> 3 -> 1 of the axes."""
-        return Params(self.mu2, self.mu3, self.mu1)
-
     def mu_strings(self) -> list[str]:
         return [rational_str(m) for m in (self.mu1, self.mu2, self.mu3)]
 
@@ -279,20 +275,6 @@ def pochhammer(a, n: int) -> Fraction:
     for j in range(n):
         out *= a + j
     return out
-
-
-def gamma_ratio(a, b) -> Fraction:
-    """Gamma(a) / Gamma(b), defined only when a - b is a non-negative integer.
-
-    For other argument pairs the ratio is not rational in general, so this
-    raises instead of approximating.
-    """
-    a = Fraction(a)
-    b = Fraction(b)
-    diff = a - b
-    if diff.denominator != 1 or diff < 0:
-        raise ValueError("gamma_ratio requires a - b to be a non-negative integer")
-    return pochhammer(b, int(diff))
 
 
 def factorial(n: int) -> Fraction:

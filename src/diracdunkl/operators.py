@@ -609,8 +609,6 @@ class IdentityReport:
 def verify_identities(
     items: list[tuple[str, LinOp, LinOp]],
     max_degree: int,
-    *,
-    axes: tuple[int, ...] = (1, 2, 3),
 ) -> list[IdentityReport]:
     """Check each (name, lhs, rhs) item on every monomial spinor of degree
     0..max_degree, in the order degree, basis element, identity.
@@ -634,7 +632,7 @@ def verify_identities(
     for degree in range(max_degree + 1):
         for node in shared:
             node.memo.clear()
-        for exps, sign in spinor_basis_labels(degree, axes):
+        for exps, sign in spinor_basis_labels(degree):
             basis_size += 1
             unit = (1, {(sign, exps): _UNIT})
             for index, (lhs, rhs) in enumerate(sides):
@@ -659,9 +657,8 @@ def verify_identity(
     max_degree: int,
     *,
     name: str = "",
-    axes: tuple[int, ...] = (1, 2, 3),
 ) -> IdentityReport:
     """Check lhs = rhs on every monomial-spinor of degree 0..max_degree;
     a one-item `verify_identities`."""
-    (report,) = verify_identities([(name, lhs, rhs)], max_degree, axes=axes)
+    (report,) = verify_identities([(name, lhs, rhs)], max_degree)
     return report

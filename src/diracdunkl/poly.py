@@ -6,10 +6,12 @@ polynomial carries two scalar components along the basis spinors
 chi+ = (1, 0) and chi- = (0, 1); this ordering fixes the sign conventions of
 the second and third Pauli actions.
 
-The module also provides the primitive operators from which everything else
-in the package is composed: coordinate reflection, partial derivative, exact
-division by a coordinate, the Dunkl derivative, the Pauli matrix action and
-the Euler operator.
+The module also provides reference versions of the primitive operators:
+coordinate reflection, partial derivative, exact division by a coordinate,
+the Dunkl derivative, the Pauli matrix action, the Euler operator and
+coordinate multiplication.  The package applies operators through the
+integer kernels of `operators`; the tests compare those kernels, and the
+extension maps built on them, against these definitions.
 """
 
 from __future__ import annotations
@@ -216,10 +218,6 @@ class SpinorPoly:
     @classmethod
     def monomial(cls, exps, sign: int, coef=1) -> "SpinorPoly":
         scalar = ScalarPoly.monomial(exps, coef)
-        return cls(scalar, None) if sign == 1 else cls(None, scalar)
-
-    @classmethod
-    def from_scalar(cls, scalar: ScalarPoly, sign: int) -> "SpinorPoly":
         return cls(scalar, None) if sign == 1 else cls(None, scalar)
 
     def __add__(self, other: "SpinorPoly") -> "SpinorPoly":

@@ -475,9 +475,7 @@ def suite_fischer(
                 if components[k]:
                     components[k] = components[k].scale(2)
                     break
-        recon = SpinorPoly.zero()
-        for k, part in enumerate(components):
-            recon = recon + ck.x_power_apply(part, k)
+        recon = ck.FischerComponents(N, tuple(components)).reconstruct()
         checks.append(_check(
             f"fischer reconstruction N={N}",
             recon == f,
@@ -488,7 +486,7 @@ def suite_fischer(
         columns = []
         for k in range(N + 1):
             for el in ck.monogenic_basis(N - k, params).elements:
-                columns.append(ck.x_power_apply(el.poly, k))
+                columns.append((x_underline() ** k)(el.poly))
         keys = coordinate_keys(columns)
         full_rank = linalg.rank([coordinates(c, keys) for c in columns]) == expected
         checks.append(_check(

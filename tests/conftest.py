@@ -14,6 +14,16 @@ def mu_triples(count: int, seed: int) -> list[Params]:
     ]
 
 
+# Zeros, mixed zeros and large heights next to seeded small triples, for
+# comparing the integer kernels and the extension with their references.
+EDGE_MUS = [
+    Params(0, 0, 0),
+    Params(0, Fraction(1, 2), 0),
+    Params(1000, 1, 1),
+    Params(Fraction(997, 3), 0, Fraction(2, 5)),
+] + mu_triples(2, seed=41)
+
+
 def random_spinor(rng: random.Random, max_degree: int, axes=(1, 2, 3)) -> SpinorPoly:
     """Random spinor polynomial with small Gaussian-rational coefficients."""
     out = SpinorPoly.zero()

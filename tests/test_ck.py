@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import mu_triples, random_spinor
+from conftest import EDGE_MUS, mu_triples, random_spinor
 
 from diracdunkl import linalg
 from diracdunkl.ck import (
@@ -10,11 +10,9 @@ from diracdunkl.ck import (
     ck_extend_x3,
     fischer_decompose,
     monogenic_basis,
-    x_power_apply,
-    x_underline_apply,
 )
-from diracdunkl.exact import GRational, I, Params, pochhammer
-from diracdunkl.operators import dirac
+from diracdunkl.exact import HALF, GRational, I, Params, pochhammer
+from diracdunkl.operators import dirac, x_underline
 from diracdunkl.poly import (
     SpinorPoly,
     coordinate_keys,
@@ -35,8 +33,41 @@ def up(exps, coef=1):
     return SpinorPoly.monomial(exps, 1, coef)
 
 
-def tangent_dirac(f, params):
-    return pauli(dunkl(f, 1, params), 1) + pauli(dunkl(f, 2, params), 2)
+XT = x_underline((1, 2))
+
+
+def tangent_dirac(f, params, axes=(1, 2)):
+    out = SpinorPoly.zero()
+    for a in axes:
+        out = out + pauli(dunkl(f, a, params), a)
+    return out
+
+
+def ck_extend_reference(p, ext_axis, tangent_axes, params):
+    """The extension series built from the `poly` primitives alone."""
+    mu = params.mu(ext_axis)
+    result = SpinorPoly.zero()
+    current = p  # holds Dt^alpha p
+    alpha = 0
+    while current:
+        a, odd = divmod(alpha, 2)
+        coef = Fraction((-1) ** (a + odd), 4**a) / (
+            pochhammer(mu + HALF, a)
+            if not odd
+            else 2 * (mu + HALF) * pochhammer(mu + Fraction(3, 2), a)
+        )
+        coef /= pochhammer(1, a)  # a!
+        term = pauli(current, ext_axis) if odd else current
+        for _ in range(alpha):
+            term = coordinate_multiply(term, ext_axis)
+        result = result + term.scale(coef)
+        current = tangent_dirac(current, params, tangent_axes)
+        alpha += 1
+    return result
+
+
+def _is_real(f):
+    return all(not c.im for part in (f.up, f.down) for c in part.terms.values())
 
 
 def test_extension_of_constants():
@@ -69,6 +100,19 @@ def test_extension_x2_quadratic_input():
         + up((1, 1, 0), 2 * I / (2 * P.mu2 + 1))
     )
     assert result == expected
+
+
+def test_extension_matches_poly_reference():
+    rng = random.Random(53)
+    for params in EDGE_MUS:
+        for _ in range(2):
+            f = random_spinor(rng, 5, axes=(1, 2))
+            assert not f.is_homogeneous() and not _is_real(f)
+            assert ck_extend_x3(f, params) == ck_extend_reference(f, 3, (1, 2), params)
+            g = random_spinor(rng, 6, axes=(1,))
+            assert not g.is_homogeneous() and not _is_real(g)
+            assert ck_extend_x2(g, params) == ck_extend_reference(g, 2, (1,), params)
+        assert ck_extend_x3(SpinorPoly.zero(), params) == SpinorPoly.zero()
 
 
 def test_extension_preconditions():
@@ -124,8 +168,8 @@ def test_power_identities_for_tangent_operators():
         mk = ck_extend_x2(up((k, 0, 0)), P)
         for beta in range(3):  # 2 beta <= 4
             for alpha in range(4):
-                even_target = x_power_apply(mk, 2 * beta, axes=(1, 2))
-                odd_target = x_power_apply(mk, 2 * beta + 1, axes=(1, 2))
+                even_target = (XT ** (2 * beta))(mk)
+                odd_target = (XT ** (2 * beta + 1))(mk)
 
                 lhs = even_target
                 for _ in range(2 * alpha):
@@ -136,7 +180,7 @@ def test_power_identities_for_tangent_operators():
                     * pochhammer(1 - k - beta - gamma2, alpha)
                 )
                 rhs = (
-                    x_power_apply(mk, 2 * beta - 2 * alpha, axes=(1, 2)).scale(coef)
+                    (XT ** (2 * beta - 2 * alpha))(mk).scale(coef)
                     if coef
                     else SpinorPoly.zero()
                 )
@@ -152,7 +196,7 @@ def test_power_identities_for_tangent_operators():
                     * pochhammer(1 - k - beta - gamma2, alpha)
                 )
                 rhs = (
-                    x_power_apply(mk, 2 * beta - 2 * alpha - 1, axes=(1, 2)).scale(coef)
+                    (XT ** (2 * beta - 2 * alpha - 1))(mk).scale(coef)
                     if coef
                     else SpinorPoly.zero()
                 )
@@ -167,7 +211,7 @@ def test_power_identities_for_tangent_operators():
                     * pochhammer(-k - beta - gamma2, alpha)
                 )
                 rhs = (
-                    x_power_apply(mk, 2 * beta - 2 * alpha + 1, axes=(1, 2)).scale(coef)
+                    (XT ** (2 * beta - 2 * alpha + 1))(mk).scale(coef)
                     if coef
                     else SpinorPoly.zero()
                 )
@@ -183,7 +227,7 @@ def test_power_identities_for_tangent_operators():
                     * pochhammer(1 - k - beta - gamma2, alpha)
                 )
                 rhs = (
-                    x_power_apply(mk, 2 * beta - 2 * alpha, axes=(1, 2)).scale(coef)
+                    (XT ** (2 * beta - 2 * alpha))(mk).scale(coef)
                     if coef
                     else SpinorPoly.zero()
                 )
@@ -195,12 +239,10 @@ def test_planar_commutation_relations():
     for degree in range(7):
         for exps, sign in spinor_basis_labels(degree, axes=(1, 2)):
             f = SpinorPoly.monomial(exps, sign)
-            xt2 = x_power_apply(f, 2, axes=(1, 2))
-            lhs = tangent_dirac(xt2, P) - x_power_apply(tangent_dirac(f, P), 2, axes=(1, 2))
-            assert lhs == x_underline_apply(f, axes=(1, 2)).scale(2)
-            anti = tangent_dirac(x_underline_apply(f, axes=(1, 2)), P) + x_underline_apply(
-                tangent_dirac(f, P), axes=(1, 2)
-            )
+            xt2 = (XT ** 2)(f)
+            lhs = tangent_dirac(xt2, P) - (XT ** 2)(tangent_dirac(f, P))
+            assert lhs == XT(f).scale(2)
+            anti = tangent_dirac(XT(f), P) + XT(tangent_dirac(f, P))
             assert anti == euler(f, axes=(1, 2)).scale(2) + f.scale(2 * P.gamma2)
 
 
@@ -242,7 +284,7 @@ def test_fischer_examples():
     sigma1_chi_plus = pauli(CHI_PLUS, 1)
     expected_m0 = sigma1_chi_plus.scale(coef)
     assert parts.components[1] == expected_m0
-    assert parts.components[0] == f - x_underline_apply(expected_m0)
+    assert parts.components[0] == f - x_underline()(expected_m0)
     assert dirac(P)(parts.components[0]) == SpinorPoly.zero()
     assert parts.reconstruct() == f
 
@@ -274,7 +316,7 @@ def test_fischer_dimension_audit():
     columns = []
     for k in range(N + 1):
         for el in monogenic_basis(N - k, P).elements:
-            columns.append(x_power_apply(el.poly, k))
+            columns.append((x_underline() ** k)(el.poly))
     assert len(columns) == (N + 1) * (N + 2)
     keys = coordinate_keys(columns)
     assert linalg.rank([coordinates(c, keys) for c in columns]) == 2 * 15

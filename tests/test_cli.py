@@ -155,14 +155,33 @@ def test_degree_flag_spellings(flag):
      "b29d053ca91361f06f337eeda3b1bc76c86f18b0860c2c13ed015bd4ab771a2f"),
     (("--mu", "1e3,1,1"), 0,
      "c2567642e77839d319bc038a30c596bd617fee618c159a5be37a7a2be2c0b2ca"),
+    (("--mutate", "component*2"), 1,
+     "4f06ef464f9fbe56fc1341d87838868d6c9e07700b55915cc6914b8a47c458f3"),
+    (("--mutate", "eigenvalue+1"), 1,
+     "f24523f771d91e28b02e242771c39e213bd05507fa4d96ee489f1b24c2bb6e19"),
+    (("--mutate", "lift-parameter+1"), 1,
+     "395f437e165bcb30db3ec2b6865dd8a0a02e462e0d1c013a447b7351fbc21b45"),
 ])
 def test_verify_report_golden_digest(extra, returncode, digest):
     # SHA-256 of the full report, recorded before the identity checker
-    # cached operator columns (the first two rows) or evaluated operators
-    # on Gaussian-integer columns (the others); any change to checks,
+    # cached operator columns (the first two rows), evaluated operators
+    # on Gaussian-integer columns (the next three) or built the extension
+    # tower from operator trees (the last three); any change to checks,
     # counts or counterexamples shows here.  A later --mu replaces MU.
     result = run_cli("verify", "--degree", "2", "--mu", MU, *extra)
     assert result.returncode == returncode
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("basis", "--N", "4", "--mu", MU),
+     "ae29f050e074192d0519f10fc89f3a614f1e80d99dfed549f45846f9756cba81"),
+])
+def test_artifact_golden_digest(args, digest):
+    # SHA-256 of the artifact JSON, recorded before the extension tower was
+    # built from operator trees.
+    result = run_cli(*args)
+    assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 

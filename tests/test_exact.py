@@ -11,7 +11,6 @@ from diracdunkl.exact import (
     I,
     Params,
     as_grational,
-    gamma_ratio,
     parse_rational,
     pochhammer,
     rational_str,
@@ -39,13 +38,6 @@ def test_pochhammer_rejects_negative_count():
 @given(rationals, st.integers(0, 6), st.integers(0, 6))
 def test_pochhammer_splitting(a, m, n):
     assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
-
-
-def test_gamma_ratio_examples():
-    assert gamma_ratio(Fraction(5, 2), Fraction(1, 2)) == Fraction(3, 4)
-    assert gamma_ratio(Fraction(7, 3), Fraction(7, 3)) == 1
-    with pytest.raises(ValueError):
-        gamma_ratio(Fraction(2), Fraction(5, 2))
 
 
 @settings(derandomize=True, max_examples=1000)
@@ -134,7 +126,6 @@ def test_params_invariants():
     p = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
     assert p.gamma3 == Fraction(1, 2) + Fraction(1, 3) + Fraction(2, 5) + Fraction(3, 2)
     assert p.gamma2 == Fraction(1, 2) + Fraction(1, 3) + 1
-    assert p.cycled() == Params(Fraction(1, 3), Fraction(2, 5), Fraction(1, 2))
     assert p.mu(2) == Fraction(1, 3)
     with pytest.raises(ValueError):
         Params(Fraction(-1), 0, 0)

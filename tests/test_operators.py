@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import mu_triples, random_spinor
+from conftest import EDGE_MUS, mu_triples, random_spinor
 
 from diracdunkl.exact import GRational, I, Params
 from diracdunkl.operators import (
@@ -297,16 +297,6 @@ def test_verify_identity_rejects_negative_degree():
         verify_identities([], -1)
 
 
-# Parameter triples for the kernel tests: zeros, mixed zeros and large heights
-# next to the seeded small ones.
-KERNEL_MUS = [
-    Params(0, 0, 0),
-    Params(0, Fraction(1, 2), 0),
-    Params(1000, 1, 1),
-    Params(Fraction(997, 3), 0, Fraction(2, 5)),
-] + mu_triples(2, seed=41)
-
-
 def _mixed_coefficient(rng):
     dens = (1, 2, 3, 7, 12, 997)
     return GRational(
@@ -337,7 +327,7 @@ def _mixed_scalar(rng):
 
 def test_primitive_kernels_match_poly_references():
     rng = random.Random(31)
-    for params in KERNEL_MUS:
+    for params in EDGE_MUS:
         for _ in range(3):
             f = _mixed_spinor(rng)
             assert f.up and f.down and not f.is_homogeneous()
@@ -372,7 +362,7 @@ def test_primitive_kernels_match_poly_references():
 
 def test_columns_are_reduced():
     # Each identity holds only if equal images reduce to equal columns.
-    for params in KERNEL_MUS:
+    for params in EDGE_MUS:
         for axis in (1, 2, 3):
             t, x = dunkl_op(axis, params), coordinate_op(axis)
             rhs = identity() + (2 * params.mu(axis)) * reflect_op(axis)
