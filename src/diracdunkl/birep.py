@@ -1,21 +1,24 @@
 """Abstract finite-dimensional Bannai-Ito representations on N + 1 states.
 
-Two realizations of the tridiagonal generator are kept.  The symmetric one
-has off-diagonal entries that are square roots, so it is only ever touched
-through their squares u_k^2 = A_(k-1) C_k.  All exact algebra checks run on
-a diagonally similar realization whose entries are the rationals A_k, V_k,
-C_k themselves; anticommutator relations, spectra and the Casimir value are
-similarity invariant, so nothing is lost.
+A representation is stored as band data: the diagonal of K3 and the three
+bands of the tridiagonal K1.  The symmetric K1 has off-diagonal entries that
+are square roots, so it is only ever touched through their squares
+u_k^2 = A_(k-1) C_k.  The exact relation checks multiply the dense matrices
+of a diagonally similar realization whose entries are the rationals A_k,
+V_k, C_k themselves (`generator_matrices`); anticommutator relations,
+spectra and the Casimir value are similarity invariant, so nothing is lost.
+The spectrum of K1 is certified by evaluating its characteristic polynomial
+at the expected eigenvalues.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .ck import monogenic_basis
-from .closedform import UnivariatePoly
 from .exact import HALF, Params, rational_str
 from .operators import IdentityReport, bi_generator, casimir
 from .poly import coordinate_keys, coordinates
@@ -122,7 +125,13 @@ def _scalar_matrix(n: int, value: Fraction) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class RepMatrices:
-    """Exact matrix data of the (N + 1)-dimensional representation."""
+    """Band data of the (N + 1)-dimensional representation.
+
+    K3 is diagonal with entries `eigenvalues`.  K1, in the rational
+    realization, is tridiagonal with diagonal `diag`, superdiagonal `upper`
+    and subdiagonal `lower`; `u_squared` holds the products of opposite
+    off-diagonal entries.  `generator_matrices` builds the dense matrices.
+    """
 
     N: int
     params: Params
@@ -134,9 +143,6 @@ class RepMatrices:
     u_squared: tuple[Fraction, ...]  # A_(k-1) C_k, k = 1..N
     omega: tuple[Fraction, Fraction, Fraction]
     casimir: Fraction
-    k3: tuple[tuple[Fraction, ...], ...]
-    k1: tuple[tuple[Fraction, ...], ...]  # similar, rational realization
-    k2: tuple[tuple[Fraction, ...], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -156,43 +162,42 @@ def rep_matrices(N: int, params: Params) -> RepMatrices:
     if N < 0:
         raise ValueError("N must be >= 0")
     n = N + 1
-    eigenvalues = tuple(k3_eigenvalue(k, params) for k in range(n))
     upper = tuple(_upper_coeff(k, N, params) for k in range(n))
     lower = tuple(_lower_coeff(k, N, params) for k in range(n))
     base = params.mu2 + params.mu3 + HALF
-    diag = tuple(base - upper[k] - lower[k] for k in range(n))
-    u_squared = tuple(upper[k - 1] * lower[k] for k in range(1, n))
-    omega = structure_constants(N, params)
-
-    k3 = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        k3[k][k] = eigenvalues[k]
-    k1 = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        k1[k][k] = diag[k]
-        if k + 1 < n:
-            k1[k][k + 1] = upper[k]
-        if k - 1 >= 0:
-            k1[k][k - 1] = lower[k]
-    k2 = linalg.mat_sub(
-        linalg.mat_anticommutator(k3, k1), _scalar_matrix(n, omega[1])
-    )
-    freeze = lambda m: tuple(tuple(row) for row in m)
     return RepMatrices(
         N=N,
         params=params,
         mu_n=effective_mu(N, params),
-        eigenvalues=eigenvalues,
+        eigenvalues=tuple(k3_eigenvalue(k, params) for k in range(n)),
         upper=upper,
         lower=lower,
-        diag=diag,
-        u_squared=u_squared,
-        omega=omega,
+        diag=tuple(base - upper[k] - lower[k] for k in range(n)),
+        u_squared=tuple(upper[k - 1] * lower[k] for k in range(1, n)),
+        omega=structure_constants(N, params),
         casimir=casimir_value(N, params),
-        k3=freeze(k3),
-        k1=freeze(k1),
-        k2=freeze(k2),
     )
+
+
+def generator_matrices(rep: RepMatrices):
+    """Dense rational realization (K1, K2, K3) of the band data: K3
+    diagonal, K1 tridiagonal and K2 = {K3, K1} - w2, whose entries are
+    (lambda_i + lambda_j) K1[i][j] because K3 is diagonal."""
+    n = rep.N + 1
+    lam = rep.eigenvalues
+    k3 = [[lam[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    k1 = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        k1[k][k] = rep.diag[k]
+        if k + 1 < n:
+            k1[k][k + 1] = rep.upper[k]
+            k1[k + 1][k] = rep.lower[k + 1]
+    w2 = rep.omega[1]
+    k2 = [
+        [(lam[i] + lam[j]) * k1[i][j] - (w2 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return k1, k2, k3
 
 
 def raising_norm_sq(lam: Fraction, N: int, params: Params) -> Fraction:
@@ -208,13 +213,14 @@ def lowering_norm_sq(lam: Fraction, N: int, params: Params) -> Fraction:
     return (lam + HALF) ** 2 * (q - lam * lam - lam - w3) - (w1 - w2) ** 2 / 4
 
 
-def ladder_matrices(rep: RepMatrices):
-    """Raising and lowering combinations built from the generator matrices."""
-    n = rep.N + 1
-    k1 = [list(r) for r in rep.k1]
-    k2 = [list(r) for r in rep.k2]
-    k3 = [list(r) for r in rep.k3]
-    w1, w2, _ = rep.omega
+def ladder_matrices(generators, omega):
+    """Raising and lowering combinations of the dense generators (K1, K2, K3):
+    K+ = (K1 + K2)(K3 - 1/2) - (w1 + w2)/2 and
+    K- = (K1 - K2)(K3 + 1/2) + (w1 - w2)/2.
+    Returns (K+, K-, K3 - 1/2, K3 + 1/2)."""
+    k1, k2, k3 = generators
+    n = len(k3)
+    w1, w2, _ = omega
     k3_minus = linalg.mat_sub(k3, _scalar_matrix(n, HALF))
     k3_plus = linalg.mat_add(k3, _scalar_matrix(n, HALF))
     plus = linalg.mat_sub(
@@ -225,61 +231,45 @@ def ladder_matrices(rep: RepMatrices):
         linalg.mat_mul(linalg.mat_sub(k1, k2), k3_plus),
         _scalar_matrix(n, (w1 - w2) / 2),
     )
-    return plus, minus
+    return plus, minus, k3_minus, k3_plus
 
 
-def char_poly_tridiagonal(
-    diag: tuple[Fraction, ...],
-    upper: tuple[Fraction, ...],
-    lower: tuple[Fraction, ...],
-) -> UnivariatePoly:
-    """Characteristic polynomial det(x I - M) of a tridiagonal matrix via the
-    leading-principal-minor recurrence."""
-    x = UnivariatePoly.x()
-    prev2 = UnivariatePoly.constant(1)
-    prev1 = UnivariatePoly(())
-    current = prev2
-    for j, d in enumerate(diag):
-        term = (x - UnivariatePoly.constant(d)) * current
-        if j >= 1:
-            term = term - (prev2.scale(upper[j - 1] * lower[j - 1]))
-        prev2, current = current, term
+def char_poly_at(rep: RepMatrices, x: Fraction) -> Fraction:
+    """det(x I - K1) from the band data, by the leading-principal-minor
+    recurrence p_j = (x - V_j) p_(j-1) - A_(j-1) C_j p_(j-2)."""
+    prev, current = Fraction(0), Fraction(1)
+    for d, u2 in zip(rep.diag, (0,) + rep.u_squared):
+        prev, current = current, (x - d) * current - u2 * prev
     return current
 
 
-def _divide_root(poly: UnivariatePoly, root: Fraction):
-    """Synthetic division by (x - root); returns (quotient, remainder)."""
-    coeffs = list(poly.coeffs)
-    if not coeffs:
-        return UnivariatePoly(()), Fraction(0)
-    out = []
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * root + c if out else c
-        out.append(acc)
-    remainder = out[-1]
-    quotient = list(reversed(out[:-1]))
-    return UnivariatePoly(quotient), remainder
-
-
 def _spectrum_factorization(rep: RepMatrices) -> Fraction | None:
-    """Factor the characteristic polynomial of the tridiagonal generator over
-    the expected eigenvalue list; returns None on success, or the first
-    expected eigenvalue that fails to divide."""
+    """Certify that the expected eigenvalues are the whole spectrum of K1.
+
+    The characteristic polynomial is monic of degree N + 1, so vanishing at
+    N + 1 distinct expected eigenvalues is its factorization over them.
+    Returns None on success, or the first expected eigenvalue that is not a
+    root (the first that sequential deflation would fail at).
+    """
     n = rep.N + 1
-    upper = [rep.k1[k][k + 1] for k in range(n - 1)]
-    lower = [rep.k1[k + 1][k] for k in range(n - 1)]
-    poly = char_poly_tridiagonal(rep.diag, tuple(upper), tuple(lower))
     expected = [k1_eigenvalue(s, rep.params) for s in range(n)]
     if len(set(expected)) != n:
         return expected[0]
-    for lam in expected:
-        poly, remainder = _divide_root(poly, lam)
-        if remainder:
-            return lam
-    if poly != UnivariatePoly.constant(1):
-        return expected[-1]
-    return None
+    return next((lam for lam in expected if char_poly_at(rep, lam)), None)
+
+
+def _report(name: str, N: int, basis_size: int, check: str | None = None,
+            detail: dict | None = None) -> IdentityReport:
+    """Single-degree report: a pass without `check`, else a failure whose
+    counterexample is {"check": check, **detail}."""
+    return IdentityReport(
+        name=name,
+        degree_lo=N,
+        degree_hi=N,
+        basis_size=basis_size,
+        status="pass" if check is None else "fail",
+        counterexample=None if check is None else {"check": check, **(detail or {})},
+    )
 
 
 def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityReport:
@@ -295,21 +285,9 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
     n = N + 1
     w1, w2, w3 = rep.omega
     w3_expected = w3 + omega3_shift
-    name = f"bannai-ito representation N={N}"
+    report = partial(_report, f"bannai-ito representation N={N}", N, n)
 
-    def fail(check: str, detail: dict) -> IdentityReport:
-        return IdentityReport(
-            name=name,
-            degree_lo=N,
-            degree_hi=N,
-            basis_size=n,
-            status="fail",
-            counterexample={"check": check, **detail},
-        )
-
-    k1 = [list(r) for r in rep.k1]
-    k2 = [list(r) for r in rep.k2]
-    k3 = [list(r) for r in rep.k3]
+    k1, k2, k3 = generators = generator_matrices(rep)
     relations = [
         ("{K1,K2} = K3 + w3", linalg.mat_anticommutator(k1, k2),
          linalg.mat_add(k3, _scalar_matrix(n, w3_expected))),
@@ -318,9 +296,10 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
         ("{K3,K1} = K2 + w2", linalg.mat_anticommutator(k3, k1),
          linalg.mat_add(k2, _scalar_matrix(n, w2))),
     ]
+    k3_squared = linalg.mat_mul(k3, k3)
     q_matrix = linalg.mat_add(
         linalg.mat_add(linalg.mat_mul(k1, k1), linalg.mat_mul(k2, k2)),
-        linalg.mat_mul(k3, k3),
+        k3_squared,
     )
     relations.append(
         ("K1^2 + K2^2 + K3^2 = q_N", q_matrix, _scalar_matrix(n, rep.casimir))
@@ -329,52 +308,50 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
         for i in range(n):
             for j in range(n):
                 if lhs[i][j] != rhs[i][j]:
-                    return fail(label, {
+                    return report(label, {
                         "entry": [i, j],
                         "lhs": rational_str(lhs[i][j]),
                         "rhs": rational_str(rhs[i][j]),
                     })
 
     if rep.upper[N]:
-        return fail("truncation A_N = 0", {"value": rational_str(rep.upper[N])})
+        return report("truncation A_N = 0", {"value": rational_str(rep.upper[N])})
     if rep.lower[0]:
-        return fail("truncation C_0 = 0", {"value": rational_str(rep.lower[0])})
+        return report("truncation C_0 = 0", {"value": rational_str(rep.lower[0])})
     for k in range(1, n):
         if rep.u_squared[k - 1] <= 0:
-            return fail("positivity A_(k-1) C_k > 0", {
+            return report("positivity A_(k-1) C_k > 0", {
                 "k": k, "value": rational_str(rep.u_squared[k - 1]),
             })
     for k in range(N):
         if not rep.upper[k]:
-            return fail("irreducibility A_k != 0", {"k": k})
+            return report("irreducibility A_k != 0", {"k": k})
     for k in range(1, n):
         if not rep.lower[k]:
-            return fail("irreducibility C_k != 0", {"k": k})
+            return report("irreducibility C_k != 0", {"k": k})
 
     ladder = ladder_norms(N, params)
     if ladder.plus_norms[0]:
-        return fail("raising norm vanishes at k = 0", {})
+        return report("raising norm vanishes at k = 0")
     for k in range(1, n):
         if ladder.plus_norms[k] <= 0 or ladder.minus_norms[k] <= 0:
-            return fail("ladder norm positivity", {"k": k})
+            return report("ladder norm positivity", {"k": k})
     boundary = ladder.plus_norms[N + 1] if N % 2 else ladder.minus_norms[N + 1]
     if boundary:
-        return fail("ladder truncation at k = N + 1", {
+        return report("ladder truncation at k = N + 1", {
             "value": rational_str(boundary),
         })
 
-    plus_mat, minus_mat = ladder_matrices(rep)
+    plus_mat, minus_mat, k3_minus, k3_plus = ladder_matrices(generators, rep.omega)
     anti_plus = linalg.mat_anticommutator(k3, plus_mat)
     anti_minus = linalg.mat_anticommutator(k3, minus_mat)
     if not linalg.mat_equal(anti_plus, plus_mat):
-        return fail("{K3, K+} = K+", {})
+        return report("{K3, K+} = K+")
     if not linalg.mat_equal(anti_minus, linalg.mat_scale(minus_mat, Fraction(-1))):
-        return fail("{K3, K-} = -K-", {})
+        return report("{K3, K-} = -K-")
 
     # Adjoint products reduce to diagonal matrices whose entries are the
     # ladder norms, with the parity bookkeeping of the eigenvalue string.
-    k3_minus = linalg.mat_sub(k3, _scalar_matrix(n, HALF))
-    k3_plus = linalg.mat_add(k3, _scalar_matrix(n, HALF))
     plus_dag = linalg.mat_sub(
         linalg.mat_mul(k3_minus, linalg.mat_add(k1, k2)),
         _scalar_matrix(n, (w1 + w2) / 2),
@@ -385,14 +362,10 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
     )
     lhs_plus = linalg.mat_mul(plus_dag, plus_mat)
     lhs_minus = linalg.mat_mul(minus_dag, minus_mat)
-    bracket_plus = linalg.mat_add(
-        linalg.mat_sub(q_matrix, linalg.mat_mul(k3, k3)),
-        linalg.mat_add(k3, _scalar_matrix(n, w3)),
-    )
-    bracket_minus = linalg.mat_sub(
-        linalg.mat_sub(q_matrix, linalg.mat_mul(k3, k3)),
-        linalg.mat_add(k3, _scalar_matrix(n, w3)),
-    )
+    k1_k2_squares = linalg.mat_sub(q_matrix, k3_squared)
+    k3_w3 = linalg.mat_add(k3, _scalar_matrix(n, w3))
+    bracket_plus = linalg.mat_add(k1_k2_squares, k3_w3)
+    bracket_minus = linalg.mat_sub(k1_k2_squares, k3_w3)
     rhs_plus = linalg.mat_sub(
         linalg.mat_mul(linalg.mat_mul(k3_minus, k3_minus), bracket_plus),
         _scalar_matrix(n, (w1 + w2) ** 2 / 4),
@@ -402,16 +375,16 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
         _scalar_matrix(n, (w1 - w2) ** 2 / 4),
     )
     if not linalg.mat_equal(lhs_plus, rhs_plus):
-        return fail("adjoint product identity for K+", {})
+        return report("adjoint product identity for K+")
     if not linalg.mat_equal(lhs_minus, rhs_minus):
-        return fail("adjoint product identity for K-", {})
+        return report("adjoint product identity for K-")
     for k in range(n):
         expect_plus = ladder.plus_norms[k if k % 2 == 0 else k + 1]
         expect_minus = ladder.minus_norms[k + 1 if k % 2 == 0 else k]
         if lhs_plus[k][k] != expect_plus:
-            return fail("raising norm parity", {"k": k})
+            return report("raising norm parity", {"k": k})
         if lhs_minus[k][k] != expect_minus:
-            return fail("lowering norm parity", {"k": k})
+            return report("lowering norm parity", {"k": k})
 
     # Admissibility windows for the lowest eigenvalue.
     lam0 = k3_eigenvalue(0, params)
@@ -419,22 +392,14 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
     upper1 = N + m1 + m2 + (2 * m3 + 1 if N % 2 == 0 else 1)
     upper2 = N + m1 + m2 + (1 if N % 2 == 0 else 2 * m3 + 1)
     if not (m1 + m2 <= abs(lam0 - HALF) <= upper1):
-        return fail("admissibility window (raising side)", {})
+        return report("admissibility window (raising side)")
     if not (abs(m1 - m2) <= abs(lam0 + HALF) <= upper2):
-        return fail("admissibility window (lowering side)", {})
+        return report("admissibility window (lowering side)")
 
     bad = _spectrum_factorization(rep)
     if bad is not None:
-        return fail("spectrum factorization", {"eigenvalue": rational_str(bad)})
-
-    return IdentityReport(
-        name=name,
-        degree_lo=N,
-        degree_hi=N,
-        basis_size=n,
-        status="pass",
-        counterexample=None,
-    )
+        return report("spectrum factorization", {"eigenvalue": rational_str(bad)})
+    return report()
 
 
 def match_function_realization(N: int, params: Params) -> IdentityReport:
@@ -443,17 +408,9 @@ def match_function_realization(N: int, params: Params) -> IdentityReport:
     rep = rep_matrices(N, params)
     basis = monogenic_basis(N, params)
     elements = basis.elements
-    name = f"function realization of the representation N={N}"
-
-    def fail(check: str, detail: dict) -> IdentityReport:
-        return IdentityReport(
-            name=name,
-            degree_lo=N,
-            degree_hi=N,
-            basis_size=len(elements),
-            status="fail",
-            counterexample={"check": check, **detail},
-        )
+    report = partial(
+        _report, f"function realization of the representation N={N}", N, len(elements)
+    )
 
     k1_op = bi_generator(params, 1)
     k3_op = bi_generator(params, 3)
@@ -478,19 +435,19 @@ def match_function_realization(N: int, params: Params) -> IdentityReport:
         # Eigenvalue checks for the diagonal generator and the Casimir.
         lam = k3_eigenvalue(el.k, params)
         if k3_op(el.poly) != el.poly.scale(lam):
-            return fail("K3 eigenvalue", {"k": el.k, "sign": el.sign})
+            return report("K3 eigenvalue", {"k": el.k, "sign": el.sign})
         if q_op(el.poly) != el.poly.scale(rep.casimir):
-            return fail("casimir eigenvalue", {"k": el.k, "sign": el.sign})
+            return report("casimir eigenvalue", {"k": el.k, "sign": el.sign})
         coefs = expansions[pos]
         for other_pos, value in enumerate(coefs):
             other = elements[other_pos]
             active = sector(other) == sector(el) and abs(other.k - el.k) <= 1
             if value and not active:
-                return fail("tridiagonal support", {
+                return report("tridiagonal support", {
                     "from": [el.k, el.sign], "to": [other.k, other.sign],
                 })
         if coefs[pos] != rep.diag[el.k]:
-            return fail("diagonal coefficient", {
+            return report("diagonal coefficient", {
                 "k": el.k,
                 "sign": el.sign,
                 "got": str(coefs[pos]),
@@ -503,17 +460,10 @@ def match_function_realization(N: int, params: Params) -> IdentityReport:
             up = expansions[index[(k, sign_here)]][index[(k + 1, sign_next)]]
             down = expansions[index[(k + 1, sign_next)]][index[(k, sign_here)]]
             if up * down != rep.u_squared[k]:
-                return fail("off-diagonal product", {
+                return report("off-diagonal product", {
                     "k": k,
                     "sector": eps,
                     "got": str(up * down),
                     "expected": rational_str(rep.u_squared[k]),
                 })
-    return IdentityReport(
-        name=name,
-        degree_lo=N,
-        degree_hi=N,
-        basis_size=len(elements),
-        status="pass",
-        counterexample=None,
-    )
+    return report()

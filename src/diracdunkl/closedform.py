@@ -48,9 +48,6 @@ class UnivariatePoly:
     def x(cls) -> "UnivariatePoly":
         return cls((0, 1))
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -91,22 +88,9 @@ class UnivariatePoly:
                 out[i + j] += a * b
         return UnivariatePoly(out)
 
-    def __pow__(self, n: int) -> "UnivariatePoly":
-        out = UnivariatePoly.constant(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, value) -> "UnivariatePoly":
         value = Fraction(value)
         return UnivariatePoly([c * value for c in self.coeffs])
-
-    def __call__(self, point) -> Fraction:
-        point = Fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
 
     def __repr__(self):
         return f"UnivariatePoly({list(self.coeffs)!r})"

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,9 @@ from conftest import mu_triples
 
 from diracdunkl.birep import (
     casimir_value,
-    char_poly_tridiagonal,
+    char_poly_at,
     effective_mu,
+    generator_matrices,
     k1_eigenvalue,
     k3_eigenvalue,
     ladder_matrices,
@@ -19,7 +21,6 @@ from diracdunkl.birep import (
     verify_rep,
 )
 from diracdunkl import birep, linalg
-from diracdunkl.closedform import UnivariatePoly
 from diracdunkl.exact import HALF, Params
 
 P = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
@@ -65,18 +66,20 @@ def test_rep_matrices_first_degree_flat():
     assert rep.lower == (0, HALF)
     assert rep.diag == (-1, 0)
     assert rep.u_squared == (Fraction(3, 4),)
-    # Exact eigenvalues of the similar tridiagonal generator.
-    poly = char_poly_tridiagonal(rep.diag, (rep.upper[0],), (rep.lower[1],))
-    assert poly == UnivariatePoly([Fraction(-3, 4), 1, 1])
+    # Exact eigenvalues of the similar tridiagonal generator: the values of
+    # det(x I - K1) are those of the monic quadratic x^2 + x - 3/4.
+    for x in (0, 1, Fraction(-5, 2)):
+        assert char_poly_at(rep, x) == x * x + x - Fraction(3, 4)
     for s in (0, 1):
-        assert poly(k1_eigenvalue(s, ZERO)) == 0
+        assert char_poly_at(rep, k1_eigenvalue(s, ZERO)) == 0
 
 
 def test_rep_matrices_scalar_case():
     rep = rep_matrices(0, P)
-    assert rep.k3[0][0] == P.mu1 + P.mu2 + HALF
-    assert rep.k1[0][0] == P.mu2 + P.mu3 + HALF
-    assert rep.k2[0][0] == P.mu3 + P.mu1 + HALF
+    k1, k2, k3 = generator_matrices(rep)
+    assert k3[0][0] == P.mu1 + P.mu2 + HALF
+    assert k1[0][0] == P.mu2 + P.mu3 + HALF
+    assert k2[0][0] == P.mu3 + P.mu1 + HALF
     assert rep.casimir == (P.mu_sum + 1) ** 2 + P.mu1**2 + P.mu2**2 + P.mu3**2 - Fraction(1, 4)
 
 
@@ -99,8 +102,9 @@ def test_verify_rep_detects_shifted_constant():
 
 def test_ladder_matrix_anticommutators():
     rep = rep_matrices(3, P)
-    plus, minus = ladder_matrices(rep)
-    k3 = [list(r) for r in rep.k3]
+    generators = generator_matrices(rep)
+    plus, minus, _, _ = ladder_matrices(generators, rep.omega)
+    k3 = generators[2]
     assert linalg.mat_equal(linalg.mat_anticommutator(k3, plus), plus)
     assert linalg.mat_equal(
         linalg.mat_anticommutator(k3, minus), linalg.mat_scale(minus, Fraction(-1))
@@ -129,13 +133,57 @@ def test_spectrum_factorization_against_cycled_eigenvalues():
         for N in range(4):
             rep = rep_matrices(N, params)
             n = N + 1
-            upper = tuple(rep.k1[k][k + 1] for k in range(n - 1))
-            lower = tuple(rep.k1[k + 1][k] for k in range(n - 1))
-            poly = char_poly_tridiagonal(rep.diag, upper, lower)
             expected = {k1_eigenvalue(s, params) for s in range(n)}
             assert len(expected) == n
             for lam in expected:
-                assert poly(lam) == 0
+                assert char_poly_at(rep, lam) == 0
+
+
+def _shifted_generator(rep, lam):
+    """Dense lam I - K1 built from the band data of rep."""
+    n = rep.N + 1
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        out[k][k] = lam - rep.diag[k]
+        if k + 1 < n:
+            out[k][k + 1] = -rep.upper[k]
+            out[k + 1][k] = -rep.lower[k + 1]
+    return out
+
+
+def test_spectrum_factorization_names_first_regular_eigenvalue():
+    # Raising one diagonal entry moves the spectrum; the certificate must
+    # name the first expected eigenvalue at which lam I - K1 is invertible.
+    for params in [ZERO, P] + mu_triples(2, seed=79):
+        for N in range(1, 7):
+            rep = rep_matrices(N, params)
+            n = N + 1
+            expected = [k1_eigenvalue(s, params) for s in range(n)]
+            assert birep._spectrum_factorization(rep) is None
+            for j in range(n):
+                diag = list(rep.diag)
+                diag[j] += 1
+                bumped = dataclasses.replace(rep, diag=tuple(diag))
+                regular = [
+                    lam for lam in expected
+                    if linalg.rank(_shifted_generator(bumped, lam)) == n
+                ]
+                assert regular, (N, params, j)
+                assert birep._spectrum_factorization(bumped) == regular[0]
+        # At N = 1, raising V_1 and refitting V_0 keeps the first expected
+        # eigenvalue a root, so only the last one is regular.
+        rep = rep_matrices(1, params)
+        first, last = (k1_eigenvalue(s, params) for s in range(2))
+        v1 = rep.diag[1] + 1
+        fitted = dataclasses.replace(
+            rep, diag=(first - rep.u_squared[0] / (first - v1), v1)
+        )
+        regular = [
+            lam for lam in (first, last)
+            if linalg.rank(_shifted_generator(fitted, lam)) == 2
+        ]
+        assert regular == [last], params
+        assert birep._spectrum_factorization(fitted) == last
 
 
 def test_alternative_lowest_eigenvalues_are_inadmissible():

@@ -161,13 +161,18 @@ def test_degree_flag_spellings(flag):
      "f24523f771d91e28b02e242771c39e213bd05507fa4d96ee489f1b24c2bb6e19"),
     (("--mutate", "lift-parameter+1"), 1,
      "395f437e165bcb30db3ec2b6865dd8a0a02e462e0d1c013a447b7351fbc21b45"),
+    (("--mutate", "omega3+1"), 1,
+     "e8f7bec42a50ecc231d78ed14c8d926bd33e415e688cc2b535c84a09b053532c"),
+    (("--mutate", "norm-factor*2"), 1,
+     "c80ae1bf5f7a73867cf8e33d0b1e939e546acb3359289a40d1d33eb53d84dd18"),
 ])
 def test_verify_report_golden_digest(extra, returncode, digest):
     # SHA-256 of the full report, recorded before the identity checker
     # cached operator columns (the first two rows), evaluated operators
-    # on Gaussian-integer columns (the next three) or built the extension
-    # tower from operator trees (the last three); any change to checks,
-    # counts or counterexamples shows here.  A later --mu replaces MU.
+    # on Gaussian-integer columns (the next three), built the extension
+    # tower from operator trees (the next three) or stored representations
+    # as band data only (the last two); any change to checks, counts or
+    # counterexamples shows here.  A later --mu replaces MU.
     result = run_cli("verify", "--degree", "2", "--mu", MU, *extra)
     assert result.returncode == returncode
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
@@ -176,10 +181,15 @@ def test_verify_report_golden_digest(extra, returncode, digest):
 @pytest.mark.parametrize("args, digest", [
     (("basis", "--N", "4", "--mu", MU),
      "ae29f050e074192d0519f10fc89f3a614f1e80d99dfed549f45846f9756cba81"),
+    (("rep", "--N", "6", "--mu", MU),
+     "b2368fd64f0e1a5ae5ac233bd4d6d37728edffdb2dc12b3a6e2fd59b1a699fce"),
+    (("rep", "--N", "40", "--mu", MU),
+     "4d3c1940331013cd263702ab8aec08951a402980a8b84697cfe9d7107057d373"),
 ])
 def test_artifact_golden_digest(args, digest):
     # SHA-256 of the artifact JSON, recorded before the extension tower was
-    # built from operator trees.
+    # built from operator trees (basis) and before representations were
+    # stored as band data only (rep).
     result = run_cli(*args)
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
