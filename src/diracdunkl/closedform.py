@@ -1,6 +1,7 @@
 """Closed-form eigenfunctions: Jacobi polynomials, the explicit monogenic
-basis, normalized wavefunctions, the exact scalar product on the sphere and
-overlap matrices between the two eigenbases.
+basis, normalized wavefunctions, the exact scalar product on the sphere (one
+integer bilinear form, `scalar_products`) and overlap matrices between the
+two eigenbases.
 
 Square roots never appear: each wavefunction is stored as a radical-free
 spinor polynomial together with the exact square of its normalization
@@ -23,6 +24,7 @@ from .exact import (
     rational_str,
 )
 from .operators import LinOp, coordinate_op, multiply_op, pauli_op
+from .operators import _from_spinor, _lcm_of_denominators, _scaled
 from .poly import ScalarPoly, SpinorPoly
 
 PSI_AXES = (1, 2, 3)
@@ -352,41 +354,79 @@ def wavefunctions(
 @lru_cache(maxsize=None)
 def moment(params: Params, a: int, b: int, c: int) -> Fraction:
     """Normalized moment of x1^(2a) x2^(2b) x3^(2c) against the reflection
-    invariant weight |x1|^(2 mu1) |x2|^(2 mu2) |x3|^(2 mu3) on the sphere.
-
-    Beta-integral evaluation in rising-factorial form, normalized so the
-    total mass is 1.  Memoized; entries are immutable once computed.
+    invariant weight |x1|^(2 mu1) |x2|^(2 mu2) |x3|^(2 mu3) on the sphere,
+    total mass 1: one rising-factorial step from the neighbour one exponent
+    lower (c first, then b, then a), as in
+    m(a, b, c) = m(a, b, c - 1) (mu3 + 1/2 + c - 1) / (gamma3 + a + b + c - 1).
+    Filling every 32nd point of the path of neighbours from the origin first
+    bounds the nesting of a cold call by about 32 at any degree.  Memoized.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("moment exponents must be >= 0")
-    return (
-        pochhammer(params.mu1 + HALF, a)
-        * pochhammer(params.mu2 + HALF, b)
-        * pochhammer(params.mu3 + HALF, c)
-        / pochhammer(params.gamma3, a + b + c)
-    )
+    n = a + b + c
+    if not n:
+        return Fraction(1)
+    for t in range(32, n - 1, 32):
+        moment(params, min(a, t), min(b, max(t - a, 0)), max(t - a - b, 0))
+    if c:
+        mu, e, below = params.mu3, c, (a, b, c - 1)
+    elif b:
+        mu, e, below = params.mu2, b, (a, b - 1, 0)
+    else:
+        mu, e, below = params.mu1, a, (a - 1, 0, 0)
+    return moment(params, *below) * (mu + e - HALF) / (params.gamma3 + (n - 1))
 
 
-def _pair_moment(params: Params, e1, e2) -> Fraction | None:
-    s0 = e1[0] + e2[0]
-    s1 = e1[1] + e2[1]
-    s2 = e1[2] + e2[2]
-    if (s0 | s1 | s2) & 1:
-        return None  # any odd total exponent integrates to zero
-    return moment(params, s0 // 2, s1 // 2, s2 // 2)
+def scalar_products(polys, params: Params):
+    """(i, j) -> <polys[i], polys[j]> on the sphere, conjugate-linear in i.
+
+    Each operand's dual d[e2] = sum of conj(f_e1) m((e1 + e2) / 2), over the
+    keys e2 of all operands, is computed once on integers (reduced columns,
+    moments times the lcm of their denominators); products are then sparse
+    integer dot products.
+    """
+    columns = [_from_spinor(f) for f in polys]
+    # Keys pair to a moment when their spins and exponent parities agree.
+    classes: dict = {}
+    for sign, e in {key for _, entries in columns for key in entries}:
+        classes.setdefault((sign, e[0] & 1, e[1] & 1, e[2] & 1), []).append(e)
+    halves = {
+        (sign, e1): [
+            ((sign, e2), ((e1[0] + e2[0]) >> 1, (e1[1] + e2[1]) >> 1, (e1[2] + e2[2]) >> 1))
+            for e2 in group
+        ]
+        for (sign, *_), group in classes.items()
+        for e1 in group
+    }
+    moments = {half: moment(params, *half) for row in halves.values() for _, half in row}
+    scale = _lcm_of_denominators(moments.values())
+    weights = {half: _scaled(value, scale) for half, value in moments.items()}
+    duals = []
+    for den, entries in columns:
+        dual: dict = {}
+        for key, (re, im) in entries.items():
+            for key2, half in halves[key]:
+                m = weights[half]
+                dr, di = dual.get(key2, (0, 0))
+                dual[key2] = (dr + re * m, di - im * m)
+        duals.append((den * scale, dual))
+
+    def product(i: int, j: int) -> GRational:
+        den, dual = duals[i]
+        den_g, entries = columns[j]
+        re = im = 0
+        for key, (gr, gi) in entries.items():
+            dr, di = dual.get(key, (0, 0))
+            re += dr * gr - di * gi
+            im += dr * gi + di * gr
+        return GRational(Fraction(re, den * den_g), Fraction(im, den * den_g))
+
+    return product
 
 
 def inner_product(f: SpinorPoly, g: SpinorPoly, params: Params) -> GRational:
     """Scalar product over the sphere, conjugate-linear in the first slot."""
-    total = GRational(0)
-    for comp_f, comp_g in ((f.up, g.up), (f.down, g.down)):
-        for e1, c1 in comp_f.terms.items():
-            conj1 = c1.conjugate()
-            for e2, c2 in comp_g.terms.items():
-                weight = _pair_moment(params, e1, e2)
-                if weight is not None:
-                    total = total + conj1 * c2 * weight
-    return total
+    return scalar_products((f, g), params)(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -425,15 +465,14 @@ class OverlapData:
 def overlap_matrix(N: int, params: Params) -> OverlapData:
     psis = wavefunctions(N, params, "psi")
     ups = wavefunctions(N, params, "upsilon")
-    overlaps = tuple(
-        tuple(inner_product(u.poly, p.poly, params) for p in psis) for u in ups
-    )
+    n = len(ups)  # psi wavefunction j is operand n + j
+    product = scalar_products([w.poly for w in ups + psis], params)
     return OverlapData(
         N=N,
         params=params,
         upsilon_labels=tuple((u.k, u.sign) for u in ups),
         psi_labels=tuple((p.k, p.sign) for p in psis),
-        overlaps=overlaps,
-        gram_upsilon=tuple(inner_product(u.poly, u.poly, params) for u in ups),
-        gram_psi=tuple(inner_product(p.poly, p.poly, params) for p in psis),
+        overlaps=tuple(tuple(product(i, n + j) for j in range(n)) for i in range(n)),
+        gram_upsilon=tuple(product(i, i) for i in range(n)),
+        gram_psi=tuple(product(n + j, n + j) for j in range(n)),
     )

@@ -331,11 +331,12 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
     waves = []
     for N in range(n_max + 1):
         waves.extend(closedform.wavefunctions(N, params, "psi"))
+    product = closedform.scalar_products([w.poly for w in waves], params)
     ok = True
     ce = None
     for i, a in enumerate(waves):
-        for b in waves[i + 1:]:
-            if closedform.inner_product(a.poly, b.poly, params):
+        for j, b in enumerate(waves[i + 1:], i + 1):
+            if product(i, j):
                 ok = False
                 ce = {"left": [a.N, a.k, a.sign], "right": [b.N, b.k, b.sign]}
                 break
@@ -346,11 +347,11 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
     common = None
     ok = True
     ce = None
-    for w in waves:
+    for i, w in enumerate(waves):
         factor = w.squared_norm_factor
         if scale_odd and w.k % 2 == 1:
             factor *= 2
-        value = closedform.inner_product(w.poly, w.poly, params) * factor
+        value = product(i, i) * factor
         if common is None:
             common = value
         elif value != common:

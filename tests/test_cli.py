@@ -185,11 +185,25 @@ def test_verify_report_golden_digest(extra, returncode, digest):
      "b2368fd64f0e1a5ae5ac233bd4d6d37728edffdb2dc12b3a6e2fd59b1a699fce"),
     (("rep", "--N", "40", "--mu", MU),
      "4d3c1940331013cd263702ab8aec08951a402980a8b84697cfe9d7107057d373"),
+    (("overlaps", "--N", "6", "--mu", MU),
+     "8058c49283d407b6b506595e32448ca85325e0422213d73b9c10048ff92c57c0"),
+    (("overlaps", "--N", "4", "--mu", "0,0,0"),
+     "189bf0ed2b997e4da2b4a4c75eb911fd001729764c39e615512cde4a47b73cad"),
+    (("overlaps", "--N", "4", "--mu", "1e3,1,1"),
+     "73af9daad70ecd947695179a755bc29ef8366f4f019e52ee7523a613a7c0a2f7"),
+    (("moments", "--N", "12", "--mu", MU),
+     "e10e7a1111dea6a63e0d86b0a05085ecfd9b96251f6c39f460ff4b9c21cef380"),
+    (("moments", "--N", "8", "--mu", "0,0,0"),
+     "e3439e38cc53cde235e07cf0f32b5d14fb13f046e8cba9156cb8a3eed1b29bfb"),
+    (("wavefunctions", "--N", "4", "--mu", MU, "--basis", "upsilon"),
+     "b99bec4b4f890983db7537982784f6a81083fefec6910a9ba44da6b85e48e9ff"),
 ])
 def test_artifact_golden_digest(args, digest):
     # SHA-256 of the artifact JSON, recorded before the extension tower was
-    # built from operator trees (basis) and before representations were
-    # stored as band data only (rep).
+    # built from operator trees (basis), before representations were
+    # stored as band data only (rep) and before scalar products ran as one
+    # integer bilinear form with moments by recurrence (overlaps, moments,
+    # wavefunctions).
     result = run_cli(*args)
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest

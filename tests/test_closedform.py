@@ -1,9 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import mu_triples, random_spinor
+from conftest import EDGE_MUS, mu_triples, random_spinor
 
+from diracdunkl import closedform, suites
 from diracdunkl.birep import k1_eigenvalue
 from diracdunkl.ck import ck_extend_x2, monogenic_basis
 from diracdunkl.closedform import (
@@ -165,6 +167,107 @@ def test_lift_parameter_variant_is_inconsistent():
 
 # --------------------------------------------------------------------------
 # Moments and the scalar product.
+
+def reference_moment(params, a, b, c):
+    """The moment as four rising factorials, computed from scratch."""
+    return (
+        pochhammer(params.mu1 + HALF, a)
+        * pochhammer(params.mu2 + HALF, b)
+        * pochhammer(params.mu3 + HALF, c)
+        / pochhammer(params.gamma3, a + b + c)
+    )
+
+
+def reference_inner_product(f, g, params):
+    """The scalar product as a double loop over the term pairs of f and g."""
+    total = GRational(0)
+    for comp_f, comp_g in ((f.up, g.up), (f.down, g.down)):
+        for e1, c1 in comp_f.terms.items():
+            for e2, c2 in comp_g.terms.items():
+                s = [x + y for x, y in zip(e1, e2)]
+                if not any(x % 2 for x in s):
+                    weight = reference_moment(params, *(x // 2 for x in s))
+                    total = total + c1.conjugate() * c2 * weight
+    return total
+
+
+def _half_exponents(max_total):
+    return [
+        (a, b, total - a - b)
+        for total in range(max_total + 1)
+        for a in range(total + 1)
+        for b in range(total - a + 1)
+    ]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_moment_recurrence_matches_rising_factorials(order):
+    points = _half_exponents(12)
+    if order == "descending":
+        points.reverse()
+    elif order == "shuffled":
+        random.Random(67).shuffle(points)
+    for params in EDGE_MUS:
+        moment.cache_clear()
+        for point in points:
+            assert moment(params, *point) == reference_moment(params, *point), (
+                params, point
+            )
+    moment.cache_clear()
+
+
+def test_moment_cold_deep_call():
+    # A recurrence written as plain recursion through the cache nests one
+    # call per step and overflows the interpreter stack here.
+    moment.cache_clear()
+    assert moment(P, 3000, 0, 0) == reference_moment(P, 3000, 0, 0)
+    moment.cache_clear()
+
+
+def test_moment_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        moment(P, 0, -1, 2)
+
+
+def test_inner_product_matches_pairwise_loop():
+    rng = random.Random(69)
+    for params in EDGE_MUS:
+        for _ in range(3):
+            f = random_spinor(rng, rng.randint(0, 4))
+            g = random_spinor(rng, rng.randint(0, 4))
+            value = inner_product(f, g, params)
+            assert value == reference_inner_product(f, g, params)
+            # Hermitian symmetry and conjugate-linearity in the first slot.
+            assert inner_product(g, f, params) == value.conjugate()
+            c = GRational(Fraction(2, 3), Fraction(-5, 7))
+            assert inner_product(f.scale(c), g, params) == c.conjugate() * value
+            assert inner_product(f, g.scale(c), params) == c * value
+            h = random_spinor(rng, 3)
+            assert inner_product(f + h, g, params) == (
+                value + inner_product(h, g, params)
+            )
+    assert inner_product(SpinorPoly.zero(), CHI_PLUS, P) == GRational(0)
+
+
+def test_overlap_matrix_matches_pairwise_loop():
+    for params in (P, Params(0, 0, 0), Params(1000, 1, 1)):
+        for N in range(5):
+            data = overlap_matrix(N, params)
+            ups = wavefunctions(N, params, "upsilon")
+            psis = wavefunctions(N, params, "psi")
+            for i, u in enumerate(ups):
+                assert data.gram_upsilon[i] == reference_inner_product(
+                    u.poly, u.poly, params
+                )
+                for j, p in enumerate(psis):
+                    assert data.overlaps[i][j] == reference_inner_product(
+                        u.poly, p.poly, params
+                    ), (N, i, j)
+            for j, p in enumerate(psis):
+                assert data.gram_psi[j] == reference_inner_product(
+                    p.poly, p.poly, params
+                )
+
 
 def test_moment_examples():
     assert moment(P, 0, 0, 0) == 1
@@ -346,3 +449,40 @@ def test_overlap_sum_rule():
 def test_wavefunctions_reject_bad_family():
     with pytest.raises(ValueError):
         wavefunctions(1, P, "other")
+
+
+@pytest.mark.parametrize("params, diagonal_value", [
+    (P, "2147/2618"),
+    (Params(0, 0, 0), "13/10"),
+])
+def test_orthogonality_suite_names_first_non_orthogonal_pair(
+    monkeypatch, params, diagonal_value
+):
+    # Replace the degree-2 psi element (k=1, -) by a combination of the
+    # elements (k=0, -) and (k=2, +); the failing checks and their
+    # counterexamples were recorded with the pairwise scalar product.
+    original = closedform.wavefunctions
+
+    def mixed_wavefunctions(N, params, family="psi"):
+        waves = original(N, params, family)
+        if family != "psi" or N != 2:
+            return waves
+        mixed = dataclasses.replace(
+            waves[3], poly=waves[1].poly + waves[4].poly.scale(2)
+        )
+        return waves[:3] + (mixed,) + waves[4:]
+
+    monkeypatch.setattr(closedform, "wavefunctions", mixed_wavefunctions)
+    failures = [
+        (check["name"], check["counterexample"])
+        for check in suites.suite_orthogonality(params, 3)
+        if check["status"] != "pass"
+    ]
+    assert failures == [
+        ("gram matrix diagonal through N=3",
+         {"left": [2, 0, -1], "right": [2, 1, -1]}),
+        ("common squared diagonal constant",
+         {"N": 2, "k": 1, "value": diagonal_value, "common": "1"}),
+        ("overlap sign sectors decouple N=2", {"N": 2, "s": 0, "k": 1}),
+        ("overlap sum rule N=2", {"N": 2, "sector": 1, "cols": [3, 3]}),
+    ]
