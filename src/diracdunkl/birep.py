@@ -3,10 +3,13 @@
 A representation is stored as band data: the diagonal of K3 and the three
 bands of the tridiagonal K1.  The symmetric K1 has off-diagonal entries that
 are square roots, so it is only ever touched through their squares
-u_k^2 = A_(k-1) C_k.  The exact relation checks multiply the dense matrices
-of a diagonally similar realization whose entries are the rationals A_k,
-V_k, C_k themselves (`generator_matrices`); anticommutator relations,
-spectra and the Casimir value are similarity invariant, so nothing is lost.
+u_k^2 = A_(k-1) C_k.  The exact relation checks use a diagonally similar
+realization whose entries are the rationals A_k, V_k, C_k themselves:
+`generator_ops` makes its generators matrix operators on the states (k,),
+and every relation is an operator identity whose sides are evaluated
+column by column on one merged graph of `operators`, so each costs O(N)
+column work.  Anticommutator relations, spectra and the Casimir value are
+similarity invariant, so nothing is lost.
 The spectrum of K1 is certified by evaluating its characteristic polynomial
 at the expected eigenvalues.
 """
@@ -20,7 +23,16 @@ from functools import partial
 from . import linalg
 from .ck import monogenic_basis
 from .exact import HALF, Params, rational_str
-from .operators import IdentityReport, bi_generator, casimir
+from .operators import (
+    IdentityReport,
+    LinOp,
+    anticommutator,
+    bi_generator,
+    casimir,
+    image_columns,
+    matrix_op,
+    scalar_op,
+)
 from .poly import coordinate_keys, coordinates
 
 
@@ -117,12 +129,6 @@ def _lower_coeff(k: int, N: int, params: Params) -> Fraction:
     return -(k + 2 * m1) * (k + m1 + m2 - m3 + mu_n) / (2 * (k + m1 + m2))
 
 
-def _scalar_matrix(n: int, value: Fraction) -> list[list[Fraction]]:
-    return [
-        [value if i == j else Fraction(0) for j in range(n)] for i in range(n)
-    ]
-
-
 @dataclass(frozen=True)
 class RepMatrices:
     """Band data of the (N + 1)-dimensional representation.
@@ -130,7 +136,7 @@ class RepMatrices:
     K3 is diagonal with entries `eigenvalues`.  K1, in the rational
     realization, is tridiagonal with diagonal `diag`, superdiagonal `upper`
     and subdiagonal `lower`; `u_squared` holds the products of opposite
-    off-diagonal entries.  `generator_matrices` builds the dense matrices.
+    off-diagonal entries.  `generator_ops` builds the generators.
     """
 
     N: int
@@ -179,25 +185,26 @@ def rep_matrices(N: int, params: Params) -> RepMatrices:
     )
 
 
-def generator_matrices(rep: RepMatrices):
-    """Dense rational realization (K1, K2, K3) of the band data: K3
-    diagonal, K1 tridiagonal and K2 = {K3, K1} - w2, whose entries are
-    (lambda_i + lambda_j) K1[i][j] because K3 is diagonal."""
-    n = rep.N + 1
+def generator_ops(rep: RepMatrices) -> tuple[LinOp, LinOp, LinOp]:
+    """Rational realization (K1, K2, K3) of the band data as operators on
+    the states (k,), k = 0..N: K3 diagonal, K1 tridiagonal and
+    K2 = {K3, K1} - w2, whose entries are (lambda_i + lambda_j) K1[i][j]
+    because K3 is diagonal."""
     lam = rep.eigenvalues
-    k3 = [[lam[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    k1 = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        k1[k][k] = rep.diag[k]
-        if k + 1 < n:
-            k1[k][k + 1] = rep.upper[k]
-            k1[k + 1][k] = rep.lower[k + 1]
+    k1 = {(k, k): rep.diag[k] for k in range(rep.N + 1)}
+    for k in range(rep.N):
+        k1[k, k + 1] = rep.upper[k]
+        k1[k + 1, k] = rep.lower[k + 1]
     w2 = rep.omega[1]
-    k2 = [
-        [(lam[i] + lam[j]) * k1[i][j] - (w2 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    return k1, k2, k3
+    k2 = {
+        (i, j): (lam[i] + lam[j]) * value - (w2 if i == j else 0)
+        for (i, j), value in k1.items()
+    }
+    k3 = {(k, k): value for k, value in enumerate(lam)}
+    return tuple(
+        matrix_op({((i,), (j,)): value for (i, j), value in entries.items()})
+        for entries in (k1, k2, k3)
+    )
 
 
 def raising_norm_sq(lam: Fraction, N: int, params: Params) -> Fraction:
@@ -213,25 +220,23 @@ def lowering_norm_sq(lam: Fraction, N: int, params: Params) -> Fraction:
     return (lam + HALF) ** 2 * (q - lam * lam - lam - w3) - (w1 - w2) ** 2 / 4
 
 
-def ladder_matrices(generators, omega):
-    """Raising and lowering combinations of the dense generators (K1, K2, K3):
+def ladder_ops(generators, omega) -> tuple[LinOp, LinOp, LinOp, LinOp]:
+    """Raising and lowering combinations of the generators (K1, K2, K3),
     K+ = (K1 + K2)(K3 - 1/2) - (w1 + w2)/2 and
-    K- = (K1 - K2)(K3 + 1/2) + (w1 - w2)/2.
-    Returns (K+, K-, K3 - 1/2, K3 + 1/2)."""
+    K- = (K1 - K2)(K3 + 1/2) + (w1 - w2)/2, and their adjoints
+    K+^dag = (K3 - 1/2)(K1 + K2) - (w1 + w2)/2 and
+    K-^dag = (K3 + 1/2)(K1 - K2) + (w1 - w2)/2.
+    Returns (K+, K-, K+^dag, K-^dag)."""
     k1, k2, k3 = generators
-    n = len(k3)
     w1, w2, _ = omega
-    k3_minus = linalg.mat_sub(k3, _scalar_matrix(n, HALF))
-    k3_plus = linalg.mat_add(k3, _scalar_matrix(n, HALF))
-    plus = linalg.mat_sub(
-        linalg.mat_mul(linalg.mat_add(k1, k2), k3_minus),
-        _scalar_matrix(n, (w1 + w2) / 2),
+    k3_minus, k3_plus = k3 - scalar_op(HALF), k3 + scalar_op(HALF)
+    plus_shift, minus_shift = scalar_op((w1 + w2) / 2), scalar_op((w1 - w2) / 2)
+    return (
+        (k1 + k2) * k3_minus - plus_shift,
+        (k1 - k2) * k3_plus + minus_shift,
+        k3_minus * (k1 + k2) - plus_shift,
+        k3_plus * (k1 - k2) + minus_shift,
     )
-    minus = linalg.mat_add(
-        linalg.mat_mul(linalg.mat_sub(k1, k2), k3_plus),
-        _scalar_matrix(n, (w1 - w2) / 2),
-    )
-    return plus, minus, k3_minus, k3_plus
 
 
 def char_poly_at(rep: RepMatrices, x: Fraction) -> Fraction:
@@ -272,6 +277,22 @@ def _report(name: str, N: int, basis_size: int, check: str | None = None,
     )
 
 
+def _entries(column: tuple) -> dict[int, Fraction]:
+    """The entries {i: value} of a real image column on the states (i,)."""
+    den, entries = column
+    return {i: Fraction(re, den) for (i,), (re, _) in entries.items()}
+
+
+def _first_difference(lhs: list, rhs: list) -> tuple | None:
+    """The row-major first entry (i, j, lhs_ij, rhs_ij) at which two lists
+    of real image columns on the states differ, or None."""
+    return min((
+        (i, j, left.get(i, 0), right.get(i, 0))
+        for j, (left, right) in enumerate(zip(map(_entries, lhs), map(_entries, rhs)))
+        for i in left.keys() | right.keys() if left.get(i, 0) != right.get(i, 0)
+    ), default=None)
+
+
 def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityReport:
     """Exact verification of the representation data on degree N.
 
@@ -287,32 +308,43 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
     w3_expected = w3 + omega3_shift
     report = partial(_report, f"bannai-ito representation N={N}", N, n)
 
-    k1, k2, k3 = generators = generator_matrices(rep)
+    k1, k2, k3 = generators = generator_ops(rep)
+    plus, minus, plus_dag, minus_dag = ladder_ops(generators, rep.omega)
+    k3_minus, k3_plus = k3 - scalar_op(HALF), k3 + scalar_op(HALF)
+    k1_k2_squares = k1 * k1 + k2 * k2
+    k3_w3 = k3 + scalar_op(w3)
     relations = [
-        ("{K1,K2} = K3 + w3", linalg.mat_anticommutator(k1, k2),
-         linalg.mat_add(k3, _scalar_matrix(n, w3_expected))),
-        ("{K2,K3} = K1 + w1", linalg.mat_anticommutator(k2, k3),
-         linalg.mat_add(k1, _scalar_matrix(n, w1))),
-        ("{K3,K1} = K2 + w2", linalg.mat_anticommutator(k3, k1),
-         linalg.mat_add(k2, _scalar_matrix(n, w2))),
+        ("{K1,K2} = K3 + w3", anticommutator(k1, k2), k3 + scalar_op(w3_expected)),
+        ("{K2,K3} = K1 + w1", anticommutator(k2, k3), k1 + scalar_op(w1)),
+        ("{K3,K1} = K2 + w2", anticommutator(k3, k1), k2 + scalar_op(w2)),
+        ("K1^2 + K2^2 + K3^2 = q_N", k1_k2_squares + k3 * k3, scalar_op(rep.casimir)),
     ]
-    k3_squared = linalg.mat_mul(k3, k3)
-    q_matrix = linalg.mat_add(
-        linalg.mat_add(linalg.mat_mul(k1, k1), linalg.mat_mul(k2, k2)),
-        k3_squared,
+    # The adjoint products reduce to diagonal matrices whose entries are
+    # the ladder norms, with the parity bookkeeping of the eigenvalue string.
+    ladder_relations = [
+        ("{K3, K+} = K+", anticommutator(k3, plus), plus),
+        ("{K3, K-} = -K-", anticommutator(k3, minus), -minus),
+        ("adjoint product identity for K+", plus_dag * plus,
+         k3_minus * k3_minus * (k1_k2_squares + k3_w3)
+         - scalar_op((w1 + w2) ** 2 / 4)),
+        ("adjoint product identity for K-", minus_dag * minus,
+         k3_plus * k3_plus * (k1_k2_squares - k3_w3)
+         - scalar_op((w1 - w2) ** 2 / 4)),
+    ]
+    columns = image_columns(
+        [op for _, lhs, rhs in relations + ladder_relations for op in (lhs, rhs)],
+        [(k,) for k in range(n)],
     )
-    relations.append(
-        ("K1^2 + K2^2 + K3^2 = q_N", q_matrix, _scalar_matrix(n, rep.casimir))
-    )
-    for label, lhs, rhs in relations:
-        for i in range(n):
-            for j in range(n):
-                if lhs[i][j] != rhs[i][j]:
-                    return report(label, {
-                        "entry": [i, j],
-                        "lhs": rational_str(lhs[i][j]),
-                        "rhs": rational_str(rhs[i][j]),
-                    })
+    sides = list(zip(columns[::2], columns[1::2]))
+    for (label, _, _), (lhs, rhs) in zip(relations, sides):
+        entry = _first_difference(lhs, rhs)
+        if entry is not None:
+            i, j, left, right = entry
+            return report(label, {
+                "entry": [i, j],
+                "lhs": rational_str(left),
+                "rhs": rational_str(right),
+            })
 
     if rep.upper[N]:
         return report("truncation A_N = 0", {"value": rational_str(rep.upper[N])})
@@ -342,48 +374,16 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
             "value": rational_str(boundary),
         })
 
-    plus_mat, minus_mat, k3_minus, k3_plus = ladder_matrices(generators, rep.omega)
-    anti_plus = linalg.mat_anticommutator(k3, plus_mat)
-    anti_minus = linalg.mat_anticommutator(k3, minus_mat)
-    if not linalg.mat_equal(anti_plus, plus_mat):
-        return report("{K3, K+} = K+")
-    if not linalg.mat_equal(anti_minus, linalg.mat_scale(minus_mat, Fraction(-1))):
-        return report("{K3, K-} = -K-")
-
-    # Adjoint products reduce to diagonal matrices whose entries are the
-    # ladder norms, with the parity bookkeeping of the eigenvalue string.
-    plus_dag = linalg.mat_sub(
-        linalg.mat_mul(k3_minus, linalg.mat_add(k1, k2)),
-        _scalar_matrix(n, (w1 + w2) / 2),
-    )
-    minus_dag = linalg.mat_add(
-        linalg.mat_mul(k3_plus, linalg.mat_sub(k1, k2)),
-        _scalar_matrix(n, (w1 - w2) / 2),
-    )
-    lhs_plus = linalg.mat_mul(plus_dag, plus_mat)
-    lhs_minus = linalg.mat_mul(minus_dag, minus_mat)
-    k1_k2_squares = linalg.mat_sub(q_matrix, k3_squared)
-    k3_w3 = linalg.mat_add(k3, _scalar_matrix(n, w3))
-    bracket_plus = linalg.mat_add(k1_k2_squares, k3_w3)
-    bracket_minus = linalg.mat_sub(k1_k2_squares, k3_w3)
-    rhs_plus = linalg.mat_sub(
-        linalg.mat_mul(linalg.mat_mul(k3_minus, k3_minus), bracket_plus),
-        _scalar_matrix(n, (w1 + w2) ** 2 / 4),
-    )
-    rhs_minus = linalg.mat_sub(
-        linalg.mat_mul(linalg.mat_mul(k3_plus, k3_plus), bracket_minus),
-        _scalar_matrix(n, (w1 - w2) ** 2 / 4),
-    )
-    if not linalg.mat_equal(lhs_plus, rhs_plus):
-        return report("adjoint product identity for K+")
-    if not linalg.mat_equal(lhs_minus, rhs_minus):
-        return report("adjoint product identity for K-")
+    for (label, _, _), (lhs, rhs) in zip(ladder_relations, sides[len(relations):]):
+        if lhs != rhs:
+            return report(label)
+    lhs_plus, lhs_minus = (lhs for lhs, _ in sides[-2:])
     for k in range(n):
         expect_plus = ladder.plus_norms[k if k % 2 == 0 else k + 1]
         expect_minus = ladder.minus_norms[k + 1 if k % 2 == 0 else k]
-        if lhs_plus[k][k] != expect_plus:
+        if _entries(lhs_plus[k]).get(k, 0) != expect_plus:
             return report("raising norm parity", {"k": k})
-        if lhs_minus[k][k] != expect_minus:
+        if _entries(lhs_minus[k]).get(k, 0) != expect_minus:
             return report("lowering norm parity", {"k": k})
 
     # Admissibility windows for the lowest eigenvalue.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 # Rational scalar: arbitrary-precision numerator, positive denominator,
@@ -227,11 +227,17 @@ class Params:
 
     gamma3 = mu1 + mu2 + mu3 + 3/2 and gamma2 = mu1 + mu2 + 1 are the
     conformal constants of the three- and two-dimensional settings.
+    `mu_sum`, `gamma3` and the hash are computed once, at construction,
+    because `Params` keys the caches of the hot paths; equality compares
+    the three parameters only.
     """
 
     mu1: Fraction
     mu2: Fraction
     mu3: Fraction
+    mu_sum: Fraction = field(init=False, repr=False, compare=False)
+    gamma3: Fraction = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("mu1", "mu2", "mu3"):
@@ -239,18 +245,16 @@ class Params:
             if value < 0:
                 raise ValueError("mu must be non-negative")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "mu_sum", self.mu1 + self.mu2 + self.mu3)
+        object.__setattr__(self, "gamma3", self.mu_sum + Fraction(3, 2))
+        object.__setattr__(self, "_hash", hash((self.mu1, self.mu2, self.mu3)))
 
-    @property
-    def gamma3(self) -> Fraction:
-        return self.mu1 + self.mu2 + self.mu3 + Fraction(3, 2)
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def gamma2(self) -> Fraction:
         return self.mu1 + self.mu2 + 1
-
-    @property
-    def mu_sum(self) -> Fraction:
-        return self.mu1 + self.mu2 + self.mu3
 
     def mu(self, axis: int) -> Fraction:
         return (self.mu1, self.mu2, self.mu3)[axis - 1]

@@ -72,39 +72,3 @@ def solve(matrix: list[list], rhs_columns: list[list]) -> list[list]:
         solutions.append(col)
     return solutions
 
-
-# Small exact matrix helpers (square matrices as lists of rows).
-
-def mat_mul(a: list[list], b: list[list]) -> list[list]:
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_add(a: list[list], b: list[list]) -> list[list]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: list[list], b: list[list]) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: list[list], value) -> list[list]:
-    return [[x * value for x in row] for row in a]
-
-
-def mat_anticommutator(a: list[list], b: list[list]) -> list[list]:
-    return mat_add(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_equal(a: list[list], b: list[list]) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))

@@ -14,7 +14,9 @@ polynomial over the Gaussian integers, `(den, {(sign, exps): (re, im)})`,
 standing for the sum of (re + i im) / den times x^exps chi_sign.  Columns are
 always reduced (den > 0, gcd of den and every entry 1), so two polynomials
 are equal exactly when their columns are equal as Python values, and sums
-and scalings cost only integer products plus one gcd.
+and scalings cost only integer products plus one gcd.  The "scalar" and
+"matrix" primitives act on columns over any hashable keys, such as the
+states (k,) of a finite-dimensional representation (see `image_columns`).
 
 Evaluation, both for `LinOp.__call__` and for the checker, first merges
 structurally equal nodes of the trees it is given and folds each sum of
@@ -129,14 +131,17 @@ def coordinate_op(axis: int) -> LinOp:
 def multiply_op(scalar: ScalarPoly) -> LinOp:
     """Multiplication by a scalar polynomial, stored in integer form as
     ("multiply", den, ((exps, re, im), ...))."""
-    den = _lcm_of_denominators(
-        part for c in scalar.terms.values() for part in (c.re, c.im)
-    )
-    terms = tuple(sorted(
-        (exps, _scaled(c.re, den), _scaled(c.im, den))
-        for exps, c in scalar.terms.items()
+    return primitive("multiply", *_integer_form(scalar.terms.items()))
+
+
+def matrix_op(entries: dict) -> LinOp:
+    """The linear map with the given {(row, column): value} entries over
+    hashable keys, sending every key that is no column to zero.  Stored in
+    the integer form of `multiply_op`, as ("matrix", den, (((column, row),
+    re, im), ...)) sorted by column and row, so equal matrices merge."""
+    return primitive("matrix", *_integer_form(
+        ((column, row), value) for (row, column), value in entries.items()
     ))
-    return primitive("multiply", den, terms)
 
 
 def euler_op(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
@@ -286,6 +291,14 @@ def _lcm_of_denominators(values) -> int:
     return den
 
 
+def _integer_form(items) -> tuple:
+    """(den, ((key, re, im), ...)) for (key, value) items with distinct
+    keys: each nonzero value is (re + i im) / den, sorted by key."""
+    values = sorted((key, c) for key, c in ((k, as_grational(v)) for k, v in items) if c)
+    den = _lcm_of_denominators(part for _, c in values for part in (c.re, c.im))
+    return den, tuple((key, _scaled(c.re, den), _scaled(c.im, den)) for key, c in values)
+
+
 def _shift(exps: tuple, i: int, delta: int) -> tuple:
     low = list(exps)
     low[i] += delta
@@ -293,41 +306,48 @@ def _shift(exps: tuple, i: int, delta: int) -> tuple:
 
 
 def _kernel(tag: tuple):
-    """(den, image) for a primitive tag, where image(sign, exps) lists the
-    triples (key, re, im) of the image of the monomial spinor x^exps chi_sign:
-    the sum of (re + i im) / den times the monomial spinor key."""
+    """(den, image) for a primitive tag, where image(key) lists the triples
+    (key', re, im) of the image of the basis vector of key: the sum of
+    (re + i im) / den times the basis vector of key'.  The spinor kernels
+    take monomial-spinor keys (sign, exps); "scalar" and "matrix" act on
+    any hashable keys."""
     name = tag[0]
     if name == "scalar":
         value = tag[1]
         den = _lcm_of_denominators((value.re, value.im))
         re, im = _scaled(value.re, den), _scaled(value.im, den)
         if not (re or im):
-            return 1, lambda sign, exps: ()
-        return den, lambda sign, exps: (((sign, exps), re, im),)
+            return 1, lambda key: ()
+        return den, lambda key: ((key, re, im),)
+    if name == "matrix":
+        columns: dict = {}
+        for (column, row), re, im in tag[2]:
+            columns.setdefault(column, []).append((row, re, im))
+        return tag[1], lambda key: columns.get(key, ())
     if name == "pauli":
         index = tag[1]
         if index == 1:
-            return 1, lambda sign, exps: (((-sign, exps), 1, 0),)
+            return 1, lambda key: (((-key[0], key[1]), 1, 0),)
         if index == 2:  # chi+ -> i chi-, chi- -> -i chi+
-            return 1, lambda sign, exps: (((-sign, exps), 0, sign),)
-        return 1, lambda sign, exps: (((sign, exps), sign, 0),)
+            return 1, lambda key: (((-key[0], key[1]), 0, key[0]),)
+        return 1, lambda key: ((key, key[0], 0),)
     if name == "reflect":
         i = tag[1] - 1
-        return 1, lambda sign, exps: (((sign, exps), -1 if exps[i] % 2 else 1, 0),)
+        return 1, lambda key: ((key, -1 if key[1][i] % 2 else 1, 0),)
     if name == "coord":
         i = tag[1] - 1
-        return 1, lambda sign, exps: (((sign, _shift(exps, i, 1)), 1, 0),)
+        return 1, lambda key: (((key[0], _shift(key[1], i, 1)), 1, 0),)
     if name == "diff":
         i = tag[1] - 1
-        return 1, lambda sign, exps: (
-            (((sign, _shift(exps, i, -1)), exps[i], 0),) if exps[i] else ()
+        return 1, lambda key: (
+            (((key[0], _shift(key[1], i, -1)), key[1][i], 0),) if key[1][i] else ()
         )
     if name == "euler":
         idx = [a - 1 for a in tag[1]]
 
-        def euler_image(sign, exps):
-            d = sum(exps[i] for i in idx)
-            return (((sign, exps), d, 0),) if d else ()
+        def euler_image(key):
+            d = sum(key[1][i] for i in idx)
+            return ((key, d, 0),) if d else ()
 
         return 1, euler_image
     if name == "dunkl":
@@ -335,7 +355,8 @@ def _kernel(tag: tuple):
         i, mu = tag[1] - 1, tag[2]
         p, q = mu.numerator, mu.denominator
 
-        def dunkl_image(sign, exps):
+        def dunkl_image(key):
+            sign, exps = key
             a = exps[i]
             factor = a * q if a % 2 == 0 else a * q + 2 * p
             return (((sign, _shift(exps, i, -1)), factor, 0),) if factor else ()
@@ -346,7 +367,8 @@ def _kernel(tag: tuple):
         den = _lcm_of_denominators(mus)
         nums = [_scaled(mu, den) for mu in mus]
 
-        def laplace_image(sign, exps):
+        def laplace_image(key):
+            sign, exps = key
             out = []
             for i in range(3):
                 a = exps[i]
@@ -361,7 +383,8 @@ def _kernel(tag: tuple):
     if name == "multiply":
         den, terms = tag[1], tag[2]
 
-        def multiply_image(sign, exps):
+        def multiply_image(key):
+            sign, exps = key
             return [
                 ((sign, (exps[0] + e[0], exps[1] + e[1], exps[2] + e[2])), re, im)
                 for e, re, im in terms
@@ -566,8 +589,8 @@ def _direct(node: _Node, column: tuple) -> tuple:
         image = node.data
         out: dict = {}
         get = out.get
-        for (sign, exps), (re, im) in column[1].items():
-            for key, kr, ki in image(sign, exps):
+        for source, (re, im) in column[1].items():
+            for key, kr, ki in image(source):
                 if ki:
                     x, y = re * kr - im * ki, re * ki + im * kr
                 else:
@@ -576,6 +599,14 @@ def _direct(node: _Node, column: tuple) -> tuple:
                 out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
         return _reduced(column[0] * node.den, out)
     raise ValueError(f"unknown operator node {kind!r}")
+
+
+def image_columns(ops: list[LinOp], keys: list) -> list[list[tuple]]:
+    """The image column of each op on the basis vector of each key, from
+    one merged graph whose shared nodes memoize their images across ops and
+    keys: result[i][j] is ops[i] applied to keys[j]."""
+    roots, _ = _compile(ops)
+    return [[_eval(root, (1, {key: _UNIT})) for key in keys] for root in roots]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,73 @@
+"""Dense references for the tests.
+
+The Bannai-Ito generators of a representation's band data as dense
+(N + 1) x (N + 1) Fraction matrices, and the dense products that build the
+ladder operators and their adjoints.  `diracdunkl.birep` evaluates the same
+operators as sparse matrix operators; the tests compare the two entry by
+entry.
+"""
+
+from fractions import Fraction
+
+from diracdunkl.exact import HALF
+
+
+def mat_mul(a: list[list], b: list[list]) -> list[list]:
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def mat_add(a: list[list], b: list[list]) -> list[list]:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a: list[list], b: list[list]) -> list[list]:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def scalar_matrix(n: int, value) -> list[list]:
+    return [[Fraction(value) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+
+def generator_matrices(rep):
+    """Dense rational realization (K1, K2, K3) of the band data: K3
+    diagonal, K1 tridiagonal and K2 = {K3, K1} - w2, whose entries are
+    (lambda_i + lambda_j) K1[i][j] because K3 is diagonal."""
+    n = rep.N + 1
+    lam = rep.eigenvalues
+    k3 = [[lam[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    k1 = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        k1[k][k] = rep.diag[k]
+        if k + 1 < n:
+            k1[k][k + 1] = rep.upper[k]
+            k1[k + 1][k] = rep.lower[k + 1]
+    w2 = rep.omega[1]
+    k2 = [
+        [(lam[i] + lam[j]) * k1[i][j] - (w2 if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return k1, k2, k3
+
+
+def ladder_matrices(generators, omega):
+    """Dense K+ = (K1 + K2)(K3 - 1/2) - (w1 + w2)/2,
+    K- = (K1 - K2)(K3 + 1/2) + (w1 - w2)/2 and their adjoints
+    K+^dag = (K3 - 1/2)(K1 + K2) - (w1 + w2)/2,
+    K-^dag = (K3 + 1/2)(K1 - K2) + (w1 - w2)/2.
+    Returns (K+, K-, K+^dag, K-^dag)."""
+    k1, k2, k3 = generators
+    n = len(k3)
+    w1, w2, _ = omega
+    k3_minus = mat_sub(k3, scalar_matrix(n, HALF))
+    k3_plus = mat_add(k3, scalar_matrix(n, HALF))
+    plus_shift = scalar_matrix(n, (w1 + w2) / 2)
+    minus_shift = scalar_matrix(n, (w1 - w2) / 2)
+    return (
+        mat_sub(mat_mul(mat_add(k1, k2), k3_minus), plus_shift),
+        mat_add(mat_mul(mat_sub(k1, k2), k3_plus), minus_shift),
+        mat_sub(mat_mul(k3_minus, mat_add(k1, k2)), plus_shift),
+        mat_add(mat_mul(k3_plus, mat_sub(k1, k2)), minus_shift),
+    )

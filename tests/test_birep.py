@@ -1,18 +1,21 @@
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
-from conftest import mu_triples
+import reference
+from conftest import EDGE_MUS, mu_triples
 
 from diracdunkl.birep import (
     casimir_value,
     char_poly_at,
     effective_mu,
-    generator_matrices,
+    generator_ops,
     k1_eigenvalue,
     k3_eigenvalue,
-    ladder_matrices,
     ladder_norms,
+    ladder_ops,
     lowering_norm_sq,
     match_function_realization,
     raising_norm_sq,
@@ -22,6 +25,7 @@ from diracdunkl.birep import (
 )
 from diracdunkl import birep, linalg
 from diracdunkl.exact import HALF, Params
+from diracdunkl.operators import anticommutator, image_columns
 
 P = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 ZERO = Params(0, 0, 0)
@@ -74,9 +78,19 @@ def test_rep_matrices_first_degree_flat():
         assert char_poly_at(rep, k1_eigenvalue(s, ZERO)) == 0
 
 
+def _dense(columns: list, n: int) -> list[list[Fraction]]:
+    """Dense matrix of real image columns on the states (k,), k < n."""
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for j, (den, entries) in enumerate(columns):
+        for (i,), (re, im) in entries.items():
+            assert im == 0
+            out[i][j] = Fraction(re, den)
+    return out
+
+
 def test_rep_matrices_scalar_case():
     rep = rep_matrices(0, P)
-    k1, k2, k3 = generator_matrices(rep)
+    k1, k2, k3 = (_dense(c, 1) for c in image_columns(list(generator_ops(rep)), [(0,)]))
     assert k3[0][0] == P.mu1 + P.mu2 + HALF
     assert k1[0][0] == P.mu2 + P.mu3 + HALF
     assert k2[0][0] == P.mu3 + P.mu1 + HALF
@@ -102,13 +116,38 @@ def test_verify_rep_detects_shifted_constant():
 
 def test_ladder_matrix_anticommutators():
     rep = rep_matrices(3, P)
-    generators = generator_matrices(rep)
-    plus, minus, _, _ = ladder_matrices(generators, rep.omega)
+    generators = generator_ops(rep)
+    plus, minus, _, _ = ladder_ops(generators, rep.omega)
     k3 = generators[2]
-    assert linalg.mat_equal(linalg.mat_anticommutator(k3, plus), plus)
-    assert linalg.mat_equal(
-        linalg.mat_anticommutator(k3, minus), linalg.mat_scale(minus, Fraction(-1))
+    anti_plus, plus_cols, anti_minus, minus_cols = image_columns(
+        [anticommutator(k3, plus), plus, anticommutator(k3, minus), -minus],
+        [(k,) for k in range(4)],
     )
+    assert _dense(anti_plus, 4) == _dense(plus_cols, 4)
+    assert _dense(anti_minus, 4) == _dense(minus_cols, 4)
+
+
+def test_generator_and_ladder_ops_match_dense_reference():
+    for params in EDGE_MUS:
+        for N in range(9):
+            rep = rep_matrices(N, params)
+            generators = generator_ops(rep)
+            plus, minus, plus_dag, minus_dag = ladder_ops(generators, rep.omega)
+            dense = reference.generator_matrices(rep)
+            d_plus, d_minus, d_plus_dag, d_minus_dag = reference.ladder_matrices(
+                dense, rep.omega
+            )
+            expected = [
+                *dense, d_plus, d_minus,
+                reference.mat_mul(d_plus_dag, d_plus),
+                reference.mat_mul(d_minus_dag, d_minus),
+            ]
+            got = image_columns(
+                [*generators, plus, minus, plus_dag * plus, minus_dag * minus],
+                [(k,) for k in range(N + 1)],
+            )
+            for index, (columns, matrix) in enumerate(zip(got, expected)):
+                assert _dense(columns, N + 1) == matrix, (params, N, index)
 
 
 def test_norm_parity_values():
@@ -237,3 +276,117 @@ def test_verify_rep_runs_spectrum_factorization_beyond_degree_four(monkeypatch):
     report = verify_rep(6, P)
     assert not report.passed
     assert report.counterexample == {"check": "spectrum factorization", "eigenvalue": "1/2"}
+
+
+# Counterexamples of verify_rep at mu = (1/2, 1/3, 2/5) after one entry of
+# the band data is raised by 1/3, keyed by (N, field, index).  Relation
+# failures name the row-major first differing entry of the relation.
+def _relation(entry, lhs, rhs):
+    return {"check": "{K1,K2} = K3 + w3", "entry": entry, "lhs": lhs, "rhs": rhs}
+
+
+_A_N = {"check": "truncation A_N = 0", "value": "1/3"}
+_C_0 = {"check": "truncation C_0 = 0", "value": "1/3"}
+BUMPED_BAND_COUNTEREXAMPLES = {
+    (1, "upper", 0): _relation([0, 0], "-433/275", "-23/25"),
+    (1, "upper", 1): _A_N,
+    (1, "lower", 0): _C_0,
+    (1, "lower", 1): _relation([0, 0], "-6377/2475", "-23/25"),
+    (1, "diag", 0): _relation([0, 0], "-8927/2475", "-23/25"),
+    (1, "diag", 1): _relation([0, 1], "-1394/297", "0/1"),
+    (1, "eigenvalues", 0): _relation([0, 0], "228268/81675", "-44/75"),
+    (1, "eigenvalues", 1): _relation([0, 0], "2137/3025", "-23/25"),
+    (3, "upper", 0): _relation([0, 0], "-1073/275", "-63/25"),
+    (3, "upper", 1): _relation([1, 1], "-3396/425", "-464/75"),
+    (3, "upper", 2): _relation([2, 2], "-659/575", "-13/25"),
+    (3, "upper", 3): _A_N,
+    (3, "lower", 0): _C_0,
+    (3, "lower", 1): _relation([0, 0], "-11837/2475", "-63/25"),
+    (3, "lower", 2): _relation([1, 1], "-2996/425", "-464/75"),
+    (3, "lower", 3): _relation([2, 2], "-18311/5175", "-13/25"),
+    (3, "diag", 0): _relation([0, 0], "-6229/825", "-63/25"),
+    (3, "diag", 1): _relation([0, 1], "-1904/297", "0/1"),
+    (3, "diag", 2): _relation([1, 2], "-506/153", "0/1"),
+    (3, "diag", 3): _relation([2, 3], "-45298/3105", "0/1"),
+    (3, "eigenvalues", 0): _relation([0, 0], "685588/81675", "-164/75"),
+    (3, "eigenvalues", 1): _relation([0, 0], "19691/9075", "-63/25"),
+    (3, "eigenvalues", 2): _relation([0, 2], "-224/153", "0/1"),
+    (3, "eigenvalues", 3): _relation([1, 3], "-34364/17595", "0/1"),
+    (5, "upper", 0): _relation([0, 0], "-1713/275", "-103/25"),
+    (5, "upper", 1): _relation([1, 1], "-4276/425", "-584/75"),
+    (5, "upper", 2): _relation([2, 2], "-1979/575", "-53/25"),
+    (5, "upper", 3): _relation([3, 3], "-28286/2175", "-734/75"),
+    (5, "lower", 0): _C_0,
+    (5, "lower", 1): _relation([0, 0], "-17297/2475", "-103/25"),
+    (5, "lower", 2): _relation([1, 1], "-12128/1275", "-584/75"),
+    (5, "lower", 3): _relation([2, 2], "-29891/5175", "-53/25"),
+    (5, "diag", 0): _relation([0, 0], "-28447/2475", "-103/25"),
+    (5, "diag", 1): _relation([0, 1], "-2414/297", "0/1"),
+    (5, "diag", 2): _relation([1, 2], "-1012/153", "0/1"),
+    (5, "diag", 3): _relation([2, 3], "-54868/3105", "0/1"),
+    (5, "eigenvalues", 0): _relation([0, 0], "1430908/81675", "-284/75"),
+    (5, "eigenvalues", 1): _relation([0, 0], "44971/9075", "-103/25"),
+    (5, "eigenvalues", 2): _relation([0, 2], "-568/153", "0/1"),
+    (5, "eigenvalues", 3): _relation([1, 3], "-83248/17595", "0/1"),
+}
+
+
+def _bumped(original, field, index):
+    def patched(*args):
+        data = original(*args)
+        values = list(getattr(data, field))
+        values[index] += Fraction(1, 3)
+        return dataclasses.replace(data, **{field: tuple(values)})
+
+    return patched
+
+
+def test_verify_rep_counterexamples_of_bumped_band_data(monkeypatch):
+    for (N, field, index), expected in BUMPED_BAND_COUNTEREXAMPLES.items():
+        monkeypatch.setattr(birep, "rep_matrices", _bumped(rep_matrices, field, index))
+        report = verify_rep(N, P)
+        assert report.counterexample == expected, (N, field, index)
+        assert list(report.counterexample) == list(expected)
+        assert (report.status, report.basis_size) == ("fail", N + 1)
+    assert len(BUMPED_BAND_COUNTEREXAMPLES) == 40
+
+
+# Counterexamples after one ladder norm is raised by 1/3; None where the
+# raised norm is never compared (odd-indexed plus norms, even minus norms).
+BUMPED_NORM_COUNTEREXAMPLES = {
+    (2, "plus_norms", 0): {"check": "raising norm vanishes at k = 0"},
+    (2, "plus_norms", 1): None,
+    (2, "plus_norms", 2): {"check": "raising norm parity", "k": 1},
+    (2, "plus_norms", 3): None,
+    (2, "minus_norms", 0): None,
+    (2, "minus_norms", 1): {"check": "lowering norm parity", "k": 0},
+    (2, "minus_norms", 2): None,
+    (2, "minus_norms", 3): {"check": "ladder truncation at k = N + 1", "value": "1/3"},
+    (3, "plus_norms", 0): {"check": "raising norm vanishes at k = 0"},
+    (3, "plus_norms", 1): None,
+    (3, "plus_norms", 2): {"check": "raising norm parity", "k": 1},
+    (3, "plus_norms", 3): None,
+    (3, "plus_norms", 4): {"check": "ladder truncation at k = N + 1", "value": "1/3"},
+    (3, "minus_norms", 0): None,
+    (3, "minus_norms", 1): {"check": "lowering norm parity", "k": 0},
+    (3, "minus_norms", 2): None,
+    (3, "minus_norms", 3): {"check": "lowering norm parity", "k": 2},
+    (3, "minus_norms", 4): None,
+}
+
+
+def test_verify_rep_counterexamples_of_bumped_ladder_norms(monkeypatch):
+    for (N, field, index), expected in BUMPED_NORM_COUNTEREXAMPLES.items():
+        monkeypatch.setattr(birep, "ladder_norms", _bumped(ladder_norms, field, index))
+        assert verify_rep(N, P).counterexample == expected, (N, field, index)
+
+
+def test_verify_rep_reports_golden_digest():
+    # sha256 of the JSON reports for omega3_shift in (0, 1, -3), every
+    # EDGE_MUS triple and N = 0..12, recorded with the dense-matrix checks.
+    reports = [
+        verify_rep(N, params, omega3_shift=shift).to_json_dict()
+        for shift in (0, 1, -3) for params in EDGE_MUS for N in range(13)
+    ]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "49088383f0a76b9ea4e0c19d5b23c33fb5b9173703573dea60346967cb2e61c1"

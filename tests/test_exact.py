@@ -134,6 +134,36 @@ def test_params_invariants():
         Params.parse("1/2,1/3")
 
 
+def test_equal_params_hash_equally_and_share_moment_cache_entries():
+    from diracdunkl.closedform import moment
+
+    triples = [
+        Params(1, 0, 2),
+        Params(Fraction(1), Fraction(0), Fraction(2)),
+        Params(Fraction(3, 3), 0, Fraction(4, 2)),
+        Params.parse("1,0,2"),
+        Params.parse(" 2/2, 0/5 ,2.0"),
+    ]
+    first = triples[0]
+    for p in triples:
+        assert p == first and hash(p) == hash(first)
+        assert (p.mu_sum, p.gamma3) == (3, Fraction(9, 2))
+        assert type(p.mu_sum) is Fraction
+    assert len(set(triples)) == 1
+    assert Params(1, 0, 3) != first and Params(2, 0, 1) != first
+    assert repr(first) == (
+        "Params(mu1=Fraction(1, 1), mu2=Fraction(0, 1), mu3=Fraction(2, 1))"
+    )
+    moment.cache_clear()
+    value = moment(first, 2, 4, 0)
+    size = moment.cache_info().currsize
+    for p in triples[1:]:
+        hits = moment.cache_info().hits
+        assert moment(p, 2, 4, 0) == value
+        assert moment.cache_info().hits == hits + 1
+        assert moment.cache_info().currsize == size
+
+
 def test_as_grational_rejects_junk():
     with pytest.raises(TypeError):
         as_grational("1/2")

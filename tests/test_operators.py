@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 from conftest import EDGE_MUS, mu_triples, random_spinor
 
-from diracdunkl.exact import GRational, I, Params
+from diracdunkl import operators
+from diracdunkl.exact import GRational, I, Params, as_grational
 from diracdunkl.operators import (
     anticommutator,
+    image_columns,
+    matrix_op,
     coordinate_op,
     dunkl_op,
     identity,
@@ -370,3 +373,93 @@ def test_columns_are_reduced():
         third = Fraction(1, 3) * identity()
         assert verify_identity(third + third + third, identity(), 2).passed
         assert verify_identity(scalar_op(997) * scalar_op(Fraction(1, 997)), identity(), 2).passed
+
+
+# Keys of mixed tuple shapes, all mutually comparable.
+MATRIX_KEYS = [(k,) for k in range(4)] + [(0, 1), (2, 3, 5)]
+
+
+def _random_matrix(rng, keys=MATRIX_KEYS):
+    """Sparse {(row, column): value} matrix with Gaussian-rational and
+    rational entries, some of them explicit zeros."""
+    out = {}
+    for row in keys:
+        for column in keys:
+            if rng.random() < 0.3:
+                out[row, column] = rng.choice(
+                    (_mixed_coefficient(rng), Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+                )
+    return out
+
+
+def _dense_of(entries, keys=MATRIX_KEYS):
+    return [[as_grational(entries.get((r, c), 0)) for c in keys] for r in keys]
+
+
+def _dense_mul(a, b):
+    return [
+        [sum((x * b[k][j] for k, x in enumerate(row)), GRational(0)) for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def _dense_lin(*terms):
+    """Sum of coefficient * matrix over (coefficient, matrix) terms."""
+    n = len(terms[0][1])
+    return [
+        [sum((as_grational(c) * m[i][j] for c, m in terms), GRational(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _dense_from_columns(columns, keys=MATRIX_KEYS):
+    out = [[GRational(0)] * len(keys) for _ in keys]
+    index = {key: i for i, key in enumerate(keys)}
+    for j, (den, entries) in enumerate(columns):
+        for key, (re, im) in entries.items():
+            out[index[key]][j] = GRational(Fraction(re, den), Fraction(im, den))
+    return out
+
+
+def test_matrix_op_matches_dense_products():
+    rng = random.Random(43)
+    eye = _dense_of({(k, k): 1 for k in MATRIX_KEYS})
+    for _ in range(20):
+        a, b, c = (_random_matrix(rng) for _ in range(3))
+        s, t = _mixed_coefficient(rng), Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        A, B, C = (matrix_op(m) for m in (a, b, c))
+        da, db, dc = (_dense_of(m) for m in (a, b, c))
+        cases = [
+            (A, da),
+            (A + B - C, _dense_lin((1, da), (1, db), (-1, dc))),
+            (s * A - B * t, _dense_lin((s, da), (-t, db))),
+            (A * B, _dense_mul(da, db)),
+            ((A + B) * C * A, _dense_mul(_dense_mul(_dense_lin((1, da), (1, db)), dc), da)),
+            (scalar_op(s), _dense_lin((s, eye))),
+            (scalar_op(t) * A + A * scalar_op(s) - scalar_op(0) * B,
+             _dense_lin((t + s, da))),
+            (anticommutator(A, B) - scalar_op(t) * (A ** 2),
+             _dense_lin((1, _dense_mul(da, db)), (1, _dense_mul(db, da)), (-t, _dense_mul(da, da)))),
+        ]
+        got = image_columns([op for op, _ in cases], MATRIX_KEYS)
+        for index, (columns, (_, expected)) in enumerate(zip(got, cases)):
+            assert _dense_from_columns(columns) == expected, index
+    # A key that is no column of the matrix goes to zero.
+    assert image_columns([matrix_op({((0,), (1,)): 2})], [(1,), (2,)]) == [
+        [(1, {(0,): (2, 0)}), (1, {})]
+    ]
+
+
+def test_equal_matrices_merge_to_one_node():
+    rng = random.Random(47)
+    entries = _random_matrix(rng)
+    entries[(1,), (2, 3, 5)] = 0  # an explicit zero is no entry
+    same = dict(rng.sample(list(entries.items()), len(entries)))
+    del same[(1,), (2, 3, 5)]
+    a, b = matrix_op(entries), matrix_op(same)
+    assert a is not b and a.payload == b.payload
+    x = matrix_op(_random_matrix(rng))
+    roots, _ = operators._compile([a * x, b * x, a])
+    assert roots[0] is roots[1]
+    assert roots[0].args[0] is roots[2]
+    assert roots[2].kind == "primitive" and roots[2].payload == a.payload
