@@ -142,9 +142,9 @@ def fischer_decompose(f: SpinorPoly, params: Params) -> FischerComponents:
     columns = []
     labels = []  # (k, index within the degree-(N-k) basis)
     for k in range(N + 1):
-        basis = monogenic_basis(N - k, params)
-        for idx, element in enumerate(basis.elements):
-            columns.append((x_underline() ** k)(element.poly))
+        power = x_underline() ** k
+        for idx, element in enumerate(monogenic_basis(N - k, params).elements):
+            columns.append(power(element.poly))
             labels.append((k, idx))
     keys = coordinate_keys(columns + [f])
     matrix = [list(row) for row in zip(*(coordinates(c, keys) for c in columns))]

@@ -5,6 +5,12 @@ bases, wavefunctions, representation matrices, overlaps and moments.  All
 output is deterministic: identical arguments (including the seed) produce
 byte-identical files.  Exit codes: 0 on success, 1 when a verification check
 fails, 2 on a usage error.
+
+`verify --degree` and each artifact command's `--N` have an upper limit,
+checked before any work starts.  Each limit is the size whose run took about
+a minute or about 0.4-0.5 GB of peak memory, whichever came first, on
+CPython 3.11.7 with the triple 5/7,3/4,2/9 (the default five-triple sweep for
+`verify`).  Parameters of greater height cost more.
 """
 
 from __future__ import annotations
@@ -15,6 +21,18 @@ import sys
 
 from . import birep, ck, closedform, suites
 from .exact import Params, rational_str
+
+# Measured at the limit: verify 56 s / 31 MB; basis 22 s / 404 MB;
+# wavefunctions 59 s / 403 MB; rep 49 s / 384 MB; overlaps 40 s / 164 MB;
+# moments 9 s / 491 MB.
+MAX_DEGREE = 16
+MAX_N = {
+    "basis": 60,
+    "wavefunctions": 60,
+    "rep": 400_000,
+    "overlaps": 40,
+    "moments": 100,
+}
 
 
 def _parse_mu(parser: argparse.ArgumentParser, text: str) -> Params:
@@ -36,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the exact identity suites")
     verify.add_argument("--degree", "-d", type=int, default=4,
-                        help="maximal monomial degree for operator identities")
+                        help="maximal monomial degree for operator identities "
+                             f"(0 to {MAX_DEGREE})")
     verify.add_argument("--mu", help="three comma-separated rationals, e.g. 1/2,1/3,2/5")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed for the pseudorandom parameter sweep")
@@ -52,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("moments", "emit normalized even moments of the weight"),
     ):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--N", type=int, required=True)
+        cmd.add_argument("--N", type=int, required=True, help=f"0 to {MAX_N[name]}")
         cmd.add_argument("--mu", required=True)
         cmd.add_argument("--out")
         if name == "wavefunctions":
@@ -95,6 +114,8 @@ def main(argv=None) -> int:
             mu_list = suites.seeded_mu_samples(5, args.seed)
         if args.degree < 0:
             parser.error("degree must be >= 0")
+        if args.degree > MAX_DEGREE:
+            parser.error(f"degree must be <= {MAX_DEGREE}")
         report = suites.run_verify(mu_list, args.degree, args.mutate, args.seed)
         _emit(report, args.out)
         if report["failures"]:
@@ -109,6 +130,8 @@ def main(argv=None) -> int:
 
     if args.N < 0:
         parser.error("N must be >= 0")
+    if args.N > MAX_N[args.command]:
+        parser.error(f"N must be <= {MAX_N[args.command]} for {args.command}")
     params = _parse_mu(parser, args.mu)
 
     if args.command == "basis":

@@ -23,8 +23,10 @@ structurally equal nodes of the trees it is given and folds each sum of
 scaled terms into one linear combination.  A merged node with two or more
 parents (an identity side counts as a parent) is shared: it caches the image
 column of each monomial spinor and applies to a column by linearity.
-The caches last for one `__call__`, or for one degree slice of
-`verify_identities`, and are dropped after it.
+A `LinOp` compiles its tree on its first call and keeps the merged graph,
+so the caches of its shared nodes last as long as the `LinOp`.  In
+`verify_identities` they last for one degree slice, in `image_columns` for
+the call.
 """
 
 from __future__ import annotations
@@ -51,17 +53,25 @@ class LinOp:
     Each value is an expression node: a primitive, whose `payload` is its
     tag, or a sum, difference, negation, scaling or composition of its
     `operands`.  A scaling keeps its factor in `payload`.
+
+    The first call compiles the tree into a merged graph (`_compile`) and
+    keeps it; the image columns memoized at its shared nodes last as long
+    as the value.  Build an operator once and apply it to a whole basis.
     """
 
-    __slots__ = ("kind", "operands", "payload")
+    __slots__ = ("kind", "operands", "payload", "_root")
 
     def __init__(self, kind: str, operands: tuple = (), payload=None):
         self.kind = kind
         self.operands = operands
         self.payload = payload
+        self._root = None
 
     def __call__(self, f: SpinorPoly) -> SpinorPoly:
-        (root,), _ = _compile([self])
+        root = self._root
+        if root is None:
+            (root,), _ = _compile([self])
+            self._root = root
         return _to_spinor(_eval(root, _from_spinor(f)))
 
     def __add__(self, other: "LinOp") -> "LinOp":

@@ -486,8 +486,9 @@ def suite_fischer(
         expected = (N + 1) * (N + 2)
         columns = []
         for k in range(N + 1):
+            power = x_underline() ** k
             for el in ck.monogenic_basis(N - k, params).elements:
-                columns.append((x_underline() ** k)(el.poly))
+                columns.append(power(el.poly))
         keys = coordinate_keys(columns)
         full_rank = linalg.rank([coordinates(c, keys) for c in columns]) == expected
         checks.append(_check(

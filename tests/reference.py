@@ -5,6 +5,10 @@ The Bannai-Ito generators of a representation's band data as dense
 ladder operators and their adjoints.  `diracdunkl.birep` evaluates the same
 operators as sparse matrix operators; the tests compare the two entry by
 entry.
+
+`rank` and `solve` are Gauss-Jordan elimination on field entries (Fraction
+or GRational), the reference for the integer elimination of
+`diracdunkl.linalg`.
 """
 
 from fractions import Fraction
@@ -71,3 +75,66 @@ def ladder_matrices(generators, omega):
         mat_sub(mat_mul(k3_minus, mat_add(k1, k2)), plus_shift),
         mat_add(mat_mul(k3_plus, mat_sub(k1, k2)), minus_shift),
     )
+
+
+def eliminate(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Forward elimination to reduced row echelon form; returns pivots.
+    Pivoting picks the first nonzero entry."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        recip = 1 / rows[r][c]
+        pivot = rows[r] = [v * recip for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [a - factor * b if b else a for a, b in zip(rows[i], pivot)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rank(rows: list[list]) -> int:
+    _, pivots = eliminate(rows)
+    return len(pivots)
+
+
+def solve(matrix: list[list], rhs_columns: list[list]) -> list[list]:
+    """Solve matrix @ X = rhs for each right-hand-side column, for a
+    consistent system of full column rank; the same ValueError messages as
+    `diracdunkl.linalg.solve`."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    for col in rhs_columns:
+        if len(col) != nrows:
+            raise ValueError("right-hand side has wrong length")
+    augmented = [
+        list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(nrows)
+    ]
+    reduced, pivots = eliminate(augmented)
+    main_pivots = [p for p in pivots if p < ncols]
+    if len(main_pivots) < ncols:
+        raise ValueError("singular system: matrix does not have full column rank")
+    if any(p >= ncols for p in pivots):
+        raise ValueError("inconsistent system")
+    solutions = []
+    for j in range(len(rhs_columns)):
+        col = [None] * ncols
+        for row_index, p in enumerate(main_pivots):
+            col[p] = reduced[row_index][ncols + j]
+        solutions.append(col)
+    return solutions

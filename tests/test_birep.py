@@ -390,3 +390,32 @@ def test_verify_rep_reports_golden_digest():
     ]
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == "49088383f0a76b9ea4e0c19d5b23c33fb5b9173703573dea60346967cb2e61c1"
+
+
+def test_match_function_realization_reports_golden_digest():
+    # sha256 of the JSON reports for every EDGE_MUS triple and N = 0..8,
+    # recorded with the Fraction Gauss-Jordan elimination.
+    reports = [
+        match_function_realization(N, params).to_json_dict()
+        for params in EDGE_MUS for N in range(9)
+    ]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "a2b83a469b00bdffd108f676e8a2431de4d7265e388f0a4b12b897d88965d8be"
+
+
+def test_match_function_realization_bumped_band_data_golden_digest(monkeypatch):
+    # A raised last diagonal entry or last off-diagonal product makes the
+    # report print the solved coefficient ("got"), so this digest pins the
+    # values of the linear solve; recorded with the Fraction elimination.
+    reports = []
+    for field in ("diag", "u_squared"):
+        monkeypatch.setattr(birep, "rep_matrices", _bumped(rep_matrices, field, -1))
+        reports += [
+            match_function_realization(N, params).to_json_dict()
+            for params in EDGE_MUS for N in (3, 6)
+        ]
+    assert {r["counterexample"]["check"] for r in reports} == {
+        "diagonal coefficient", "off-diagonal product",
+    }
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "8a2d3bf3474ab522f5016388701a25fcc97ba23c478fac5a1f88af3be4ea3843"

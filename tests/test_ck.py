@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from diracdunkl.poly import (
     pauli,
     spinor_basis_labels,
 )
+from diracdunkl.suites import _random_homogeneous
 
 P = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 CHI_PLUS = SpinorPoly.unit(1)
@@ -327,3 +330,17 @@ def test_fischer_rejects_bad_input():
         fischer_decompose(SpinorPoly.zero(), P)
     with pytest.raises(ValueError):
         fischer_decompose(CHI_PLUS + up((1, 0, 0)), P)
+
+
+@pytest.mark.parametrize("N, digest", [
+    (5, "9090025251ed35b9c86f4b22581c7a41f1ee5c0466763fdfb1087518dc3229cf"),
+    (6, "95ae123f6c08b96d958a640950c7817a00f4d1bb9aacb754806fead1c0a369b7"),
+    (7, "9b572ae85b5e07ee0776512501327b3ae6d6bbab547f41bd0c32f5be9253b6df"),
+])
+def test_fischer_components_golden_digest(N, digest):
+    # SHA-256 of the component JSON of a seeded dense input, recorded with
+    # the Fraction Gauss-Jordan elimination and per-element operator builds.
+    f = _random_homogeneous(random.Random(1000 + N), N)
+    parts = fischer_decompose(f, P)
+    data = json.dumps([part.to_json_dict() for part in parts.components])
+    assert hashlib.sha256(data.encode()).hexdigest() == digest

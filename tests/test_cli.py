@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from diracdunkl import birep, ck, cli, closedform, suites
+
 MU = "1/2,1/3,2/5"
 
 
@@ -197,13 +199,19 @@ def test_verify_report_golden_digest(extra, returncode, digest):
      "e3439e38cc53cde235e07cf0f32b5d14fb13f046e8cba9156cb8a3eed1b29bfb"),
     (("wavefunctions", "--N", "4", "--mu", MU, "--basis", "upsilon"),
      "b99bec4b4f890983db7537982784f6a81083fefec6910a9ba44da6b85e48e9ff"),
+    (("basis", "--N", "12", "--mu", MU),
+     "ee12857bcef048fd23a062742e5d513100c9e777999823cc63aa6f444dc10fe2"),
+    (("wavefunctions", "--N", "12", "--mu", MU, "--basis", "upsilon"),
+     "a074b005e96faaa9700abdad409c873810879c8174d4e56bc1fee90d976594e4"),
 ])
 def test_artifact_golden_digest(args, digest):
     # SHA-256 of the artifact JSON, recorded before the extension tower was
     # built from operator trees (basis), before representations were
     # stored as band data only (rep) and before scalar products ran as one
     # integer bilinear form with moments by recurrence (overlaps, moments,
-    # wavefunctions).
+    # wavefunctions), or before elimination ran on Gaussian-integer rows and
+    # operators kept their compiled graphs (basis and wavefunctions at
+    # N = 12).
     result = run_cli(*args)
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
@@ -215,3 +223,77 @@ def test_verify_rejects_huge_mu_literals(mu):
     result = run_cli("verify", "--degree", "0", "--mu", mu)
     assert result.returncode == 2
     assert "too large" in result.stderr
+
+
+# The library call each command's work starts with.
+WORK = {
+    "verify": (suites, "run_verify"),
+    "basis": (ck, "monogenic_basis"),
+    "wavefunctions": (closedform, "wavefunctions"),
+    "rep": (birep, "rep_matrices"),
+    "overlaps": (closedform, "overlap_matrix"),
+    "moments": (closedform, "moment"),
+}
+
+
+class WorkStarted(Exception):
+    pass
+
+
+def _stub_work(monkeypatch):
+    def started(*args, **kwargs):
+        raise WorkStarted
+
+    for module, name in WORK.values():
+        monkeypatch.setattr(module, name, started)
+
+
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    return info.value.code
+
+
+@pytest.mark.parametrize("size", ["limit+1", "10^9"])
+@pytest.mark.parametrize("command", sorted(cli.MAX_N))
+def test_artifact_size_above_limit_exits_before_work(command, size, monkeypatch, capsys):
+    _stub_work(monkeypatch)
+    limit = cli.MAX_N[command]
+    n = limit + 1 if size == "limit+1" else 10**9
+    assert _exit_code([command, "--N", str(n), "--mu", MU]) == 2
+    assert f"N must be <= {limit} for {command}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["limit+1", "10^9"])
+@pytest.mark.parametrize("mu", [(), ("--mu", MU)], ids=["sweep", "one-triple"])
+def test_verify_degree_above_limit_exits_before_work(size, mu, monkeypatch, capsys):
+    _stub_work(monkeypatch)
+    degree = cli.MAX_DEGREE + 1 if size == "limit+1" else 10**9
+    assert _exit_code(["verify", "--degree", str(degree), *mu]) == 2
+    assert f"degree must be <= {cli.MAX_DEGREE}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--degree", str(cli.MAX_DEGREE)],
+    ["verify", "--degree", "8"],
+    *([command, "--N", str(limit), "--mu", MU] for command, limit in sorted(cli.MAX_N.items())),
+    ["rep", "--N", "40", "--mu", MU],
+    ["moments", "--N", "30", "--mu", MU],
+    ["basis", "--N", "12", "--mu", MU],
+    ["overlaps", "--N", "10", "--mu", MU],
+    ["wavefunctions", "--N", "12", "--mu", MU],
+])
+def test_sizes_up_to_the_limit_are_accepted(argv, monkeypatch):
+    _stub_work(monkeypatch)
+    with pytest.raises(WorkStarted):
+        cli.main(argv)
+
+
+def test_huge_size_exits_promptly():
+    for args in (("verify", "--degree", str(10**9)), ("overlaps", "--N", str(10**9), "--mu", MU)):
+        result = subprocess.run(
+            [sys.executable, "-m", "diracdunkl", *args],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "must be <=" in result.stderr

@@ -463,3 +463,77 @@ def test_equal_matrices_merge_to_one_node():
     assert roots[0] is roots[1]
     assert roots[0].args[0] is roots[2]
     assert roots[2].kind == "primitive" and roots[2].payload == a.payload
+
+
+# Operators applied many times: each keeps its compiled graph and the memos
+# of its shared nodes across calls.
+REUSED_OPERATORS = {
+    "dirac": dirac,
+    "x_underline^3": lambda params: x_underline() ** 3,
+    "spherical dirac + 1": lambda params: spherical_dirac(params) + scalar_op(1),
+    "K1": lambda params: bi_generator(params, 1),
+    "casimir": casimir,
+    "laplace_s2": laplace_s2,
+    "central element": central_element,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REUSED_OPERATORS))
+def test_reused_operator_matches_fresh_copies(name):
+    build = REUSED_OPERATORS[name]
+    rng = random.Random(59)
+    for params in EDGE_MUS[:4]:
+        op = build(params)
+        inputs = [
+            random_spinor(rng, 3), SpinorPoly.zero(), CHI_MINUS, up((0, 2, 1)),
+            random_spinor(rng, 1), SpinorPoly.monomial((1, 0, 3), -1, I),
+            random_spinor(rng, 2), CHI_PLUS,
+        ]
+        # Interleaved degrees and spins, then the same inputs again, now
+        # partly from the kept memos.
+        for f in inputs + inputs[::-1]:
+            assert op(f) == build(params)(f), (name, params)
+        assert not op(SpinorPoly.zero())
+        # Being a subtree of other operators leaves op's own graph intact.
+        outer = op * op + scalar_op(2) * op
+        for f in inputs[:3]:
+            assert outer(f) == build(params)(build(params)(f)) + build(params)(f).scale(2)
+            assert op(f) == build(params)(f)
+
+
+def test_operator_compiles_once(monkeypatch):
+    calls = []
+    compile_ = operators._compile
+
+    def counted(roots):
+        calls.append(len(roots))
+        return compile_(roots)
+
+    monkeypatch.setattr(operators, "_compile", counted)
+    op = casimir(P)
+    for f in (CHI_PLUS, up((1, 1, 0)), CHI_MINUS, up((1, 1, 0))):
+        op(f)
+    assert calls == [1]
+    (op + op)(CHI_PLUS)
+    assert calls == [1, 1]
+
+
+def test_operators_with_other_payloads_share_no_memo_entries():
+    # Equal trees over different mu, and trees whose shared nodes differ only
+    # in mu, applied alternately to the same inputs: each gives its own
+    # reference image.
+    rng = random.Random(61)
+    inputs = [random_spinor(rng, 3) for _ in range(3)] + [up((3, 0, 0)), CHI_MINUS]
+    ops = [(params, casimir(params), dirac(params) * dirac(params)) for params in EDGE_MUS]
+    for f in inputs:
+        for params, cas, square in ops:
+            assert cas(f) == casimir(params)(f)
+            expected = dirac(params)(dirac(params)(f))
+            assert square(f) == expected
+    first, second = EDGE_MUS[1], EDGE_MUS[3]
+    mixed = dunkl_op(1, first) * dunkl_op(1, second) + dunkl_op(1, second) * dunkl_op(1, first)
+    for f in inputs:
+        assert mixed(f) == (
+            dunkl(dunkl(f, 1, second), 1, first) + dunkl(dunkl(f, 1, first), 1, second)
+        )
+    assert dunkl_op(1, first)(up((1, 0, 0))) != dunkl_op(1, second)(up((1, 0, 0)))
