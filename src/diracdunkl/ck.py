@@ -39,9 +39,11 @@ def _ck_extend(
     p: SpinorPoly, ext_axis: int, tangent_axes: tuple[int, ...], params: Params
 ) -> SpinorPoly:
     mu = params.mu(ext_axis)
-    tangent = dirac(params, tangent_axes)
+    # x_e commutes with Dt, so x_e^alpha Dt^alpha p = (x_e Dt)^alpha p.
+    step = coordinate_op(ext_axis) * dirac(params, tangent_axes)
+    sigma = pauli_op(ext_axis)
     result = SpinorPoly.zero()
-    current = p  # holds Dt^alpha p
+    current = p  # holds x_e^alpha Dt^alpha p
     alpha = 0
     while current:
         a, odd = divmod(alpha, 2)
@@ -51,9 +53,8 @@ def _ck_extend(
             else 2 * (mu + HALF) * pochhammer(mu + Fraction(3, 2), a)
         )
         coef /= pochhammer(1, a)  # a!
-        term = coef * coordinate_op(ext_axis) ** alpha * pauli_op(ext_axis) ** odd
-        result = result + term(current)
-        current = tangent(current)
+        result = result + (sigma(current) if odd else current).scale(coef)
+        current = step(current)
         alpha += 1
     return result
 

@@ -24,8 +24,7 @@ from .exact import (
     rational_str,
 )
 from .operators import LinOp, coordinate_op, multiply_op, pauli_op
-from .operators import _from_spinor, _lcm_of_denominators, _scaled
-from .poly import ScalarPoly, SpinorPoly
+from .poly import ScalarPoly, SpinorPoly, lcm_of_denominators, scaled
 
 PSI_AXES = (1, 2, 3)
 UPSILON_AXES = (2, 3, 1)
@@ -146,10 +145,15 @@ def homogenized_jacobi(
     beta = Fraction(beta)
     total = ScalarPoly.zero()
     s = big_x + big_y
+    s_powers = [ScalarPoly.constant(1)]  # (X + Y)^i
+    for _ in range(m):
+        s_powers.append(s_powers[-1] * s)
+    y_power = ScalarPoly.constant(1)  # Y^j
     for j in range(m + 1):
         c = _jacobi_series_coeff(m, j, alpha, beta)
         if c:
-            total = total + ((big_y**j) * (s ** (m - j))).scale(c)
+            total = total + (y_power * s_powers[m - j]).scale(c)
+        y_power = y_power * big_y
     return total
 
 
@@ -385,7 +389,7 @@ def scalar_products(polys, params: Params):
     moments times the lcm of their denominators); products are then sparse
     integer dot products.
     """
-    columns = [_from_spinor(f) for f in polys]
+    columns = [f.column for f in polys]
     # Keys pair to a moment when their spins and exponent parities agree.
     classes: dict = {}
     for sign, e in {key for _, entries in columns for key in entries}:
@@ -399,8 +403,8 @@ def scalar_products(polys, params: Params):
         for e1 in group
     }
     moments = {half: moment(params, *half) for row in halves.values() for _, half in row}
-    scale = _lcm_of_denominators(moments.values())
-    weights = {half: _scaled(value, scale) for half, value in moments.items()}
+    scale = lcm_of_denominators(moments.values())
+    weights = {half: scaled(value, scale) for half, value in moments.items()}
     duals = []
     for den, entries in columns:
         dual: dict = {}

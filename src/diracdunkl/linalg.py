@@ -21,6 +21,7 @@ import math
 from fractions import Fraction
 
 from .exact import GRational, as_grational
+from .poly import lcm_of_denominators, scaled
 
 
 def _components(rows: list[list], ncols: int) -> list[tuple[list[int], list[int]]]:
@@ -62,15 +63,8 @@ def _integer_row(values: list) -> tuple[list[int], list[int]]:
     """The primitive Gaussian-integer multiple of a row, as its lists of
     real and imaginary parts."""
     values = [as_grational(v) for v in values]
-    den = 1
-    for v in values:
-        for part in (v.re, v.im):
-            d = part.denominator
-            if den % d:
-                den = den // math.gcd(den, d) * d
-    re = [v.re.numerator * (den // v.re.denominator) for v in values]
-    im = [v.im.numerator * (den // v.im.denominator) for v in values]
-    return _primitive(re, im)
+    den = lcm_of_denominators(part for v in values for part in (v.re, v.im))
+    return _primitive([scaled(v.re, den) for v in values], [scaled(v.im, den) for v in values])
 
 
 def _primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:

@@ -9,14 +9,10 @@ equality, reporting the first counterexample on failure.
 
 Operators are expression trees over primitives that are plain data: a
 hashable tag such as ("dunkl", axis, mu) or ("pauli", i), whose integer
-kernel maps one monomial spinor to a column.  A column is an exact spinor
-polynomial over the Gaussian integers, `(den, {(sign, exps): (re, im)})`,
-standing for the sum of (re + i im) / den times x^exps chi_sign.  Columns are
-always reduced (den > 0, gcd of den and every entry 1), so two polynomials
-are equal exactly when their columns are equal as Python values, and sums
-and scalings cost only integer products plus one gcd.  The "scalar" and
-"matrix" primitives act on columns over any hashable keys, such as the
-states (k,) of a finite-dimensional representation (see `image_columns`).
+kernel maps one monomial spinor to a column, the reduced Gaussian-integer
+form that `poly` defines and `SpinorPoly` stores.  The "scalar" and "matrix"
+primitives act on columns over any hashable keys, such as the states (k,) of
+a finite-dimensional representation (see `image_columns`).
 
 Evaluation, both for `LinOp.__call__` and for the checker, first merges
 structurally equal nodes of the trees it is given and folds each sum of
@@ -31,13 +27,20 @@ the call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .exact import HALF, MINUS_I, GRational, Params, as_grational
-from .poly import ScalarPoly, SpinorPoly, spinor_basis_labels
+from .poly import (
+    ScalarPoly,
+    SpinorPoly,
+    combine,
+    integer_form,
+    lcm_of_denominators,
+    reduced,
+    scaled,
+    spinor_basis_labels,
+)
 # The reference for the ("dunkl", axis, mu) kernel, kept importable from here
 # because benchmarks/test_harness.py patches and restores `operators.dunkl`.
 from .poly import dunkl  # noqa: F401
@@ -72,7 +75,7 @@ class LinOp:
         if root is None:
             (root,), _ = _compile([self])
             self._root = root
-        return _to_spinor(_eval(root, _from_spinor(f)))
+        return SpinorPoly.from_column(_eval(root, f.column))
 
     def __add__(self, other: "LinOp") -> "LinOp":
         return LinOp("add", (self, other))
@@ -141,7 +144,7 @@ def coordinate_op(axis: int) -> LinOp:
 def multiply_op(scalar: ScalarPoly) -> LinOp:
     """Multiplication by a scalar polynomial, stored in integer form as
     ("multiply", den, ((exps, re, im), ...))."""
-    return primitive("multiply", *_integer_form(scalar.terms.items()))
+    return primitive("multiply", *integer_form(scalar.terms.items()))
 
 
 def matrix_op(entries: dict) -> LinOp:
@@ -149,7 +152,7 @@ def matrix_op(entries: dict) -> LinOp:
     hashable keys, sending every key that is no column to zero.  Stored in
     the integer form of `multiply_op`, as ("matrix", den, (((column, row),
     re, im), ...)) sorted by column and row, so equal matrices merge."""
-    return primitive("matrix", *_integer_form(
+    return primitive("matrix", *integer_form(
         ((column, row), value) for (row, column), value in entries.items()
     ))
 
@@ -287,28 +290,6 @@ def central_element(params: Params) -> LinOp:
 # ---------------------------------------------------------------------------
 # Integer kernels of the primitives.
 
-def _scaled(value: Fraction, den: int) -> int:
-    """The integer value * den, for a den that value's denominator divides."""
-    return value.numerator * (den // value.denominator)
-
-
-def _lcm_of_denominators(values) -> int:
-    den = 1
-    for value in values:
-        d = value.denominator
-        if den % d:
-            den = den // math.gcd(den, d) * d
-    return den
-
-
-def _integer_form(items) -> tuple:
-    """(den, ((key, re, im), ...)) for (key, value) items with distinct
-    keys: each nonzero value is (re + i im) / den, sorted by key."""
-    values = sorted((key, c) for key, c in ((k, as_grational(v)) for k, v in items) if c)
-    den = _lcm_of_denominators(part for _, c in values for part in (c.re, c.im))
-    return den, tuple((key, _scaled(c.re, den), _scaled(c.im, den)) for key, c in values)
-
-
 def _shift(exps: tuple, i: int, delta: int) -> tuple:
     low = list(exps)
     low[i] += delta
@@ -324,8 +305,8 @@ def _kernel(tag: tuple):
     name = tag[0]
     if name == "scalar":
         value = tag[1]
-        den = _lcm_of_denominators((value.re, value.im))
-        re, im = _scaled(value.re, den), _scaled(value.im, den)
+        den = lcm_of_denominators((value.re, value.im))
+        re, im = scaled(value.re, den), scaled(value.im, den)
         if not (re or im):
             return 1, lambda key: ()
         return den, lambda key: ((key, re, im),)
@@ -374,8 +355,8 @@ def _kernel(tag: tuple):
         return q, dunkl_image
     if name == "laplace_explicit":
         mus = tag[1:]
-        den = _lcm_of_denominators(mus)
-        nums = [_scaled(mu, den) for mu in mus]
+        den = lcm_of_denominators(mus)
+        nums = [scaled(mu, den) for mu in mus]
 
         def laplace_image(key):
             sign, exps = key
@@ -402,71 +383,6 @@ def _kernel(tag: tuple):
 
         return den, multiply_image
     raise ValueError(f"unknown primitive {name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Columns: reduced exact spinor polynomials over the Gaussian integers.
-
-def _reduced(den: int, entries: dict) -> tuple:
-    """The canonical column of entries / den: zero entries dropped, den > 0
-    coprime to the entries (den = 1 for the zero column)."""
-    entries = {key: value for key, value in entries.items() if value[0] or value[1]}
-    if den == 1 or not entries:
-        return (1, entries)
-    g = math.gcd(den, *chain.from_iterable(entries.values()))
-    if g == 1:
-        return (den, entries)
-    return (den // g, {key: (re // g, im // g) for key, (re, im) in entries.items()})
-
-
-def _combine(parts: list, den: int) -> tuple:
-    """Canonical column of (sum of (cr + i ci) * column) / den over the
-    (cr, ci, column) triples in parts."""
-    common = 1
-    for _, _, (d, _) in parts:
-        if common % d:
-            common = common // math.gcd(common, d) * d
-    out: dict = {}
-    get = out.get
-    for cr, ci, (d, entries) in parts:
-        if d != common:
-            m = common // d
-            cr *= m
-            ci *= m
-        if ci:
-            for key, (re, im) in entries.items():
-                x = cr * re - ci * im
-                y = cr * im + ci * re
-                acc = get(key)
-                out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
-        else:
-            for key, (re, im) in entries.items():
-                x = cr * re
-                y = cr * im
-                acc = get(key)
-                out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
-    return _reduced(common * den, out)
-
-
-def _from_spinor(f: SpinorPoly) -> tuple:
-    parts = [
-        (sign, exps, c)
-        for sign, terms in ((1, f.up.terms), (-1, f.down.terms))
-        for exps, c in terms.items()
-    ]
-    den = _lcm_of_denominators(part for _, _, c in parts for part in (c.re, c.im))
-    return (den, {
-        (sign, exps): (_scaled(c.re, den), _scaled(c.im, den)) for sign, exps, c in parts
-    })
-
-
-def _to_spinor(column: tuple) -> SpinorPoly:
-    den, entries = column
-    up: dict = {}
-    down: dict = {}
-    for (sign, exps), (re, im) in entries.items():
-        (up if sign == 1 else down)[exps] = GRational(Fraction(re, den), Fraction(im, den))
-    return SpinorPoly(ScalarPoly._raw(up), ScalarPoly._raw(down))
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +436,22 @@ def _expand(node: _Node, coef: GRational, terms: dict) -> None:
     terms[node] = coef if previous is None else previous + coef
 
 
+def _merge(op: LinOp, merged: dict, by_id: dict) -> _Node:
+    """The merged node of op, for `_compile`.  Not a closure: a recursive
+    closure is a reference cycle that keeps the graph alive until a GC pass."""
+    node = by_id.get(id(op))
+    if node is None:
+        args = tuple(_merge(arg, merged, by_id) for arg in op.operands)
+        key = (op.kind, op.payload, args)
+        node = merged.get(key)
+        if node is None:
+            node = merged[key] = _Node(op.kind, args, op.payload)
+            for arg in args:
+                arg.parents += 1
+        by_id[id(op)] = node
+    return node
+
+
 def _compile(roots: list[LinOp]) -> tuple[list[_Node], list[_Node]]:
     """Merge structurally equal nodes of the graphs spanned by roots, and
     flatten each maximal sum of unshared linear nodes into one "linear"
@@ -527,21 +459,7 @@ def _compile(roots: list[LinOp]) -> tuple[list[_Node], list[_Node]]:
     set; each entry of roots counts as one parent of its node."""
     merged: dict = {}
     by_id: dict = {}
-
-    def build(op: LinOp) -> _Node:
-        node = by_id.get(id(op))
-        if node is None:
-            args = tuple(build(arg) for arg in op.operands)
-            key = (op.kind, op.payload, args)
-            node = merged.get(key)
-            if node is None:
-                node = merged[key] = _Node(op.kind, args, op.payload)
-                for arg in args:
-                    arg.parents += 1
-            by_id[id(op)] = node
-        return node
-
-    out = [build(op) for op in roots]
+    out = [_merge(op, merged, by_id) for op in roots]
     for node in out:
         node.parents += 1
     nodes = list(merged.values())
@@ -556,9 +474,9 @@ def _compile(roots: list[LinOp]) -> tuple[list[_Node], list[_Node]]:
             node.den, node.data = _kernel(node.payload)
         elif node in expansions:
             terms = expansions[node]
-            den = _lcm_of_denominators(part for _, c in terms for part in (c.re, c.im))
+            den = lcm_of_denominators(part for _, c in terms for part in (c.re, c.im))
             node.kind, node.args, node.den = "linear", (), den
-            node.data = [(_scaled(c.re, den), _scaled(c.im, den), child) for child, c in terms]
+            node.data = [(scaled(c.re, den), scaled(c.im, den), child) for child, c in terms]
     shared = [
         node for node in nodes
         if node.parents > 1 and node.kind != "primitive"
@@ -582,13 +500,13 @@ def _eval(node: _Node, column: tuple) -> tuple:
         parts.append((re, im, image))
     if den == 1 and len(parts) == 1 and parts[0][:2] == _UNIT:
         return parts[0][2]
-    return _combine(parts, den)
+    return combine(parts, den)
 
 
 def _direct(node: _Node, column: tuple) -> tuple:
     kind = node.kind
     if kind == "linear":
-        return _combine([
+        return combine([
             (cr, ci, column if child is None else _eval(child, column))
             for cr, ci, child in node.data
         ], node.den)
@@ -607,7 +525,7 @@ def _direct(node: _Node, column: tuple) -> tuple:
                     x, y = re * kr, im * kr
                 acc = get(key)
                 out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
-        return _reduced(column[0] * node.den, out)
+        return reduced(column[0] * node.den, out)
     raise ValueError(f"unknown operator node {kind!r}")
 
 
@@ -686,8 +604,8 @@ def verify_identities(
                         "degree": degree,
                         "exponents": list(exps),
                         "spinor": "+" if sign == 1 else "-",
-                        "lhs": _to_spinor(left).to_json_dict(),
-                        "rhs": _to_spinor(right).to_json_dict(),
+                        "lhs": SpinorPoly.from_column(left).to_json_dict(),
+                        "rhs": SpinorPoly.from_column(right).to_json_dict(),
                     })
     return [bad or report(name) for bad, (name, _, _) in zip(failed, items)]
 

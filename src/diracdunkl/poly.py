@@ -1,22 +1,28 @@
 """Sparse spinor-valued polynomials in x1, x2, x3 over the Gaussian rationals.
 
-A scalar polynomial is a map from exponent triples to nonzero coefficients,
-so two polynomials are equal exactly when the maps are equal.  A spinor
-polynomial carries two scalar components along the basis spinors
-chi+ = (1, 0) and chi- = (0, 1); this ordering fixes the sign conventions of
-the second and third Pauli actions.
+A spinor polynomial is stored as its column `(den, {(sign, exps): (re, im)})`,
+the sum of (re + i im) / den times x^exps chi_sign, where chi+ = (1, 0) has
+sign 1 and chi- = (0, 1) sign -1; this ordering fixes the sign conventions
+of the second and third Pauli actions.  Columns are reduced (den > 0, no zero
+entries, den coprime to the entries, den = 1 for zero), so equal polynomials
+have equal columns, and `combine` sums and scales them with integer products
+and one gcd.  `operators` evaluates on columns, also over other hashable
+keys.  No code mutates a column once built: an operator's result can share
+its dict with a memo entry of its graph.
 
-The module also provides reference versions of the primitive operators:
-coordinate reflection, partial derivative, exact division by a coordinate,
-the Dunkl derivative, the Pauli matrix action, the Euler operator and
-coordinate multiplication.  The package applies operators through the
-integer kernels of `operators`; the tests compare those kernels, and the
-extension maps built on them, against these definitions.
+A `ScalarPoly` maps exponent triples to nonzero `GRational` coefficients.
+The reference versions of the primitive operators below (reflection, partial
+derivative, division by a coordinate, Dunkl derivative, Pauli action, Euler
+operator, coordinate multiplication) act on the two `ScalarPoly` components;
+the tests compare the integer kernels of `operators`, and the extension maps
+built on them, against these definitions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 
 from .exact import GRational, I, MINUS_I, Params, as_grational
 
@@ -129,13 +135,6 @@ class ScalarPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def involves(self, axis: int) -> bool:
-        return any(e[axis - 1] for e in self.terms)
-
     def reflect(self, axis: int) -> "ScalarPoly":
         i = axis - 1
         return ScalarPoly._raw(
@@ -190,68 +189,93 @@ class ScalarPoly:
         i = axis - 1
         return ScalarPoly._raw({e: c for e, c in self.terms.items() if e[i] == 0})
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
 
 class SpinorPoly:
-    """Two-component spinor polynomial (up along chi+, down along chi-)."""
+    """Two-component spinor polynomial (up along chi+, down along chi-),
+    immutable, stored as its reduced column (see the module docstring).
+    `up` and `down` are read-only views, new `ScalarPoly` values."""
 
-    __slots__ = ("up", "down")
+    __slots__ = ("column",)
 
     def __init__(self, up: ScalarPoly | None = None, down: ScalarPoly | None = None):
-        self.up = up if up is not None else ScalarPoly.zero()
-        self.down = down if down is not None else ScalarPoly.zero()
+        den, entries = integer_form(chain(
+            (((1, e), c) for e, c in (up.terms.items() if up is not None else ())),
+            (((-1, e), c) for e, c in (down.terms.items() if down is not None else ())),
+        ))
+        self.column = (den, {key: (re, im) for key, re, im in entries})
+
+    @classmethod
+    def from_column(cls, column: tuple) -> "SpinorPoly":
+        """The spinor polynomial of a reduced column over (sign, exps) keys,
+        which it keeps without copying."""
+        self = object.__new__(cls)
+        self.column = column
+        return self
 
     @classmethod
     def zero(cls) -> "SpinorPoly":
-        return cls()
+        return cls.from_column((1, {}))
 
     @classmethod
     def unit(cls, sign: int) -> "SpinorPoly":
         """The constant spinor chi+ (sign = +1) or chi- (sign = -1)."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        scalar = ScalarPoly.constant(1)
-        return cls(scalar, None) if sign == 1 else cls(None, scalar)
+        return cls.monomial((0, 0, 0), sign)
 
     @classmethod
     def monomial(cls, exps, sign: int, coef=1) -> "SpinorPoly":
         scalar = ScalarPoly.monomial(exps, coef)
         return cls(scalar, None) if sign == 1 else cls(None, scalar)
 
+    @property
+    def up(self) -> ScalarPoly:
+        return self._component(1)
+
+    @property
+    def down(self) -> ScalarPoly:
+        return self._component(-1)
+
+    def _component(self, sign: int) -> ScalarPoly:
+        den, entries = self.column
+        return ScalarPoly._raw({
+            exps: _coefficient(den, re, im)
+            for (s, exps), (re, im) in entries.items() if s == sign
+        })
+
     def __add__(self, other: "SpinorPoly") -> "SpinorPoly":
-        return SpinorPoly(self.up + other.up, self.down + other.down)
+        return SpinorPoly.from_column(combine([(1, 0, self.column), (1, 0, other.column)], 1))
 
     def __sub__(self, other: "SpinorPoly") -> "SpinorPoly":
-        return SpinorPoly(self.up - other.up, self.down - other.down)
+        return SpinorPoly.from_column(combine([(1, 0, self.column), (-1, 0, other.column)], 1))
 
     def __neg__(self) -> "SpinorPoly":
-        return SpinorPoly(-self.up, -self.down)
+        return SpinorPoly.from_column(combine([(-1, 0, self.column)], 1))
 
     def scale(self, value) -> "SpinorPoly":
-        return SpinorPoly(self.up.scale(value), self.down.scale(value))
-
-    def mul_scalar_poly(self, scalar: ScalarPoly) -> "SpinorPoly":
-        return SpinorPoly(self.up * scalar, self.down * scalar)
+        value = as_grational(value)
+        den = lcm_of_denominators((value.re, value.im))
+        return SpinorPoly.from_column(combine(
+            [(scaled(value.re, den), scaled(value.im, den), self.column)], den
+        ))
 
     def __eq__(self, other):
         if not isinstance(other, SpinorPoly):
             return NotImplemented
-        return self.up == other.up and self.down == other.down
+        return self.column == other.column
 
     def __bool__(self):
-        return bool(self.up) or bool(self.down)
+        return bool(self.column[1])
 
     def __repr__(self):
         return f"SpinorPoly(up={self.up!r}, down={self.down!r})"
 
     def degree(self) -> int:
-        return max(self.up.degree(), self.down.degree())
+        """Total degree; -1 for the zero polynomial."""
+        return max((sum(exps) for _, exps in self.column[1]), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.up.terms} | {sum(e) for e in self.down.terms}
-        return len(degrees) <= 1
+        return len({sum(exps) for _, exps in self.column[1]}) <= 1
 
     def homogeneous_degree(self) -> int:
         """Degree of a nonzero homogeneous spinor polynomial."""
@@ -262,15 +286,85 @@ class SpinorPoly:
         return self.degree()
 
     def involves(self, axis: int) -> bool:
-        return self.up.involves(axis) or self.down.involves(axis)
+        return any(exps[axis - 1] for _, exps in self.column[1])
 
     def to_json_dict(self) -> dict:
-        def component(p: ScalarPoly):
-            return [
-                {"exp": list(e), "coef": c.to_json_dict()} for e, c in p.sorted_terms()
-            ]
+        den, entries = self.column
+        return {name: [
+            {"exp": list(exps), "coef": _coefficient(den, *entries[sign, exps]).to_json_dict()}
+            for exps in sorted(exps for s, exps in entries if s == sign)
+        ] for name, sign in (("up", 1), ("down", -1))}
 
-        return {"up": component(self.up), "down": component(self.down)}
+
+# ---------------------------------------------------------------------------
+# Columns: exact polynomials over the Gaussian integers.
+
+def scaled(value: Fraction, den: int) -> int:
+    """The integer value * den, for a den that value's denominator divides."""
+    return value.numerator * (den // value.denominator)
+
+
+def lcm_of_denominators(values) -> int:
+    den = 1
+    for value in values:
+        d = value.denominator
+        if den % d:
+            den = den // math.gcd(den, d) * d
+    return den
+
+
+def integer_form(items) -> tuple:
+    """(den, ((key, re, im), ...)) for (key, value) items with distinct
+    keys: each nonzero value is (re + i im) / den, sorted by key, and den is
+    the lcm of the denominators, so coprime to the entries together."""
+    values = sorted((key, c) for key, c in ((k, as_grational(v)) for k, v in items) if c)
+    den = lcm_of_denominators(part for _, c in values for part in (c.re, c.im))
+    return den, tuple((key, scaled(c.re, den), scaled(c.im, den)) for key, c in values)
+
+
+def reduced(den: int, entries: dict) -> tuple:
+    """The reduced column of entries / den: zero entries dropped, den > 0
+    coprime to the entries (den = 1 for the zero column)."""
+    entries = {key: value for key, value in entries.items() if value[0] or value[1]}
+    if den == 1 or not entries:
+        return (1, entries)
+    g = math.gcd(den, *chain.from_iterable(entries.values()))
+    if g == 1:
+        return (den, entries)
+    return (den // g, {key: (re // g, im // g) for key, (re, im) in entries.items()})
+
+
+def combine(parts: list, den: int) -> tuple:
+    """Reduced column of (sum of (cr + i ci) * column) / den over the
+    (cr, ci, column) triples in parts."""
+    common = 1
+    for _, _, (d, _) in parts:
+        if common % d:
+            common = common // math.gcd(common, d) * d
+    out: dict = {}
+    get = out.get
+    for cr, ci, (d, entries) in parts:
+        if d != common:
+            m = common // d
+            cr *= m
+            ci *= m
+        if ci:
+            for key, (re, im) in entries.items():
+                x = cr * re - ci * im
+                y = cr * im + ci * re
+                acc = get(key)
+                out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
+        else:
+            for key, (re, im) in entries.items():
+                x = cr * re
+                y = cr * im
+                acc = get(key)
+                out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
+    return reduced(common * den, out)
+
+
+def _coefficient(den: int, re: int, im: int) -> GRational:
+    return GRational(Fraction(re, den), Fraction(im, den))
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +425,21 @@ def coordinate_multiply(f: SpinorPoly, axis: int) -> SpinorPoly:
 # Monomial bases.
 
 def monomial_exponents(degree: int, axes: tuple[int, ...] = (1, 2, 3)) -> list[MultiIndex]:
-    """All exponent triples of the given total degree supported on axes."""
+    """All exponent triples of the given total degree supported on axes,
+    lexicographically descending along axes."""
     if degree < 0:
         return []
-    positions = [a - 1 for a in axes]
-    out: list[MultiIndex] = []
-
-    def fill(pos: int, remaining: int, current: list[int]):
-        if pos == len(positions) - 1:
-            exps = [0, 0, 0]
-            for p, v in zip(positions, current + [remaining]):
-                exps[p] = v
-            out.append(tuple(exps))
-            return
-        for v in range(remaining, -1, -1):
-            fill(pos + 1, remaining - v, current + [v])
-
-    if not positions:
+    if not axes:
         raise ValueError("at least one axis required")
-    if len(positions) == 1:
+    heads = [()]  # the exponents along all axes but the last, lex descending
+    for _ in axes[1:]:
+        heads = [h + (v,) for h in heads for v in range(degree - sum(h), -1, -1)]
+    out: list[MultiIndex] = []
+    for head in heads:
         exps = [0, 0, 0]
-        exps[positions[0]] = degree
-        return [tuple(exps)]
-    fill(0, degree, [])
+        for axis, v in zip(axes, head + (degree - sum(head),)):
+            exps[axis - 1] = v
+        out.append(tuple(exps))
     return out
 
 
@@ -371,19 +457,15 @@ def spinor_basis_labels(degree: int, axes: tuple[int, ...] = (1, 2, 3)):
 # used by the exact linear solves.
 
 def coordinate_keys(polys) -> list:
+    """The keys of the columns of polys: spin + before -, exponents
+    ascending."""
     keys = set()
     for f in polys:
-        for e in f.up.terms:
-            keys.add((0, e))
-        for e in f.down.terms:
-            keys.add((1, e))
-    return sorted(keys)
+        keys.update(f.column[1])
+    return sorted(keys, key=lambda key: (-key[0], key[1]))
 
 
 def coordinates(f: SpinorPoly, keys: list) -> list[GRational]:
+    den, entries = f.column
     zero = GRational(0)
-    out = []
-    for comp, e in keys:
-        source = f.up.terms if comp == 0 else f.down.terms
-        out.append(source.get(e, zero))
-    return out
+    return [_coefficient(den, *entries[key]) if key in entries else zero for key in keys]

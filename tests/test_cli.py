@@ -180,6 +180,16 @@ def test_verify_report_golden_digest(extra, returncode, digest):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
+def test_verify_sweep_golden_digest():
+    # SHA-256 of the report of a seeded five-triple sweep, recorded before
+    # spinor polynomials were stored as reduced Gaussian-integer columns.
+    result = run_cli("verify", "--degree", "2", "--seed", "2")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "568dc5eadbcd1c1e7f3819b96e09e6a889ec91ebaac1b4612b6158ff7daa1b7f"
+    )
+
+
 @pytest.mark.parametrize("args, digest", [
     (("basis", "--N", "4", "--mu", MU),
      "ae29f050e074192d0519f10fc89f3a614f1e80d99dfed549f45846f9756cba81"),
@@ -203,6 +213,8 @@ def test_verify_report_golden_digest(extra, returncode, digest):
      "ee12857bcef048fd23a062742e5d513100c9e777999823cc63aa6f444dc10fe2"),
     (("wavefunctions", "--N", "12", "--mu", MU, "--basis", "upsilon"),
      "a074b005e96faaa9700abdad409c873810879c8174d4e56bc1fee90d976594e4"),
+    (("wavefunctions", "--N", "6", "--mu", MU),
+     "bb891ff9a4e44efbb92e12f4b5856ce2163dc4d9fc50af3467573e58984b97a9"),
 ])
 def test_artifact_golden_digest(args, digest):
     # SHA-256 of the artifact JSON, recorded before the extension tower was
@@ -211,7 +223,8 @@ def test_artifact_golden_digest(args, digest):
     # integer bilinear form with moments by recurrence (overlaps, moments,
     # wavefunctions), or before elimination ran on Gaussian-integer rows and
     # operators kept their compiled graphs (basis and wavefunctions at
-    # N = 12).
+    # N = 12), or before spinor polynomials were stored as reduced
+    # Gaussian-integer columns (psi wavefunctions).
     result = run_cli(*args)
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest

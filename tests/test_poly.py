@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -154,3 +155,92 @@ def test_json_layout():
 
 def test_coordinate_multiply():
     assert coordinate_multiply(up((1, 0, 0)), 2) == up((1, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# SpinorPoly stores one reduced Gaussian-integer column; its arithmetic and
+# queries must agree with the same operations on the pair of ScalarPoly
+# components.
+
+def _random_coefficient(rng):
+    kind = rng.randrange(3)
+    if kind == 0:  # small Gaussian rational
+        return GRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+        )
+    if kind == 1:  # large height
+        return GRational(
+            Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**30)),
+            Fraction(rng.randint(-10**40, 10**40), rng.choice((1, 10**30 + 7))),
+        )
+    return GRational(Fraction(6 * rng.randint(-5, 5), 35))  # common factors
+
+
+def _random_component(rng, degrees):
+    return ScalarPoly({
+        exps: _random_coefficient(rng)
+        for degree in degrees
+        for exps in monomial_exponents(degree)
+        if rng.random() < 0.35
+    })
+
+
+def _random_pair(rng):
+    degrees = rng.choice(((0,), (2,), (3,), range(4)))
+    return _random_component(rng, degrees), _random_component(rng, degrees)
+
+
+def _cancelling(rng, part):
+    """Negates a random half of part's terms and adds fresh ones."""
+    kept = ScalarPoly({e: -c for e, c in part.terms.items() if rng.random() < 0.5})
+    return kept + _random_component(rng, (1, 2))
+
+
+def _assert_reduced(f):
+    den, entries = f.column
+    assert den > 0 and all(re or im for re, im in entries.values())
+    assert math.gcd(den, *(part for value in entries.values() for part in value)) == 1
+    assert den == 1 or entries
+
+
+def _json_reference(up_part, down_part):
+    return {
+        name: [{"exp": list(e), "coef": c.to_json_dict()} for e, c in sorted(part.terms.items())]
+        for name, part in (("up", up_part), ("down", down_part))
+    }
+
+
+def test_spinor_arithmetic_matches_the_scalar_pair_reference():
+    rng = random.Random(71)
+    for _ in range(80):
+        fu, fd = _random_pair(rng)
+        gu, gd = (_cancelling(rng, fu), _cancelling(rng, fd)) if rng.random() < 0.7 else (fu, fd)
+        f, g = SpinorPoly(fu, fd), SpinorPoly(gu, gd)
+        assert (f.up, f.down) == (fu, fd)
+        results = [
+            (f + g, fu + gu, fd + gd),
+            (f - g, fu - gu, fd - gd),
+            (-f, -fu, -fd),
+            (f + SpinorPoly(-fu, -fd), ScalarPoly.zero(), ScalarPoly.zero()),
+        ]
+        for c in (0, 1, -1, I, _random_coefficient(rng), _random_coefficient(rng)):
+            results.append((f.scale(c), fu.scale(c), fd.scale(c)))
+        for got, up_part, down_part in results:
+            _assert_reduced(got)
+            assert (got.up, got.down) == (up_part, down_part)
+            assert got == SpinorPoly(up_part, down_part)
+            assert bool(got) == bool(up_part or down_part)
+            assert got.degree() == max(up_part.degree(), down_part.degree())
+            assert got.is_homogeneous() == (
+                len({sum(e) for part in (up_part, down_part) for e in part.terms}) <= 1
+            )
+            for axis in (1, 2, 3):
+                assert got.involves(axis) == any(
+                    e[axis - 1] for part in (up_part, down_part) for e in part.terms
+                )
+            assert got.to_json_dict() == _json_reference(up_part, down_part)
+        assert (f == g) == (fu == gu and fd == gd)
+        assert (f == SpinorPoly(fd, fu)) == (fu == fd)
+        assert f + g - g == f
+        assert not (f - f)
