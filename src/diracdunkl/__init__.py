@@ -34,9 +34,7 @@ from .ck import (
 )
 from .closedform import (
     NormalizedWavefunction,
-    UnivariatePoly,
     inner_product,
-    jacobi,
     moment,
     normalized_wavefunction,
     overlap_matrix,
@@ -62,8 +60,8 @@ __all__ = [
     "spherical_dirac", "symmetry", "verify_identity",
     "FischerComponents", "MonogenicBasis", "ck_extend_x2", "ck_extend_x3",
     "fischer_decompose", "monogenic_basis",
-    "NormalizedWavefunction", "UnivariatePoly", "inner_product", "jacobi",
-    "moment", "normalized_wavefunction", "overlap_matrix", "wavefunctions",
+    "NormalizedWavefunction", "inner_product", "moment",
+    "normalized_wavefunction", "overlap_matrix", "wavefunctions",
     "LadderData", "RepMatrices", "ladder_norms", "match_function_realization",
     "rep_matrices", "verify_rep",
     "__version__",

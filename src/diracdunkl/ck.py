@@ -95,7 +95,9 @@ class MonogenicBasis:
     elements: tuple[BasisElement, ...]
 
 
-@lru_cache(maxsize=None)
+# At least the 30 bases (degrees 0..5 for each of five triples) of a default
+# `verify` run, the largest working set of a command.
+@lru_cache(maxsize=64)
 def monogenic_basis(N: int, params: Params) -> MonogenicBasis:
     """Build the degree-N basis by the two-step extension tower.
 

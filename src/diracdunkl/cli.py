@@ -22,8 +22,8 @@ import sys
 from . import birep, ck, closedform, suites
 from .exact import Params, rational_str
 
-# Measured at the limit: verify 56 s / 31 MB; basis 22 s / 404 MB;
-# wavefunctions 59 s / 403 MB; rep 49 s / 384 MB; overlaps 40 s / 164 MB;
+# Measured at the limit: verify 36 s / 58 MB; basis 22 s / 404 MB;
+# wavefunctions 8 s / 401 MB; rep 49 s / 384 MB; overlaps 16 s / 143 MB;
 # moments 9 s / 491 MB.
 MAX_DEGREE = 16
 MAX_N = {

@@ -1,7 +1,8 @@
-"""Closed-form eigenfunctions: Jacobi polynomials, the explicit monogenic
-basis, normalized wavefunctions, the exact scalar product on the sphere (one
-integer bilinear form, `scalar_products`) and overlap matrices between the
-two eigenbases.
+"""Closed-form eigenfunctions: homogenized Jacobi polynomials (summed on
+Gaussian-integer terms), the explicit monogenic basis (one operator per
+(N, k), applied to both constant spinors), normalized wavefunctions, the
+exact scalar product on the sphere (one integer bilinear form,
+`scalar_products`) and overlap matrices between the two eigenbases.
 
 Square roots never appear: each wavefunction is stored as a radical-free
 spinor polynomial together with the exact square of its normalization
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from .exact import (
     GRational,
@@ -24,109 +26,39 @@ from .exact import (
     rational_str,
 )
 from .operators import LinOp, coordinate_op, multiply_op, pauli_op
-from .poly import ScalarPoly, SpinorPoly, lcm_of_denominators, scaled
+from .poly import ScalarPoly, SpinorPoly, integer_form, lcm_of_denominators, scaled
 
 PSI_AXES = (1, 2, 3)
 UPSILON_AXES = (2, 3, 1)
 
 
-class UnivariatePoly:
-    """Dense univariate polynomial over the rationals, ascending coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def constant(cls, value) -> "UnivariatePoly":
-        return cls((value,))
-
-    @classmethod
-    def x(cls) -> "UnivariatePoly":
-        return cls((0, 1))
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] += c
-        return UnivariatePoly(out)
-
-    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] += c
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return UnivariatePoly(out)
-
-    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
-        if not self.coeffs or not other.coeffs:
-            return UnivariatePoly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UnivariatePoly(out)
-
-    def scale(self, value) -> "UnivariatePoly":
-        value = Fraction(value)
-        return UnivariatePoly([c * value for c in self.coeffs])
-
-    def __repr__(self):
-        return f"UnivariatePoly({list(self.coeffs)!r})"
-
-
-def _jacobi_series_coeff(n: int, j: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    # Coefficient of ((1 - x)/2)^j in the degree-n Jacobi polynomial,
-    # written without quotients of Pochhammer symbols so that integer and
-    # negative parameter values need no special cases.
-    return (
-        pochhammer(-n, j)
-        * pochhammer(n + alpha + beta + 1, j)
-        * pochhammer(alpha + j + 1, n - j)
-        / (factorial(n) * factorial(j))
-    )
-
-
-def jacobi(n: int, alpha, beta) -> UnivariatePoly:
-    """Jacobi polynomial with rational parameters, exact coefficients.
-
-    Defined through the terminating hypergeometric series; the resulting
-    degree can drop below n for degenerate parameter choices.
-    """
-    if n < 0:
-        return UnivariatePoly(())
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    half_one_minus_x = UnivariatePoly((HALF, -HALF))
-    out = UnivariatePoly(())
-    power = UnivariatePoly.constant(1)
+def _jacobi_series_coeffs(n: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
+    """Coefficient j of ((1 - x)/2)^j in the degree-n Jacobi polynomial,
+    (-n)_j (n + alpha + beta + 1)_j (alpha + j + 1)_(n - j) / (n! j!), for
+    j = 0..n.  Running products that divide only by j + 1 give exactly these
+    values, so integer and negative parameters need no special cases."""
+    tail = [Fraction(1)] * (n + 1)  # (alpha + j + 1)_(n - j)
+    for j in range(n - 1, -1, -1):
+        tail[j] = tail[j + 1] * (alpha + j + 1)
+    head = 1 / factorial(n)  # (-n)_j (n + alpha + beta + 1)_j / (n! j!)
+    out = []
     for j in range(n + 1):
-        c = _jacobi_series_coeff(n, j, alpha, beta)
-        if c:
-            out = out + power.scale(c)
-        power = power * half_one_minus_x
+        out.append(head * tail[j])
+        head = head * (j - n) * (n + alpha + beta + 1 + j) / (j + 1)
+    return out
+
+
+def _product(a: dict, b: dict) -> dict:
+    """Product of two polynomials held as {exps: (re, im)} Gaussian-integer
+    terms."""
+    out: dict = {}
+    get = out.get
+    for e1, (r1, i1) in a.items():
+        for e2, (r2, i2) in b.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            x, y = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
+            acc = get(e)
+            out[e] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
     return out
 
 
@@ -136,25 +68,37 @@ def homogenized_jacobi(
     """(X + Y)^m P_m^(alpha, beta)((X - Y)/(X + Y)) as an exact polynomial.
 
     Substituting the argument into the series turns ((1 - w)/2)^j into
-    Y^j (X + Y)^(m - j), so the result is polynomial in X and Y.  Returns
-    zero for m < 0 (the convention used by the branch formulas below).
+    Y^j (X + Y)^(m - j), so the result is polynomial in X and Y.  The sum
+    runs by Horner's rule in X + Y on Gaussian-integer terms over one common
+    denominator.  Returns zero for m < 0 (the convention used by the branch
+    formulas below).
     """
     if m < 0:
         return ScalarPoly.zero()
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    total = ScalarPoly.zero()
-    s = big_x + big_y
-    s_powers = [ScalarPoly.constant(1)]  # (X + Y)^i
-    for _ in range(m):
-        s_powers.append(s_powers[-1] * s)
-    y_power = ScalarPoly.constant(1)  # Y^j
-    for j in range(m + 1):
-        c = _jacobi_series_coeff(m, j, alpha, beta)
+    coeffs = _jacobi_series_coeffs(m, Fraction(alpha), Fraction(beta))
+    scale = lcm_of_denominators(coeffs)
+    # X + Y and Y as Gaussian-integer terms over one denominator d.
+    d, terms = integer_form(chain(
+        (((0, e), c) for e, c in (big_x + big_y).terms.items()),
+        (((1, e), c) for e, c in big_y.terms.items()),
+    ))
+    s = {e: (re, im) for (which, e), re, im in terms if not which}
+    y = {e: (re, im) for (which, e), re, im in terms if which}
+    one = (0, 0, 0)
+    total = {one: (scaled(coeffs[0], scale), 0)}
+    y_power = {one: (1, 0)}
+    for j in range(1, m + 1):
+        total = _product(total, s)
+        y_power = _product(y_power, y)
+        c = scaled(coeffs[j], scale)
         if c:
-            total = total + (y_power * s_powers[m - j]).scale(c)
-        y_power = y_power * big_y
-    return total
+            for e, (re, im) in y_power.items():
+                tr, ti = total.get(e, (0, 0))
+                total[e] = (tr + c * re, ti + c * im)
+    den = scale * d**m
+    return ScalarPoly({
+        e: GRational(Fraction(re, den), Fraction(im, den)) for e, (re, im) in total.items()
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +188,22 @@ def monogenic_lift(
     return pref * op
 
 
+def closed_basis_pair(
+    N: int,
+    k: int,
+    params: Params,
+    axes: tuple[int, int, int] = PSI_AXES,
+    even_parameter_shift: int = 0,
+) -> tuple[SpinorPoly, SpinorPoly]:
+    """The closed-form basis spinors (N, k, +) and (N, k, -): one operator,
+    lift factor times planar factor, applied to chi+ and to chi-.  At N = k
+    the lift factor is the identity, whatever the shift."""
+    op = monogenic_lift(N, k, params, axes, even_parameter_shift) * planar_monogenic(
+        k, params, axes
+    )
+    return op(SpinorPoly.unit(1)), op(SpinorPoly.unit(-1))
+
+
 def closed_basis_element(
     N: int,
     k: int,
@@ -252,11 +212,11 @@ def closed_basis_element(
     axes: tuple[int, int, int] = PSI_AXES,
     even_parameter_shift: int = 0,
 ) -> SpinorPoly:
-    """Closed-form basis spinor: lift factor times planar factor on chi_sign."""
-    op = monogenic_lift(N, k, params, axes, even_parameter_shift) * planar_monogenic(
-        k, params, axes
-    )
-    return op(SpinorPoly.unit(sign))
+    """Closed-form basis spinor (N, k, sign), from `closed_basis_pair`."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    plus, minus = closed_basis_pair(N, k, params, axes, even_parameter_shift)
+    return plus if sign == 1 else minus
 
 
 def squared_norm_factor(
@@ -345,17 +305,21 @@ def wavefunctions(
     + sign before -."""
     if N < 0:
         raise ValueError("N must be >= 0")
-    return tuple(
-        normalized_wavefunction(N, k, sign, params, family)
-        for k in range(N + 1)
-        for sign in (1, -1)
-    )
+    axes = _family_axes(family)
+    out = []
+    for k in range(N + 1):
+        factor = squared_norm_factor(N, k, params, axes)
+        for sign, poly in zip((1, -1), closed_basis_pair(N, k, params, axes)):
+            out.append(NormalizedWavefunction(N, k, sign, poly, factor))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # Exact scalar product over the sphere.
 
-@lru_cache(maxsize=None)
+# At least the C(103, 3) = 176,851 moments of `moments --N 100`, the largest
+# working set of a command.
+@lru_cache(maxsize=1 << 18)
 def moment(params: Params, a: int, b: int, c: int) -> Fraction:
     """Normalized moment of x1^(2a) x2^(2b) x3^(2c) against the reflection
     invariant weight |x1|^(2 mu1) |x2|^(2 mu2) |x3|^(2 mu3) on the sphere,
@@ -363,7 +327,8 @@ def moment(params: Params, a: int, b: int, c: int) -> Fraction:
     lower (c first, then b, then a), as in
     m(a, b, c) = m(a, b, c - 1) (mu3 + 1/2 + c - 1) / (gamma3 + a + b + c - 1).
     Filling every 32nd point of the path of neighbours from the origin first
-    bounds the nesting of a cold call by about 32 at any degree.  Memoized.
+    bounds the nesting of a cold call by about 32 at any degree.  Memoized,
+    least recently used entries evicted past 2^18.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("moment exponents must be >= 0")

@@ -19,10 +19,10 @@ structurally equal nodes of the trees it is given and folds each sum of
 scaled terms into one linear combination.  A merged node with two or more
 parents (an identity side counts as a parent) is shared: it caches the image
 column of each monomial spinor and applies to a column by linearity.
-A `LinOp` compiles its tree on its first call and keeps the merged graph,
-so the caches of its shared nodes last as long as the `LinOp`.  In
-`verify_identities` they last for one degree slice, in `image_columns` for
-the call.
+A cache lasts as long as its merged graph: a `LinOp` compiles its tree on
+its first call and keeps the graph, and `verify_identities` and
+`image_columns` compile one graph per call, whose caches serve every degree
+slice and key of that call.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class LinOp:
     def __call__(self, f: SpinorPoly) -> SpinorPoly:
         root = self._root
         if root is None:
-            (root,), _ = _compile([self])
+            (root,) = _compile([self])
             self._root = root
         return SpinorPoly.from_column(_eval(root, f.column))
 
@@ -452,11 +452,11 @@ def _merge(op: LinOp, merged: dict, by_id: dict) -> _Node:
     return node
 
 
-def _compile(roots: list[LinOp]) -> tuple[list[_Node], list[_Node]]:
+def _compile(roots: list[LinOp]) -> list[_Node]:
     """Merge structurally equal nodes of the graphs spanned by roots, and
     flatten each maximal sum of unshared linear nodes into one "linear"
-    node.  Returns the merged roots and the shared nodes, whose `memo` is
-    set; each entry of roots counts as one parent of its node."""
+    node.  Returns the merged roots; each entry of roots counts as one
+    parent of its node, and every shared node gets an empty `memo`."""
     merged: dict = {}
     by_id: dict = {}
     out = [_merge(op, merged, by_id) for op in roots]
@@ -477,13 +477,10 @@ def _compile(roots: list[LinOp]) -> tuple[list[_Node], list[_Node]]:
             den = lcm_of_denominators(part for _, c in terms for part in (c.re, c.im))
             node.kind, node.args, node.den = "linear", (), den
             node.data = [(scaled(c.re, den), scaled(c.im, den), child) for child, c in terms]
-    shared = [
-        node for node in nodes
-        if node.parents > 1 and node.kind != "primitive"
-    ]
-    for node in shared:
-        node.memo = {}
-    return out, shared
+    for node in nodes:
+        if node.parents > 1 and node.kind != "primitive":
+            node.memo = {}
+    return out
 
 
 def _eval(node: _Node, column: tuple) -> tuple:
@@ -533,7 +530,7 @@ def image_columns(ops: list[LinOp], keys: list) -> list[list[tuple]]:
     """The image column of each op on the basis vector of each key, from
     one merged graph whose shared nodes memoize their images across ops and
     keys: result[i][j] is ops[i] applied to keys[j]."""
-    roots, _ = _compile(ops)
+    roots = _compile(ops)
     return [[_eval(root, (1, {key: _UNIT})) for key in keys] for root in roots]
 
 
@@ -575,11 +572,12 @@ def verify_identities(
     Passing certifies an identity on the full space of those degrees, by
     linearity.  A failing identity records its first counterexample and is
     not applied again.  All sides are evaluated on one merged graph whose
-    shared nodes cache their image columns for one degree slice at a time.
+    shared nodes cache their image columns for the whole batch, so an
+    operator that lowers the degree reuses the images of lower slices.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    roots, shared = _compile([op for _, lhs, rhs in items for op in (lhs, rhs)])
+    roots = _compile([op for _, lhs, rhs in items for op in (lhs, rhs)])
     sides = list(zip(roots[::2], roots[1::2]))
     basis_size = 0
 
@@ -589,8 +587,6 @@ def verify_identities(
 
     failed: list[IdentityReport | None] = [None] * len(items)
     for degree in range(max_degree + 1):
-        for node in shared:
-            node.memo.clear()
         for exps, sign in spinor_basis_labels(degree):
             basis_size += 1
             unit = (1, {(sign, exps): _UNIT})

@@ -293,45 +293,57 @@ def suite_monogenic(params: Params, n_max: int, mutation: str | None = None) -> 
 
 
 def suite_closedform(params: Params, n_max: int, mutation: str | None = None) -> list[dict]:
-    """Closed-form basis spinors against the extension-tower construction."""
+    """Closed-form basis spinors against the extension-tower construction.
+    The pair (k, k) is the planar monogenic, as its lift factor is the
+    identity."""
     shift = 1 if mutation == "lift-parameter+1" else 0
+    closed = {}  # (N, k, sign) -> closed-form spinor
+    for N in range(n_max + 1):
+        for k in range(N + 1):
+            pair = closedform.closed_basis_pair(N, k, params, even_parameter_shift=shift)
+            closed.update(((N, k, sign), poly) for sign, poly in zip((1, -1), pair))
     checks = []
     for k in range(n_max + 1):
-        ok = True
-        ce = None
-        for sign in (1, -1):
-            closed = closedform.planar_monogenic(k, params)(SpinorPoly.unit(sign))
-            tower = ck.ck_extend_x2(SpinorPoly.monomial((k, 0, 0), sign), params)
-            if closed != tower:
-                ok, ce = False, {"k": k, "sign": "+" if sign == 1 else "-"}
-                break
-        checks.append(_check(f"planar monogenic closed form k={k}", ok, ce))
+        bad = next((
+            sign for sign in (1, -1)
+            if closed[k, k, sign]
+            != ck.ck_extend_x2(SpinorPoly.monomial((k, 0, 0), sign), params)
+        ), None)
+        checks.append(_check(
+            f"planar monogenic closed form k={k}",
+            bad is None,
+            None if bad is None else {"k": k, "sign": "+" if bad == 1 else "-"},
+        ))
     for N in range(n_max + 1):
-        basis = ck.monogenic_basis(N, params)
-        ok = True
-        ce = None
-        for el in basis.elements:
-            closed = closedform.closed_basis_element(
-                N, el.k, el.sign, params, even_parameter_shift=shift
-            )
-            if closed != el.poly:
-                ok = False
-                ce = {"N": N, "k": el.k, "sign": "+" if el.sign == 1 else "-"}
-                break
-        checks.append(_check(f"closed form equals extension tower N={N}", ok, ce))
+        bad = next((
+            el for el in ck.monogenic_basis(N, params).elements
+            if closed[N, el.k, el.sign] != el.poly
+        ), None)
+        checks.append(_check(
+            f"closed form equals extension tower N={N}",
+            bad is None,
+            None if bad is None else {
+                "N": N, "k": bad.k, "sign": "+" if bad.sign == 1 else "-",
+            },
+        ))
     return checks
 
 
 def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None) -> list[dict]:
     """Gram structure of the wavefunctions, the cycled family's eigenvalue
-    equations, and the overlap sum rule."""
+    equations, and the overlap sum rule.  Both families are built once, and
+    every scalar product comes from one `scalar_products` call over them."""
     scale_odd = mutation == "norm-factor*2"
     checks = []
 
     waves = []
+    ups = []
     for N in range(n_max + 1):
         waves.extend(closedform.wavefunctions(N, params, "psi"))
-    product = closedform.scalar_products([w.poly for w in waves], params)
+        ups.extend(closedform.wavefunctions(N, params, "upsilon"))
+    n = len(waves)  # upsilon wavefunction i is operand n + i
+    product = closedform.scalar_products([w.poly for w in waves + ups], params)
+    gram = [product(i, i) for i in range(n + len(ups))]
     ok = True
     ce = None
     for i, a in enumerate(waves):
@@ -351,7 +363,7 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
         factor = w.squared_norm_factor
         if scale_odd and w.k % 2 == 1:
             factor *= 2
-        value = product(i, i) * factor
+        value = gram[i] * factor
         if common is None:
             common = value
         elif value != common:
@@ -364,10 +376,11 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
     gen1 = bi_generator(params, 1)
     inv3 = involution(3)
     for N in range(n_max + 1):
-        ups = closedform.wavefunctions(N, params, "upsilon")
         ok = True
         ce = None
         for u in ups:
+            if u.N != N:
+                continue
             eig = N + params.mu_sum + 1
             k1_eig = birep.k1_eigenvalue(u.k, params)
             z3_eig = Fraction(u.sign * (-1) ** (N - u.k))
@@ -381,15 +394,20 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
                 break
         checks.append(_check(f"cycled family eigenvalue equations N={N}", ok, ce))
 
+    def sector(w) -> int:
+        return w.sign * (-1) ** (w.N - w.k)
+
     for N in range(n_max + 1):
-        data = closedform.overlap_matrix(N, params)
+        rows = [(n + i, u) for i, u in enumerate(ups) if u.N == N]
+        cols = [(j, w) for j, w in enumerate(waves) if w.N == N]
+        overlaps = [[product(i, j) for j, _ in cols] for i, _ in rows]
         ok = True
         ce = None
-        for i, (s, q) in enumerate(data.upsilon_labels):
-            for j, (k, r) in enumerate(data.psi_labels):
-                if q * (-1) ** (N - s) != r * (-1) ** (N - k) and data.overlaps[i][j]:
+        for r, (_, u) in enumerate(rows):
+            for c, (_, w) in enumerate(cols):
+                if sector(u) != sector(w) and overlaps[r][c]:
                     ok = False
-                    ce = {"N": N, "s": s, "k": k}
+                    ce = {"N": N, "s": u.k, "k": w.k}
                     break
             if not ok:
                 break
@@ -397,28 +415,22 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
 
         ok = True
         ce = None
-        for sector in (1, -1):
-            rows = [
-                i for i, (s, q) in enumerate(data.upsilon_labels)
-                if q * (-1) ** (N - s) == sector
-            ]
-            cols = [
-                j for j, (k, r) in enumerate(data.psi_labels)
-                if r * (-1) ** (N - k) == sector
-            ]
-            for j1 in cols:
-                for j2 in cols:
+        for side in (1, -1):
+            in_rows = [r for r, (_, u) in enumerate(rows) if sector(u) == side]
+            in_cols = [c for c, (_, w) in enumerate(cols) if sector(w) == side]
+            for c1 in in_cols:
+                for c2 in in_cols:
                     total = GRational(0)
-                    for i in rows:
+                    for r in in_rows:
                         total = total + (
-                            data.overlaps[i][j1].conjugate()
-                            * data.overlaps[i][j2]
-                            / data.gram_upsilon[i]
+                            overlaps[r][c1].conjugate()
+                            * overlaps[r][c2]
+                            / gram[rows[r][0]]
                         )
-                    expected = data.gram_psi[j1] if j1 == j2 else GRational(0)
+                    expected = gram[cols[c1][0]] if c1 == c2 else GRational(0)
                     if total != expected:
                         ok = False
-                        ce = {"N": N, "sector": sector, "cols": [j1, j2]}
+                        ce = {"N": N, "sector": side, "cols": [c1, c2]}
                         break
                 if not ok:
                     break

@@ -9,11 +9,18 @@ entry.
 `rank` and `solve` are Gauss-Jordan elimination on field entries (Fraction
 or GRational), the reference for the integer elimination of
 `diracdunkl.linalg`.
+
+`UnivariatePoly`, `jacobi` and `homogenized_jacobi` are the Jacobi
+polynomials of the terminating hypergeometric series, each coefficient a
+quotient-free product of Pochhammer symbols and the homogenized form a sum of
+`ScalarPoly` products: the reference for `diracdunkl.closedform`'s integer
+Jacobi factors.
 """
 
 from fractions import Fraction
 
-from diracdunkl.exact import HALF
+from diracdunkl.exact import HALF, factorial, pochhammer
+from diracdunkl.poly import ScalarPoly
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
@@ -138,3 +145,116 @@ def solve(matrix: list[list], rhs_columns: list[list]) -> list[list]:
             col[p] = reduced[row_index][ncols + j]
         solutions.append(col)
     return solutions
+
+
+class UnivariatePoly:
+    """Dense univariate polynomial over the rationals, ascending coefficients."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        coeffs = [Fraction(c) for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def constant(cls, value) -> "UnivariatePoly":
+        return cls((value,))
+
+    @classmethod
+    def x(cls) -> "UnivariatePoly":
+        return cls((0, 1))
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, UnivariatePoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other: "UnivariatePoly") -> "UnivariatePoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        out = [Fraction(0)] * n
+        for i, c in enumerate(self.coeffs):
+            out[i] += c
+        for i, c in enumerate(other.coeffs):
+            out[i] += c
+        return UnivariatePoly(out)
+
+    def __sub__(self, other: "UnivariatePoly") -> "UnivariatePoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        out = [Fraction(0)] * n
+        for i, c in enumerate(self.coeffs):
+            out[i] += c
+        for i, c in enumerate(other.coeffs):
+            out[i] -= c
+        return UnivariatePoly(out)
+
+    def __mul__(self, other: "UnivariatePoly") -> "UnivariatePoly":
+        if not self.coeffs or not other.coeffs:
+            return UnivariatePoly(())
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UnivariatePoly(out)
+
+    def scale(self, value) -> "UnivariatePoly":
+        value = Fraction(value)
+        return UnivariatePoly([c * value for c in self.coeffs])
+
+    def __repr__(self):
+        return f"UnivariatePoly({list(self.coeffs)!r})"
+
+
+def jacobi_series_coeff(n: int, j: int, alpha: Fraction, beta: Fraction) -> Fraction:
+    """Coefficient of ((1 - x)/2)^j in the degree-n Jacobi polynomial,
+    written without quotients of Pochhammer symbols so that integer and
+    negative parameter values need no special cases."""
+    return (
+        pochhammer(-n, j)
+        * pochhammer(n + alpha + beta + 1, j)
+        * pochhammer(alpha + j + 1, n - j)
+        / (factorial(n) * factorial(j))
+    )
+
+
+def jacobi(n: int, alpha, beta) -> UnivariatePoly:
+    """Jacobi polynomial with rational parameters, exact coefficients, from
+    the terminating hypergeometric series; the degree can drop below n for
+    degenerate parameters."""
+    if n < 0:
+        return UnivariatePoly(())
+    alpha = Fraction(alpha)
+    beta = Fraction(beta)
+    half_one_minus_x = UnivariatePoly((HALF, -HALF))
+    out = UnivariatePoly(())
+    power = UnivariatePoly.constant(1)
+    for j in range(n + 1):
+        c = jacobi_series_coeff(n, j, alpha, beta)
+        if c:
+            out = out + power.scale(c)
+        power = power * half_one_minus_x
+    return out
+
+
+def homogenized_jacobi(m: int, alpha, beta, big_x: ScalarPoly, big_y: ScalarPoly) -> ScalarPoly:
+    """(X + Y)^m P_m^(alpha, beta)((X - Y)/(X + Y)) as the series sum of
+    c_j Y^j (X + Y)^(m - j), zero for m < 0."""
+    if m < 0:
+        return ScalarPoly.zero()
+    alpha = Fraction(alpha)
+    beta = Fraction(beta)
+    total = ScalarPoly.zero()
+    for j in range(m + 1):
+        c = jacobi_series_coeff(m, j, alpha, beta)
+        if c:
+            total = total + (big_y**j * (big_x + big_y) ** (m - j)).scale(c)
+    return total

@@ -13,6 +13,7 @@ from diracdunkl.ck import (
     fischer_decompose,
     monogenic_basis,
 )
+from diracdunkl.closedform import closed_basis_element
 from diracdunkl.exact import HALF, GRational, I, Params, pochhammer
 from diracdunkl.operators import dirac, x_underline
 from diracdunkl.poly import (
@@ -253,6 +254,24 @@ def test_monogenic_basis_smallest_cases():
     basis = monogenic_basis(0, P)
     assert [el.poly for el in basis.elements] == [CHI_PLUS, CHI_MINUS]
     assert [(el.k, el.sign) for el in basis.elements] == [(0, 1), (0, -1)]
+
+
+def test_monogenic_basis_cache_evicts_past_its_bound():
+    # A default `verify` run reuses 30 bases (degrees 0..5 for five triples).
+    maxsize = monogenic_basis.cache_info().maxsize
+    assert 30 <= maxsize < float("inf")
+    monogenic_basis.cache_clear()
+    first = monogenic_basis(2, P)
+    for n in range(maxsize):
+        monogenic_basis(0, Params(n + 1, 0, 0))
+    assert monogenic_basis.cache_info().currsize == maxsize
+    misses = monogenic_basis.cache_info().misses
+    again = monogenic_basis(2, P)
+    assert monogenic_basis.cache_info().misses == misses + 1
+    assert again is not first and again == first
+    for el in again.elements:
+        assert el.poly == closed_basis_element(2, el.k, el.sign, P)
+    monogenic_basis.cache_clear()
 
 
 def test_monogenic_basis_properties():

@@ -190,6 +190,17 @@ def test_verify_sweep_golden_digest():
     )
 
 
+def test_verify_default_degree_sweep_golden_digest():
+    # SHA-256 of the report of a seeded five-triple sweep at the default
+    # degree, recorded before closed-form operators were built once per
+    # (N, k) and identity memos were kept for a whole batch.
+    result = run_cli("verify", "--seed", "7")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "6bf7b175dc629450f48a128f2ddf9351d041cb328de7a44d166f6db231bf3d9c"
+    )
+
+
 @pytest.mark.parametrize("args, digest", [
     (("basis", "--N", "4", "--mu", MU),
      "ae29f050e074192d0519f10fc89f3a614f1e80d99dfed549f45846f9756cba81"),
@@ -215,6 +226,10 @@ def test_verify_sweep_golden_digest():
      "a074b005e96faaa9700abdad409c873810879c8174d4e56bc1fee90d976594e4"),
     (("wavefunctions", "--N", "6", "--mu", MU),
      "bb891ff9a4e44efbb92e12f4b5856ce2163dc4d9fc50af3467573e58984b97a9"),
+    (("overlaps", "--N", "10", "--mu", MU),
+     "9a9eea0163cd58d646ecf0479f4cc4184fa123eea6a1096c0ec1ba12390bb3a4"),
+    (("wavefunctions", "--N", "10", "--basis", "psi", "--mu", "0,0,0"),
+     "925403c8e67b4502bea2c747b3bf05c6d92a9ea6e418d1910795e6af2958d4bc"),
 ])
 def test_artifact_golden_digest(args, digest):
     # SHA-256 of the artifact JSON, recorded before the extension tower was
@@ -224,7 +239,9 @@ def test_artifact_golden_digest(args, digest):
     # wavefunctions), or before elimination ran on Gaussian-integer rows and
     # operators kept their compiled graphs (basis and wavefunctions at
     # N = 12), or before spinor polynomials were stored as reduced
-    # Gaussian-integer columns (psi wavefunctions).
+    # Gaussian-integer columns (psi wavefunctions at N = 6), or before each
+    # closed-form operator was built once on integer Jacobi factors (the last
+    # two rows).
     result = run_cli(*args)
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest

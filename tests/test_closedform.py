@@ -1,19 +1,20 @@
 import dataclasses
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+import reference
 from conftest import EDGE_MUS, mu_triples, random_spinor
+from reference import UnivariatePoly, jacobi
 
 from diracdunkl import closedform, suites
 from diracdunkl.birep import k1_eigenvalue
 from diracdunkl.ck import ck_extend_x2, monogenic_basis
 from diracdunkl.closedform import (
-    UnivariatePoly,
     closed_basis_element,
     homogenized_jacobi,
     inner_product,
-    jacobi,
     moment,
     monogenic_lift,
     normalized_wavefunction,
@@ -22,7 +23,7 @@ from diracdunkl.closedform import (
     squared_norm_factor,
     wavefunctions,
 )
-from diracdunkl.exact import GRational, HALF, Params, factorial, pochhammer
+from diracdunkl.exact import GRational, HALF, I, Params, factorial, pochhammer
 from diracdunkl.operators import (
     bi_generator,
     involution,
@@ -106,6 +107,44 @@ def test_homogenization_identity():
                     route_c = route_c + ((y**j) * (x ** (m - j))).scale(c)
 
             assert route_a == route_b == route_c, (m, alpha, beta)
+
+
+def _jacobi_parameters(m):
+    """Random rational pairs, then negative-integer and half-integer values
+    and pairs that make m + alpha + beta + 1 zero or a negative integer, so
+    that a Pochhammer factor of some coefficient vanishes."""
+    rng = random.Random(300 + m)
+    pairs = [
+        (Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+         Fraction(rng.randint(-20, 20), rng.randint(1, 9)))
+        for _ in range(3)
+    ]
+    pairs += [
+        (-1, 0), (-3, -2), (Fraction(-1, 2), Fraction(-7, 2)), (Fraction(5, 2), -4),
+        (0, -m - 1), (Fraction(-3, 2), Fraction(1, 2) - m - 1), (-m, -1), (-m - 2, 2),
+    ]
+    return pairs
+
+
+# (X, Y): monomial X, X = x1^2 + x2^2 as in the lift factor, and
+# Gaussian-rational coefficients over different denominators.
+JACOBI_ARGUMENTS = [
+    (ScalarPoly.monomial((2, 0, 0)), ScalarPoly.monomial((0, 2, 0))),
+    (ScalarPoly.monomial((2, 0, 0)) + ScalarPoly.monomial((0, 2, 0)),
+     ScalarPoly.monomial((0, 0, 2))),
+    (ScalarPoly.monomial((1, 0, 0), GRational(Fraction(1, 2), Fraction(-2, 3)))
+     + ScalarPoly.monomial((0, 2, 1), 3),
+     ScalarPoly.monomial((0, 0, 1), I * Fraction(5, 7)) + ScalarPoly.constant(Fraction(1, 4))),
+]
+
+
+@pytest.mark.parametrize("m", range(-1, 11))
+def test_homogenized_jacobi_matches_the_series_reference(m):
+    for alpha, beta in _jacobi_parameters(m):
+        for big_x, big_y in JACOBI_ARGUMENTS:
+            assert homogenized_jacobi(m, alpha, beta, big_x, big_y) == (
+                reference.homogenized_jacobi(m, alpha, beta, big_x, big_y)
+            ), (m, alpha, beta, big_x, big_y)
 
 
 # --------------------------------------------------------------------------
@@ -222,6 +261,25 @@ def test_moment_cold_deep_call():
     moment.cache_clear()
     assert moment(P, 3000, 0, 0) == reference_moment(P, 3000, 0, 0)
     moment.cache_clear()
+
+
+def test_moment_cache_is_bounded_above_the_largest_command():
+    # `moments --N 100` touches every half exponent of total at most 100.
+    assert 176_851 <= moment.cache_info().maxsize < float("inf")
+
+
+def test_moments_past_the_cache_bound_match_rising_factorials(monkeypatch):
+    # The same recurrence under a bound of 64 entries evicts what it filled
+    # on the way; cold, warm, deep and repeated calls keep their values.
+    bounded = lru_cache(maxsize=64)(moment.__wrapped__)
+    monkeypatch.setattr(closedform, "moment", bounded)
+    points = _half_exponents(8) + [(300, 2, 1), (0, 0, 250), (3, 0, 0), (300, 2, 1)]
+    for params in EDGE_MUS[:4]:
+        for point in points:
+            assert bounded(params, *point) == reference_moment(params, *point), (
+                params, point
+            )
+    assert bounded.cache_info().currsize == 64
 
 
 def test_moment_rejects_negative_exponents():

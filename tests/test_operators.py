@@ -294,6 +294,70 @@ def test_verify_identities_matches_one_item_calls():
     assert batch[1].counterexample["lhs"] != batch[1].counterexample["rhs"]
 
 
+def _raising_and_lowering_items(params):
+    """Identities whose sides raise and lower the degree through shared
+    nodes; three fail, first at degrees 0, 5 and 1."""
+    x1, t1, t2 = coordinate_op(1), dunkl_op(1, params), dunkl_op(2, params)
+    dd, xx = dirac(params), x_underline()
+    return [
+        ("x T = T x", x1 * t1, t1 * x1),
+        ("[T1, x1] = 1 + 2 mu1 R1", commutator(t1, x1),
+         identity() + (2 * params.mu1) * reflect_op(1)),
+        ("T T = laplacian", dd * dd, laplace(params)),
+        ("x1^3 T1^3 = x1^3 T1 T1 T1", x1**3 * t1**3, x1 * x1 * x1 * t1 * t1 * t1),
+        ("x1^5 T1^5 = 0", x1**5 * t1**5, zero_op()),
+        ("{x, D} = 2 (euler + gamma3)", anticommutator(xx, dd),
+         2 * (euler_op() + scalar_op(params.gamma3))),
+        ("T1 T2 x1 = x1 T1 T2", t1 * t2 * x1, x1 * t1 * t2),
+        ("x T T x = T x x T", xx * dd * dd * xx, dd * xx * xx * dd),
+    ]
+
+
+def _fresh_slice_reports(make_items, max_degree):
+    """The reports of `verify_identities`, applying fresh operators, built
+    anew for each degree slice, one basis element at a time."""
+    failed = {}
+    basis_size = 0
+    for degree in range(max_degree + 1):
+        items = make_items()
+        for exps, sign in spinor_basis_labels(degree):
+            basis_size += 1
+            f = SpinorPoly.monomial(exps, sign)
+            for name, lhs, rhs in items:
+                if name in failed:
+                    continue
+                left, right = lhs(f), rhs(f)
+                if left != right:
+                    failed[name] = {
+                        "name": name, "degrees": [0, max_degree], "basis_size": basis_size,
+                        "status": "fail", "counterexample": {
+                            "degree": degree, "exponents": list(exps),
+                            "spinor": "+" if sign == 1 else "-",
+                            "lhs": left.to_json_dict(), "rhs": right.to_json_dict(),
+                        },
+                    }
+    return [
+        failed.get(name) or {
+            "name": name, "degrees": [0, max_degree], "basis_size": basis_size,
+            "status": "pass", "counterexample": None,
+        }
+        for name, _, _ in make_items()
+    ]
+
+
+@pytest.mark.parametrize("params", EDGE_MUS[:3] + [P], ids=str)
+def test_batch_across_degrees_matches_fresh_slices(params):
+    # One batch keeps the memos of its shared nodes from degree 0 to 6, so
+    # lowering operators read images computed in lower slices.
+    def make_items():
+        return _raising_and_lowering_items(params)
+
+    batch = [r.to_json_dict() for r in verify_identities(make_items(), 6)]
+    assert batch == _fresh_slice_reports(make_items, 6)
+    failures = {r["name"]: r["counterexample"]["degree"] for r in batch if r["counterexample"]}
+    assert failures == {"x T = T x": 0, "x1^5 T1^5 = 0": 5, "T1 T2 x1 = x1 T1 T2": 1}
+
+
 def test_verify_identity_rejects_negative_degree():
     with pytest.raises(ValueError):
         verify_identity(zero_op(), zero_op(), -1)
@@ -460,7 +524,7 @@ def test_equal_matrices_merge_to_one_node():
     a, b = matrix_op(entries), matrix_op(same)
     assert a is not b and a.payload == b.payload
     x = matrix_op(_random_matrix(rng))
-    roots, _ = operators._compile([a * x, b * x, a])
+    roots = operators._compile([a * x, b * x, a])
     assert roots[0] is roots[1]
     assert roots[0].args[0] is roots[2]
     assert roots[2].kind == "primitive" and roots[2].payload == a.payload
