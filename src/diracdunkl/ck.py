@@ -29,7 +29,7 @@ from functools import lru_cache
 from . import linalg
 from .exact import HALF, Params, pochhammer
 from .operators import coordinate_op, dirac, pauli_op, x_underline
-from .poly import SpinorPoly, coordinate_keys, coordinates
+from .poly import SpinorPoly
 # Kept importable from here because benchmarks/test_harness.py patches and
 # restores `ck.dunkl`.
 from .poly import dunkl  # noqa: F401
@@ -147,12 +147,10 @@ def fischer_decompose(f: SpinorPoly, params: Params) -> FischerComponents:
     for k in range(N + 1):
         power = x_underline() ** k
         for idx, element in enumerate(monogenic_basis(N - k, params).elements):
-            columns.append(power(element.poly))
+            columns.append(power(element.poly).column)
             labels.append((k, idx))
-    keys = coordinate_keys(columns + [f])
-    matrix = [list(row) for row in zip(*(coordinates(c, keys) for c in columns))]
     try:
-        (solution,) = linalg.solve(matrix, [coordinates(f, keys)])
+        (solution,) = linalg.solve(columns, [f.column])
     except ValueError as exc:
         raise RuntimeError(f"Fischer system unexpectedly singular: {exc}") from exc
     parts = []

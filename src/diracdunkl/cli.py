@@ -23,14 +23,14 @@ from . import birep, ck, closedform, suites
 from .exact import Params, rational_str
 
 # Measured at the limit: verify 36 s / 58 MB; basis 22 s / 404 MB;
-# wavefunctions 8 s / 401 MB; rep 49 s / 384 MB; overlaps 16 s / 143 MB;
+# wavefunctions 8 s / 401 MB; rep 49 s / 384 MB; overlaps 56 s / 251 MB;
 # moments 9 s / 491 MB.
 MAX_DEGREE = 16
 MAX_N = {
     "basis": 60,
     "wavefunctions": 60,
     "rep": 400_000,
-    "overlaps": 40,
+    "overlaps": 48,
     "moments": 100,
 }
 

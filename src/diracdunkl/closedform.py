@@ -326,24 +326,31 @@ def moment(params: Params, a: int, b: int, c: int) -> Fraction:
     total mass 1: one rising-factorial step from the neighbour one exponent
     lower (c first, then b, then a), as in
     m(a, b, c) = m(a, b, c - 1) (mu3 + 1/2 + c - 1) / (gamma3 + a + b + c - 1).
-    Filling every 32nd point of the path of neighbours from the origin first
-    bounds the nesting of a cold call by about 32 at any degree.  Memoized,
-    least recently used entries evicted past 2^18.
+    A total n that is a multiple of 32 takes its last 32 steps at once from
+    the point of total n - 32 on the same path of neighbours, so a cold call
+    makes at most 31 + n / 32 nested calls, whatever the cache keeps.
+    Memoized, least recently used entries evicted past 2^18.
     """
     if a < 0 or b < 0 or c < 0:
         raise ValueError("moment exponents must be >= 0")
     n = a + b + c
     if not n:
         return Fraction(1)
-    for t in range(32, n - 1, 32):
-        moment(params, min(a, t), min(b, max(t - a, 0)), max(t - a - b, 0))
-    if c:
-        mu, e, below = params.mu3, c, (a, b, c - 1)
-    elif b:
-        mu, e, below = params.mu2, b, (a, b - 1, 0)
-    else:
-        mu, e, below = params.mu1, a, (a - 1, 0, 0)
-    return moment(params, *below) * (mu + e - HALF) / (params.gamma3 + (n - 1))
+    # On integers: mu + e - 1/2 = (2 p + (2 e - 1) q) / (2 q) for mu = p / q.
+    start = n - 1 if n % 32 else n - 32
+    gamma = params.gamma3
+    num = den = 1
+    for t in range(start + 1, n + 1):
+        if t > a + b:
+            mu, e = params.mu3, t - a - b
+        elif t > a:
+            mu, e = params.mu2, t - a
+        else:
+            mu, e = params.mu1, t
+        num *= (2 * mu.numerator + (2 * e - 1) * mu.denominator) * gamma.denominator
+        den *= 2 * mu.denominator * (gamma.numerator + (t - 1) * gamma.denominator)
+    below = (min(a, start), min(b, max(start - a, 0)), max(start - a - b, 0))
+    return moment(params, *below) * Fraction(num, den)
 
 
 def scalar_products(polys, params: Params):

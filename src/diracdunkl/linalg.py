@@ -1,18 +1,22 @@
-"""Exact ranks and linear solves over the Gaussian rationals.
+"""Exact ranks and linear solves on reduced columns over the Gaussian rationals.
 
-Entries must be Gaussian rationals: `GRational`, `Fraction` or `int` values.
-Solutions come back as `GRational` values.
+A column is the reduced form `(den, {key: (re, im)})` that `poly` owns: the
+vector with entry (re + i im) / den at each key and zero elsewhere, over any
+hashable keys, such as `SpinorPoly.column` or a column of
+`operators.image_columns`.  Each key is a row.  Solutions come back as
+`GRational` values, one list per right-hand side, indexed like the columns.
 
-The columns are first split into the connected components of the nonzero
-pattern (two columns are connected when a row has a nonzero entry in both),
-and each component is eliminated on its own rows.  Each row is scaled once by
-the lcm of its denominators into a primitive Gaussian-integer row: its real
-and imaginary parts have gcd 1.  Elimination is Gauss-Jordan with the row
-update p * row - f * pivot_row, where p is the pivot and f the row's entry in
-the pivot column, followed by division by the content (the gcd of all
-parts) of the new row.  No fraction is formed until a solution is read off.
-Pivoting picks the first nonzero entry in column order, which is always
-valid over an exact field and keeps the elimination deterministic.
+The columns are first split into blocks, joined by a union-find over shared
+keys, and each block is eliminated on its own rows.  A row is built directly
+from the integer entries of its key: each entry is scaled by the lcm of the
+denominators of the columns that hold the key, and the row is divided by its
+content (the gcd of all real and imaginary parts), so it is a primitive
+Gaussian-integer row.  Elimination is Gauss-Jordan with the row update
+p * row - f * pivot_row, where p is the pivot and f the row's entry in the
+pivot column, followed by division by the content of the new row.  No
+fraction is formed until a solution is read off.  Pivoting picks the first
+nonzero entry in column order, which is always valid over an exact field and
+keeps the elimination deterministic.
 """
 
 from __future__ import annotations
@@ -20,16 +24,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import GRational, as_grational
-from .poly import lcm_of_denominators, scaled
+from .exact import GRational
 
 
-def _components(rows: list[list], ncols: int) -> list[tuple[list[int], list[int]]]:
-    """The connected components of the nonzero pattern of the first ncols
-    columns, as (columns, rows) index lists in ascending order, ordered by
-    first column.  A column with no nonzero entry is a component with no
-    rows; a row with no nonzero entry there belongs to none."""
-    parent = list(range(ncols))
+def _systems(columns: list, rhs_columns: list = ()) -> tuple[list, bool]:
+    """The blocks of columns connected through shared keys, ordered by first
+    column, as (column indices ascending, primitive rows) pairs.  Each row
+    holds one key's entries in the block's columns, then in the rhs columns.
+    Also returns whether an rhs column holds a key that no column does."""
+    parent = list(range(len(columns)))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -37,34 +40,37 @@ def _components(rows: list[list], ncols: int) -> list[tuple[list[int], list[int]
             c = parent[c]
         return c
 
-    firsts = []
-    for row in rows:
-        first = None
-        for c in range(ncols):
-            if row[c]:
-                if first is None:
-                    first = find(c)
-                else:
-                    root = find(c)
-                    if root != first:
-                        parent[max(root, first)] = first = min(root, first)
-        firsts.append(first)
-    columns: dict[int, list[int]] = {}
-    for c in range(ncols):
-        columns.setdefault(find(c), []).append(c)
-    members: dict[int, list[int]] = {root: [] for root in columns}
-    for i, first in enumerate(firsts):
-        if first is not None:
-            members[find(first)].append(i)
-    return [(cols, members[root]) for root, cols in columns.items()]
-
-
-def _integer_row(values: list) -> tuple[list[int], list[int]]:
-    """The primitive Gaussian-integer multiple of a row, as its lists of
-    real and imaginary parts."""
-    values = [as_grational(v) for v in values]
-    den = lcm_of_denominators(part for v in values for part in (v.re, v.im))
-    return _primitive([scaled(v.re, den) for v in values], [scaled(v.im, den) for v in values])
+    owner: dict = {}
+    for j, (_, entries) in enumerate(columns):
+        for key in entries:
+            a, b = find(owner.setdefault(key, j)), find(j)
+            parent[max(a, b)] = min(a, b)
+    blocks: dict[int, list[int]] = {}
+    for j in range(len(columns)):
+        blocks.setdefault(find(j), []).append(j)
+    # (slot, den, re, im) per key; the negative slots of the rhs columns
+    # index the row from its end.
+    held: dict = {key: [] for key in owner}
+    for cols in blocks.values():
+        for slot, j in enumerate(cols):
+            den, entries = columns[j]
+            for key, (re, im) in entries.items():
+                held[key].append((slot, den, re, im))
+    for slot, (den, entries) in enumerate(rhs_columns, -len(rhs_columns)):
+        for key, (re, im) in entries.items():
+            if key in held:
+                held[key].append((slot, den, re, im))
+    rows: dict[int, list] = {root: [] for root in blocks}
+    for key, items in held.items():
+        root = find(owner[key])
+        den = math.lcm(*(d for _, d, _, _ in items))
+        size = len(blocks[root]) + len(rhs_columns)
+        re, im = [0] * size, [0] * size
+        for slot, d, x, y in items:
+            re[slot], im[slot] = x * (den // d), y * (den // d)
+        rows[root].append(_primitive(re, im))
+    stray = any(key not in owner for _, entries in rhs_columns for key in entries)
+    return [(cols, rows[root]) for root, cols in blocks.items()], stray
 
 
 def _primitive(re: list[int], im: list[int]) -> tuple[list[int], list[int]]:
@@ -119,50 +125,37 @@ def _reduce(rows: list, width: int, full: bool) -> list[int]:
     return pivots
 
 
-def rank(rows: list[list]) -> int:
-    total = 0
-    for columns, members in _components(rows, len(rows[0]) if rows else 0):
-        block = [_integer_row([rows[i][c] for c in columns]) for i in members]
-        total += len(_reduce(block, len(columns), full=False))
-    return total
+def rank(columns: list) -> int:
+    """The rank of the reduced columns."""
+    systems, _ = _systems(columns)
+    return sum(len(_reduce(rows, len(cols), full=False)) for cols, rows in systems)
 
 
-def solve(matrix: list[list], rhs_columns: list[list]) -> list[list]:
-    """Solve matrix @ X = rhs for each right-hand-side column.
+def solve(columns: list, rhs_columns: list) -> list[list]:
+    """Solve sum_j x_j columns[j] = rhs for each right-hand-side column.
 
     The system may be overdetermined but must be consistent with a unique
-    solution (full column rank).  Returns the solution columns.  A singular
-    matrix is reported before an inconsistent right-hand side.
+    solution (full column rank).  Returns the solution values x_j, one list
+    per right-hand side.  A singular matrix is reported before an
+    inconsistent right-hand side, such as one holding a key that no column
+    holds.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    for col in rhs_columns:
-        if len(col) != nrows:
-            raise ValueError("right-hand side has wrong length")
-    solutions = [[None] * ncols for _ in rhs_columns]
-    reduced = []
-    covered = set()
-    for columns, members in _components(matrix, ncols):
-        block = [
-            _integer_row([matrix[i][c] for c in columns] + [col[i] for col in rhs_columns])
-            for i in members
-        ]
-        width = len(columns)
-        if len(_reduce(block, width, full=True)) < width:
+    systems, stray = _systems(columns, rhs_columns)
+    for cols, rows in systems:
+        if len(_reduce(rows, len(cols), full=True)) < len(cols):
             raise ValueError("singular system: matrix does not have full column rank")
-        reduced.append((columns, block))
-        covered.update(members)
-    for columns, block in reduced:
-        width = len(columns)
-        for re, im in block[width:]:
+    for cols, rows in systems:
+        width = len(cols)
+        for re, im in rows[width:]:
             if any(re[width:]) or any(im[width:]):
                 raise ValueError("inconsistent system")
-    if any(col[i] for i in range(nrows) if i not in covered for col in rhs_columns):
+    if stray:
         raise ValueError("inconsistent system")
-    for columns, block in reduced:
-        width = len(columns)
-        for j, c in enumerate(columns):
-            re, im = block[j]
+    solutions = [[None] * len(columns) for _ in rhs_columns]
+    for cols, rows in systems:
+        width = len(cols)
+        for j, c in enumerate(cols):
+            re, im = rows[j]
             pr, pi = re[j], im[j]
             norm = pr * pr + pi * pi
             for solution, br, bi in zip(solutions, re[width:], im[width:]):

@@ -7,8 +7,9 @@ of the second and third Pauli actions.  Columns are reduced (den > 0, no zero
 entries, den coprime to the entries, den = 1 for zero), so equal polynomials
 have equal columns, and `combine` sums and scales them with integer products
 and one gcd.  `operators` evaluates on columns, also over other hashable
-keys.  No code mutates a column once built: an operator's result can share
-its dict with a memo entry of its graph.
+keys, and `linalg` eliminates on them directly.  No code mutates a column
+once built: an operator's result can share its dict with a memo entry of its
+graph.
 
 A `ScalarPoly` maps exponent triples to nonzero `GRational` coefficients.
 The reference versions of the primitive operators below (reflection, partial
@@ -450,22 +451,3 @@ def spinor_basis_labels(degree: int, axes: tuple[int, ...] = (1, 2, 3)):
         for exps in monomial_exponents(degree, axes)
         for sign in (1, -1)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Coordinates of spinor polynomials in a shared monomial-spinor frame,
-# used by the exact linear solves.
-
-def coordinate_keys(polys) -> list:
-    """The keys of the columns of polys: spin + before -, exponents
-    ascending."""
-    keys = set()
-    for f in polys:
-        keys.update(f.column[1])
-    return sorted(keys, key=lambda key: (-key[0], key[1]))
-
-
-def coordinates(f: SpinorPoly, keys: list) -> list[GRational]:
-    den, entries = f.column
-    zero = GRational(0)
-    return [_coefficient(den, *entries[key]) if key in entries else zero for key in keys]

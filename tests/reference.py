@@ -6,9 +6,10 @@ ladder operators and their adjoints.  `diracdunkl.birep` evaluates the same
 operators as sparse matrix operators; the tests compare the two entry by
 entry.
 
-`rank` and `solve` are Gauss-Jordan elimination on field entries (Fraction
-or GRational), the reference for the integer elimination of
-`diracdunkl.linalg`.
+`rank` and `solve` are Gauss-Jordan elimination on the rows of a dense
+matrix of field entries (Fraction or GRational), the reference for the
+integer elimination of `diracdunkl.linalg`; `keyed_columns` turns such a
+matrix into the reduced keyed columns that `linalg` takes.
 
 `UnivariatePoly`, `jacobi` and `homogenized_jacobi` are the Jacobi
 polynomials of the terminating hypergeometric series, each coefficient a
@@ -17,9 +18,10 @@ quotient-free product of Pochhammer symbols and the homogenized form a sum of
 Jacobi factors.
 """
 
+import math
 from fractions import Fraction
 
-from diracdunkl.exact import HALF, factorial, pochhammer
+from diracdunkl.exact import HALF, as_grational, factorial, pochhammer
 from diracdunkl.poly import ScalarPoly
 
 
@@ -84,6 +86,24 @@ def ladder_matrices(generators, omega):
     )
 
 
+def keyed_column(values: list) -> tuple:
+    """The reduced column (den, {(i,): (re, im)}) of a dense vector."""
+    values = [as_grational(v) for v in values]
+    den = math.lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    return den, {
+        (i,): (v.re.numerator * (den // v.re.denominator),
+               v.im.numerator * (den // v.im.denominator))
+        for i, v in enumerate(values) if v
+    }
+
+
+def keyed_columns(rows: list[list]) -> list[tuple]:
+    """The reduced columns of a dense matrix given by its rows, row i keyed
+    (i,)."""
+    ncols = len(rows[0]) if rows else 0
+    return [keyed_column([row[j] for row in rows]) for j in range(ncols)]
+
+
 def eliminate(rows: list[list]) -> tuple[list[list], list[int]]:
     """Forward elimination to reduced row echelon form; returns pivots.
     Pivoting picks the first nonzero entry."""
@@ -126,9 +146,6 @@ def solve(matrix: list[list], rhs_columns: list[list]) -> list[list]:
     `diracdunkl.linalg.solve`."""
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    for col in rhs_columns:
-        if len(col) != nrows:
-            raise ValueError("right-hand side has wrong length")
     augmented = [
         list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(nrows)
     ]

@@ -25,7 +25,7 @@ from diracdunkl.birep import (
 )
 from diracdunkl import birep, linalg
 from diracdunkl.exact import HALF, Params
-from diracdunkl.operators import anticommutator, image_columns
+from diracdunkl.operators import anticommutator, commutator, image_columns
 
 P = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 ZERO = Params(0, 0, 0)
@@ -179,7 +179,7 @@ def test_spectrum_factorization_against_cycled_eigenvalues():
 
 
 def _shifted_generator(rep, lam):
-    """Dense lam I - K1 built from the band data of rep."""
+    """The keyed columns of lam I - K1 built from the band data of rep."""
     n = rep.N + 1
     out = [[Fraction(0)] * n for _ in range(n)]
     for k in range(n):
@@ -187,7 +187,7 @@ def _shifted_generator(rep, lam):
         if k + 1 < n:
             out[k][k + 1] = -rep.upper[k]
             out[k + 1][k] = -rep.lower[k + 1]
-    return out
+    return reference.keyed_columns(out)
 
 
 def test_spectrum_factorization_names_first_regular_eigenvalue():
@@ -419,3 +419,28 @@ def test_match_function_realization_bumped_band_data_golden_digest(monkeypatch):
     }
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == "8a2d3bf3474ab522f5016388701a25fcc97ba23c478fac5a1f88af3be4ea3843"
+
+
+def test_match_function_realization_checks_k2_against_the_band_data(monkeypatch):
+    # A raised w2 moves only the expected K2 diagonal 2 lambda_k V_k - w2.
+    monkeypatch.setattr(birep, "rep_matrices", _bumped(rep_matrices, "omega", 1))
+    for params in [ZERO, P] + EDGE_MUS[:3]:
+        for N in range(4):
+            report = match_function_realization(N, params)
+            assert report.counterexample["check"] == "K2 diagonal coefficient", (N, params)
+    monkeypatch.undo()
+    # K2 + [K3, K1] keeps the diagonal, as K3 is diagonal on the basis, and
+    # scales the off-diagonal products by 1 - ((l_k - l_(k+1)) / (l_k + l_(k+1)))^2.
+    generator = birep.bi_generator
+
+    def skewed(params, i):
+        if i != 2:
+            return generator(params, i)
+        return generator(params, 2) + commutator(generator(params, 3), generator(params, 1))
+
+    monkeypatch.setattr(birep, "bi_generator", skewed)
+    for params in [ZERO, P]:
+        assert match_function_realization(0, params).passed
+        for N in range(1, 4):
+            report = match_function_realization(N, params)
+            assert report.counterexample["check"] == "K2 off-diagonal product", (N, params)

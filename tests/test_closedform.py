@@ -282,6 +282,21 @@ def test_moments_past_the_cache_bound_match_rising_factorials(monkeypatch):
     assert bounded.cache_info().currsize == 64
 
 
+def test_moment_cold_call_count_does_not_rest_on_the_cache(monkeypatch):
+    # Under a 16-entry bound, a cold call at total n = 123 evaluates the
+    # raw recurrence at most 4 (n + 3) times.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return moment.__wrapped__(*args)
+
+    bounded = lru_cache(maxsize=16)(counted)
+    monkeypatch.setattr(closedform, "moment", bounded)
+    assert bounded(P, 120, 2, 1) == reference_moment(P, 120, 2, 1)
+    assert len(calls) <= 4 * (123 + 3)
+
+
 def test_moment_rejects_negative_exponents():
     with pytest.raises(ValueError):
         moment(P, 0, -1, 2)

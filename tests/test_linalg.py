@@ -1,7 +1,8 @@
 """Differential tests of `diracdunkl.linalg` against the Fraction Gauss-Jordan
 elimination of `reference`: equal ranks, equal solutions and the same
 ValueError text, over dense, sparse, real, block-diagonal, rank-deficient,
-tall and empty systems."""
+tall and empty systems.  Each dense system reaches `linalg` as the reduced
+keyed columns of `reference.keyed_columns`."""
 
 from fractions import Fraction
 
@@ -47,9 +48,20 @@ def _outcome(fn, *args):
         return "error", str(exc)
 
 
+def _rank(matrix):
+    return linalg.rank(reference.keyed_columns(matrix))
+
+
+def _solve(matrix, rhs_columns):
+    return linalg.solve(
+        reference.keyed_columns(matrix),
+        [reference.keyed_column(col) for col in rhs_columns],
+    )
+
+
 def _assert_same_solve(matrix, rhs_columns):
     expected = _outcome(reference.solve, matrix, rhs_columns)
-    got = _outcome(linalg.solve, matrix, rhs_columns)
+    got = _outcome(_solve, matrix, rhs_columns)
     assert got == expected
     if got[0] == "ok":
         assert all(type(v) is GRational for column in got[1] for v in column)
@@ -58,7 +70,7 @@ def _assert_same_solve(matrix, rhs_columns):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(matrices())
 def test_rank_matches_reference(matrix):
-    assert linalg.rank(matrix) == reference.rank(matrix)
+    assert _rank(matrix) == reference.rank(matrix)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -89,7 +101,7 @@ def shuffled_block_diagonal(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(shuffled_block_diagonal(), st.data())
 def test_shuffled_block_diagonal_matches_reference(matrix, data):
-    assert linalg.rank(matrix) == reference.rank(matrix)
+    assert _rank(matrix) == reference.rank(matrix)
     x = data.draw(st.lists(grationals, min_size=len(matrix[0]), max_size=len(matrix[0])))
     consistent = [row[0] for row in _product(matrix, [[v] for v in x])]
     other = data.draw(st.lists(grationals, min_size=len(matrix), max_size=len(matrix)))
@@ -106,10 +118,10 @@ def test_rank_deficient_square_matches_reference(n, data):
         matrix = _product(left, data.draw(matrices(st.just(k), st.just(n))))
     else:
         matrix = [[GRational(0)] * n for _ in range(n)]
-    assert linalg.rank(matrix) == reference.rank(matrix) < n
+    assert _rank(matrix) == reference.rank(matrix) < n
     rhs = data.draw(st.lists(grationals, min_size=n, max_size=n))
     _assert_same_solve(matrix, [rhs])
-    assert _outcome(linalg.solve, matrix, [rhs])[1].startswith("singular")
+    assert _outcome(_solve, matrix, [rhs])[1].startswith("singular")
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -135,7 +147,7 @@ def test_zero_row_with_nonzero_rhs_matches_reference(matrix, data):
     rhs = data.draw(st.lists(grationals, min_size=len(matrix), max_size=len(matrix)))
     rhs[index] = data.draw(grationals.filter(bool))
     _assert_same_solve(matrix, [rhs])
-    message = _outcome(linalg.solve, matrix, [rhs])[1]
+    message = _outcome(_solve, matrix, [rhs])[1]
     assert message.startswith(("singular", "inconsistent"))
 
 
@@ -150,12 +162,11 @@ def test_zero_row_with_nonzero_rhs_matches_reference(matrix, data):
     ([[GRational(3, 2)]], [[GRational(1, 1)]],
      ("ok", [[GRational(Fraction(5, 13), Fraction(1, 13))]])),
     ([[Fraction(2)]], [[Fraction(1)]], ("ok", [[GRational(Fraction(1, 2))]])),
-    ([[GRational(1)]], [[GRational(1), GRational(2)]], ("error", "right-hand side has wrong length")),
 ])
 def test_empty_and_one_by_one_systems(matrix, rhs, expected):
-    assert _outcome(linalg.solve, matrix, rhs) == expected
+    assert _outcome(_solve, matrix, rhs) == expected
     assert _outcome(reference.solve, matrix, rhs) == expected
-    assert linalg.rank(matrix) == reference.rank(matrix)
+    assert _rank(matrix) == reference.rank(matrix)
 
 
 def test_singular_is_reported_before_inconsistent():
@@ -165,10 +176,81 @@ def test_singular_is_reported_before_inconsistent():
     matrix = [[one, nil], [one, nil], [nil, nil]]
     rhs = [one, GRational(2), nil]
     expected = ("error", "singular system: matrix does not have full column rank")
-    assert _outcome(linalg.solve, matrix, [rhs]) == expected
+    assert _outcome(_solve, matrix, [rhs]) == expected
     assert _outcome(reference.solve, matrix, [rhs]) == expected
     # Inconsistent only in a later block, after a consistent one.
     matrix = [[one, nil], [nil, one], [nil, one]]
     expected = ("error", "inconsistent system")
-    assert _outcome(linalg.solve, matrix, [[one, one, GRational(2)]]) == expected
+    assert _outcome(_solve, matrix, [[one, one, GRational(2)]]) == expected
     assert _outcome(reference.solve, matrix, [[one, one, GRational(2)]]) == expected
+
+
+SPINOR_A, SPINOR_B, STATE = (1, (1, 0, 0)), (-1, (0, 2, 1)), (3,)
+
+KEYED_CASES = {
+    # One row mixes the denominators 2, 3 and 5 of three columns.
+    "mixed denominators in one row": (
+        [(2, {(0,): (1, 0), (1,): (1, 1)}),
+         (3, {(0,): (2, -1)}),
+         (5, {(0,): (0, 3), (2,): (4, 0)})],
+        [(4, {(0,): (10, -1), (1,): (2, 2), (2,): (4, 0)})],
+        ("ok", [[GRational(1), GRational(3), GRational(Fraction(5, 4))]]),
+    ),
+    # Keys of two shapes: spinor (sign, exps) keys and state keys (k,).
+    "keys of two shapes": (
+        [(1, {SPINOR_A: (1, 0), STATE: (1, 0)}),
+         (2, {SPINOR_B: (0, 1), STATE: (1, 0)})],
+        [(2, {SPINOR_A: (2, 0), SPINOR_B: (0, -1), STATE: (1, 0)})],
+        ("ok", [[GRational(1), GRational(-1)]]),
+    ),
+    "rhs key held by no column": (
+        [(1, {SPINOR_A: (1, 0)})],
+        [(1, {SPINOR_A: (1, 0), STATE: (0, 1)})],
+        ("error", "inconsistent system"),
+    ),
+    # The empty column is singular, which wins over the stray rhs key.
+    "empty column": (
+        [(1, {SPINOR_A: (1, 0)}), (1, {})],
+        [(1, {SPINOR_A: (1, 0), STATE: (0, 1)})],
+        ("error", "singular system: matrix does not have full column rank"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_CASES))
+def test_keyed_columns(name):
+    columns, rhs, expected = KEYED_CASES[name]
+    assert _outcome(linalg.solve, columns, rhs) == expected
+    if expected[0] == "ok":
+        # x solves the system: sum_j x_j columns[j] == rhs, entry by entry.
+        (solution,) = expected[1]
+        for key in {key for _, entries in columns + rhs for key in entries}:
+            lhs = sum((x * _entry(column, key) for x, column in zip(solution, columns)),
+                      GRational(0))
+            assert lhs == _entry(rhs[0], key), (name, key)
+
+
+def _entry(column, key):
+    den, entries = column
+    re, im = entries.get(key, (0, 0))
+    return GRational(Fraction(re, den), Fraction(im, den))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(matrices(st.integers(1, 6), st.integers(1, 5)), st.data())
+def test_insertion_order_does_not_matter(matrix, data):
+    x = data.draw(st.lists(grationals, min_size=len(matrix[0]), max_size=len(matrix[0])))
+    rhs = [row[0] for row in _product(matrix, [[v] for v in x])]
+    columns = reference.keyed_columns(matrix)
+    rhs_columns = [reference.keyed_column(rhs)]
+
+    def reversed_order(column):
+        den, entries = column
+        return den, dict(reversed(list(entries.items())))
+
+    assert linalg.rank(columns) == linalg.rank([reversed_order(c) for c in columns])
+    assert _outcome(linalg.solve, columns, rhs_columns) == _outcome(
+        linalg.solve,
+        [reversed_order(c) for c in columns],
+        [reversed_order(c) for c in rhs_columns],
+    )
