@@ -11,7 +11,10 @@ column by column on one merged graph of `operators`, so each costs O(N)
 column work.  Anticommutator relations, spectra and the Casimir value are
 similarity invariant, so nothing is lost.
 The spectrum of K1 is certified by evaluating its characteristic polynomial
-at the expected eigenvalues.
+at the expected eigenvalues.  `match_function_realization` evaluates the
+generators on the monogenic basis on one merged graph too, composed with the
+embedding of the element keys (k, sign).  Both return one `IdentityReport`
+per degree, whose counterexample names the first failing check.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .operators import (
     anticommutator,
     bi_generator,
     casimir,
+    embedding_op,
     image_columns,
     matrix_op,
     scalar_op,
@@ -69,6 +73,12 @@ def k3_eigenvalue(k: int, params: Params) -> Fraction:
 def k1_eigenvalue(s: int, params: Params) -> Fraction:
     # Cyclic invariance: same spectrum formula with parameters shifted.
     return Fraction((-1) ** s) * (s + params.mu2 + params.mu3 + HALF)
+
+
+def z3_eigenvalue(N: int, k: int, sign: int) -> int:
+    """Eigenvalue of the sign-sector involution Z3 on the degree-N basis
+    element (k, sign), of either eigenbasis."""
+    return sign * (-1) ** (N - k)
 
 
 @dataclass(frozen=True)
@@ -206,19 +216,6 @@ def generator_ops(rep: RepMatrices) -> tuple[LinOp, LinOp, LinOp]:
     )
 
 
-def raising_norm_sq(lam: Fraction, N: int, params: Params) -> Fraction:
-    """Squared norm of the raising ladder action on a state of eigenvalue lam."""
-    w1, w2, w3 = structure_constants(N, params)
-    q = casimir_value(N, params)
-    return (lam - HALF) ** 2 * (q - lam * lam + lam + w3) - (w1 + w2) ** 2 / 4
-
-
-def lowering_norm_sq(lam: Fraction, N: int, params: Params) -> Fraction:
-    w1, w2, w3 = structure_constants(N, params)
-    q = casimir_value(N, params)
-    return (lam + HALF) ** 2 * (q - lam * lam - lam - w3) - (w1 - w2) ** 2 / 4
-
-
 def ladder_ops(generators, omega) -> tuple[LinOp, LinOp, LinOp, LinOp]:
     """Raising and lowering combinations of the generators (K1, K2, K3),
     K+ = (K1 + K2)(K3 - 1/2) - (w1 + w2)/2 and
@@ -262,20 +259,6 @@ def _spectrum_factorization(rep: RepMatrices) -> Fraction | None:
     return next((lam for lam in expected if char_poly_at(rep, lam)), None)
 
 
-def _report(name: str, N: int, basis_size: int, check: str | None = None,
-            detail: dict | None = None) -> IdentityReport:
-    """Single-degree report: a pass without `check`, else a failure whose
-    counterexample is {"check": check, **detail}."""
-    return IdentityReport(
-        name=name,
-        degree_lo=N,
-        degree_hi=N,
-        basis_size=basis_size,
-        status="pass" if check is None else "fail",
-        counterexample=None if check is None else {"check": check, **(detail or {})},
-    )
-
-
 def _entries(column: tuple) -> dict[int, Fraction]:
     """The entries {i: value} of a real image column on the states (i,)."""
     den, entries = column
@@ -306,7 +289,9 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
     n = N + 1
     w1, w2, w3 = rep.omega
     w3_expected = w3 + omega3_shift
-    report = partial(_report, f"bannai-ito representation N={N}", N, n)
+    report = partial(
+        IdentityReport, f"bannai-ito representation N={N}", degrees=(N, N), basis_size=n
+    )
 
     k1, k2, k3 = generators = generator_ops(rep)
     plus, minus, plus_dag, minus_dag = ladder_ops(generators, rep.omega)
@@ -339,51 +324,46 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
         entry = _first_difference(lhs, rhs)
         if entry is not None:
             i, j, left, right = entry
-            return report(label, {
-                "entry": [i, j],
-                "lhs": rational_str(left),
-                "rhs": rational_str(right),
-            })
+            return report({"check": label, "entry": [i, j],
+                           "lhs": rational_str(left), "rhs": rational_str(right)})
 
     if rep.upper[N]:
-        return report("truncation A_N = 0", {"value": rational_str(rep.upper[N])})
+        return report({"check": "truncation A_N = 0", "value": rational_str(rep.upper[N])})
     if rep.lower[0]:
-        return report("truncation C_0 = 0", {"value": rational_str(rep.lower[0])})
+        return report({"check": "truncation C_0 = 0", "value": rational_str(rep.lower[0])})
     for k in range(1, n):
         if rep.u_squared[k - 1] <= 0:
-            return report("positivity A_(k-1) C_k > 0", {
-                "k": k, "value": rational_str(rep.u_squared[k - 1]),
-            })
+            return report({"check": "positivity A_(k-1) C_k > 0",
+                           "k": k, "value": rational_str(rep.u_squared[k - 1])})
     for k in range(N):
         if not rep.upper[k]:
-            return report("irreducibility A_k != 0", {"k": k})
+            return report({"check": "irreducibility A_k != 0", "k": k})
     for k in range(1, n):
         if not rep.lower[k]:
-            return report("irreducibility C_k != 0", {"k": k})
+            return report({"check": "irreducibility C_k != 0", "k": k})
 
     ladder = ladder_norms(N, params)
     if ladder.plus_norms[0]:
-        return report("raising norm vanishes at k = 0")
+        return report({"check": "raising norm vanishes at k = 0"})
     for k in range(1, n):
         if ladder.plus_norms[k] <= 0 or ladder.minus_norms[k] <= 0:
-            return report("ladder norm positivity", {"k": k})
+            return report({"check": "ladder norm positivity", "k": k})
     boundary = ladder.plus_norms[N + 1] if N % 2 else ladder.minus_norms[N + 1]
     if boundary:
-        return report("ladder truncation at k = N + 1", {
-            "value": rational_str(boundary),
-        })
+        return report({"check": "ladder truncation at k = N + 1",
+                       "value": rational_str(boundary)})
 
     for (label, _, _), (lhs, rhs) in zip(ladder_relations, sides[len(relations):]):
         if lhs != rhs:
-            return report(label)
+            return report({"check": label})
     lhs_plus, lhs_minus = (lhs for lhs, _ in sides[-2:])
     for k in range(n):
         expect_plus = ladder.plus_norms[k if k % 2 == 0 else k + 1]
         expect_minus = ladder.minus_norms[k + 1 if k % 2 == 0 else k]
         if _entries(lhs_plus[k]).get(k, 0) != expect_plus:
-            return report("raising norm parity", {"k": k})
+            return report({"check": "raising norm parity", "k": k})
         if _entries(lhs_minus[k]).get(k, 0) != expect_minus:
-            return report("lowering norm parity", {"k": k})
+            return report({"check": "lowering norm parity", "k": k})
 
     # Admissibility windows for the lowest eigenvalue.
     lam0 = k3_eigenvalue(0, params)
@@ -391,13 +371,13 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
     upper1 = N + m1 + m2 + (2 * m3 + 1 if N % 2 == 0 else 1)
     upper2 = N + m1 + m2 + (1 if N % 2 == 0 else 2 * m3 + 1)
     if not (m1 + m2 <= abs(lam0 - HALF) <= upper1):
-        return report("admissibility window (raising side)")
+        return report({"check": "admissibility window (raising side)"})
     if not (abs(m1 - m2) <= abs(lam0 + HALF) <= upper2):
-        return report("admissibility window (lowering side)")
+        return report({"check": "admissibility window (lowering side)"})
 
     bad = _spectrum_factorization(rep)
     if bad is not None:
-        return report("spectrum factorization", {"eigenvalue": rational_str(bad)})
+        return report({"check": "spectrum factorization", "eigenvalue": rational_str(bad)})
     return report()
 
 
@@ -405,71 +385,64 @@ def match_function_realization(N: int, params: Params) -> IdentityReport:
     """Expand the operator realization of the generators over the monogenic
     basis and compare against the abstract matrix data, exactly: K3 and the
     Casimir on each element, K1 entry by entry up to the diagonal
-    similarity, and K2 through the invariants of that similarity."""
+    similarity, and K2 through the invariants of that similarity.
+
+    Every operator image comes from one `image_columns` call over the
+    element keys (k, sign), through the embedding E that sends a key to its
+    element: K1 E and K2 E feed one solve, and K3 E, E diag(lambda), Q E and
+    q_N E are the sides of the eigenvalue equations."""
     rep = rep_matrices(N, params)
-    basis = monogenic_basis(N, params)
-    elements = basis.elements
-    report = partial(
-        _report, f"function realization of the representation N={N}", N, len(elements)
-    )
+    elements = monogenic_basis(N, params).elements
+    report = partial(IdentityReport, f"function realization of the representation N={N}",
+                     degrees=(N, N), basis_size=len(elements))
 
-    k3_op = bi_generator(params, 3)
-    q_op = casimir(params)
-
+    keys = [(el.k, el.sign) for el in elements]
+    embed = embedding_op({key: el.poly.column for key, el in zip(keys, elements)})
+    k1_images, k2_images, k3_images, k3_expected, q_images, q_expected = image_columns([
+        bi_generator(params, 1) * embed,
+        bi_generator(params, 2) * embed,
+        bi_generator(params, 3) * embed,
+        embed * matrix_op({(key, key): k3_eigenvalue(key[0], params) for key in keys}),
+        casimir(params) * embed,
+        rep.casimir * embed,
+    ], keys)
     # The expansions of K1 and K2 on each element, from one solve.
-    expansions = linalg.solve(
-        [el.poly.column for el in elements],
-        [op(el.poly).column for op in (bi_generator(params, 1), bi_generator(params, 2))
-         for el in elements],
-    )
+    expansions = linalg.solve([el.poly.column for el in elements], k1_images + k2_images)
     k2_expansions = expansions[len(elements):]
 
-    # The generators commute with the sign-sector involution, whose
-    # eigenvalue on element (k, sign) is sign * (-1)^(N - k); the invariant
-    # chains therefore alternate the +/- label along k.
+    # The generators commute with the sign-sector involution Z3, so the
+    # invariant chains alternate the +/- label along k.
     def sector(el) -> int:
-        return el.sign * (-1) ** (N - el.k)
+        return z3_eigenvalue(N, el.k, el.sign)
 
-    index = {(el.k, el.sign): pos for pos, el in enumerate(elements)}
+    index = {key: pos for pos, key in enumerate(keys)}
 
     def off_diagonal(check: str, coefs: list, products) -> IdentityReport | None:
         for eps in (1, -1):
             for k in range(N):
-                sign_here = eps * (-1) ** (N - k)
-                sign_next = eps * (-1) ** (N - k - 1)
-                up = coefs[index[(k, sign_here)]][index[(k + 1, sign_next)]]
-                down = coefs[index[(k + 1, sign_next)]][index[(k, sign_here)]]
-                if up * down != products[k]:
-                    return report(check, {
-                        "k": k,
-                        "sector": eps,
-                        "got": str(up * down),
-                        "expected": rational_str(products[k]),
-                    })
+                here = index[(k, eps * (-1) ** (N - k))]
+                there = index[(k + 1, eps * (-1) ** (N - k - 1))]
+                product = coefs[here][there] * coefs[there][here]
+                if product != products[k]:
+                    return report({"check": check, "k": k, "sector": eps, "got": str(product),
+                                   "expected": rational_str(products[k])})
         return None
 
     for pos, el in enumerate(elements):
-        # Eigenvalue checks for the diagonal generator and the Casimir.
-        lam = k3_eigenvalue(el.k, params)
-        if k3_op(el.poly) != el.poly.scale(lam):
-            return report("K3 eigenvalue", {"k": el.k, "sign": el.sign})
-        if q_op(el.poly) != el.poly.scale(rep.casimir):
-            return report("casimir eigenvalue", {"k": el.k, "sign": el.sign})
+        if k3_images[pos] != k3_expected[pos]:
+            return report({"check": "K3 eigenvalue", "k": el.k, "sign": el.sign})
+        if q_images[pos] != q_expected[pos]:
+            return report({"check": "casimir eigenvalue", "k": el.k, "sign": el.sign})
         coefs = expansions[pos]
         for other_pos, value in enumerate(coefs):
             other = elements[other_pos]
             active = sector(other) == sector(el) and abs(other.k - el.k) <= 1
             if value and not active:
-                return report("tridiagonal support", {
-                    "from": [el.k, el.sign], "to": [other.k, other.sign],
-                })
+                return report({"check": "tridiagonal support",
+                               "from": [el.k, el.sign], "to": [other.k, other.sign]})
         if coefs[pos] != rep.diag[el.k]:
-            return report("diagonal coefficient", {
-                "k": el.k,
-                "sign": el.sign,
-                "got": str(coefs[pos]),
-                "expected": rational_str(rep.diag[el.k]),
-            })
+            return report({"check": "diagonal coefficient", "k": el.k, "sign": el.sign,
+                           "got": str(coefs[pos]), "expected": rational_str(rep.diag[el.k])})
 
     failure = off_diagonal("off-diagonal product", expansions, rep.u_squared)
     if failure:
@@ -481,11 +454,8 @@ def match_function_realization(N: int, params: Params) -> IdentityReport:
     for pos, el in enumerate(elements):
         expected = 2 * eig[el.k] * rep.diag[el.k] - rep.omega[1]
         if k2_expansions[pos][pos] != expected:
-            return report("K2 diagonal coefficient", {
-                "k": el.k,
-                "sign": el.sign,
-                "got": str(k2_expansions[pos][pos]),
-                "expected": rational_str(expected),
-            })
+            return report({"check": "K2 diagonal coefficient", "k": el.k, "sign": el.sign,
+                           "got": str(k2_expansions[pos][pos]),
+                           "expected": rational_str(expected)})
     products = [(eig[k] + eig[k + 1]) ** 2 * u2 for k, u2 in enumerate(rep.u_squared)]
     return off_diagonal("K2 off-diagonal product", k2_expansions, products) or report()

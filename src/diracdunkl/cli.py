@@ -4,7 +4,9 @@ Subcommands run the exact verification suites or emit JSON artifacts for the
 bases, wavefunctions, representation matrices, overlaps and moments.  All
 output is deterministic: identical arguments (including the seed) produce
 byte-identical files.  Exit codes: 0 on success, 1 when a verification check
-fails, 2 on a usage error.
+fails, 2 on a usage error or an `--out` path that cannot be written.  A
+directory, or a file in a directory that does not exist, is refused before
+any work starts.
 
 `verify --degree` and each artifact command's `--N` have an upper limit,
 checked before any work starts.  Each limit is the size whose run took about
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import birep, ck, closedform, suites
@@ -79,11 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unwritable(out: str, reason: str):
+    sys.stderr.write(f"diracdunkl: error: cannot write --out {out}: {reason}\n")
+    raise SystemExit(2)
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _unwritable(out, exc.strerror or str(exc))
     else:
         sys.stdout.write(text)
 
@@ -106,6 +117,11 @@ def main(argv=None) -> int:
             merged.append(token)
     parser = build_parser()
     args = parser.parse_args(merged)
+    if args.out:
+        if os.path.isdir(args.out):
+            _unwritable(args.out, "is a directory")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            _unwritable(args.out, "no such directory")
 
     if args.command == "verify":
         if args.mu is not None:

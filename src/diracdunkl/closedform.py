@@ -210,12 +210,11 @@ def closed_basis_element(
     sign: int,
     params: Params,
     axes: tuple[int, int, int] = PSI_AXES,
-    even_parameter_shift: int = 0,
 ) -> SpinorPoly:
     """Closed-form basis spinor (N, k, sign), from `closed_basis_pair`."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    plus, minus = closed_basis_pair(N, k, params, axes, even_parameter_shift)
+    plus, minus = closed_basis_pair(N, k, params, axes)
     return plus if sign == 1 else minus
 
 

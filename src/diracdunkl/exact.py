@@ -225,8 +225,8 @@ def as_grational(value) -> GRational:
 class Params:
     """The three non-negative rational deformation parameters.
 
-    gamma3 = mu1 + mu2 + mu3 + 3/2 and gamma2 = mu1 + mu2 + 1 are the
-    conformal constants of the three- and two-dimensional settings.
+    gamma3 = mu1 + mu2 + mu3 + 3/2 is the conformal constant of the
+    three-dimensional setting.
     `mu_sum`, `gamma3` and the hash are computed once, at construction,
     because `Params` keys the caches of the hot paths; equality compares
     the three parameters only.
@@ -251,10 +251,6 @@ class Params:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def gamma2(self) -> Fraction:
-        return self.mu1 + self.mu2 + 1
 
     def mu(self, axis: int) -> Fraction:
         return (self.mu1, self.mu2, self.mu3)[axis - 1]

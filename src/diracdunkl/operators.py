@@ -1,11 +1,16 @@
 """Composable linear operators on spinor polynomials, and an exact identity
-checker.
+checker over explicit keys.
 
 Every operator here is linear over the Gaussian rationals, so an identity
-verified on all monomial-spinor basis elements of degrees 0..d is an identity
-on the whole space of spinor polynomials of degree at most d.  The checker
-exploits this: it applies both sides to each basis element and demands exact
-equality, reporting the first counterexample on failure.
+that holds on each basis vector of a list of keys holds on their whole span.
+The checker (`first_failures`) applies both sides of each identity to the
+basis vector of each key in order and demands exact equality, reporting the
+first key at which they differ.  `verify_identities` runs it on the
+monomial-spinor keys (sign, exps) of degrees 0..d, which certifies an
+identity on all spinor polynomials of degree at most d.  An embedding
+(`embedding_op`) sends element keys, such as the (k, sign) of a monogenic
+basis, to the elements' columns, so "op v = lambda v for every element v"
+is the identity op E = E diag(lambda) on the element keys.
 
 Operators are expression trees over primitives that are plain data: a
 hashable tag such as ("dunkl", axis, mu) or ("pauli", i), whose integer
@@ -20,13 +25,13 @@ scaled terms into one linear combination.  A merged node with two or more
 parents (an identity side counts as a parent) is shared: it caches the image
 column of each monomial spinor and applies to a column by linearity.
 A cache lasts as long as its merged graph: a `LinOp` compiles its tree on
-its first call and keeps the graph, and `verify_identities` and
-`image_columns` compile one graph per call, whose caches serve every degree
-slice and key of that call.
+its first call and keeps the graph, and `first_failures` and `image_columns`
+compile one graph per call, whose caches serve every key of that call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -133,10 +138,6 @@ def dunkl_op(axis: int, params: Params) -> LinOp:
     return primitive("dunkl", axis, params.mu(axis))
 
 
-def partial_op(axis: int) -> LinOp:
-    return primitive("diff", axis)
-
-
 def coordinate_op(axis: int) -> LinOp:
     return primitive("coord", axis)
 
@@ -154,6 +155,17 @@ def matrix_op(entries: dict) -> LinOp:
     re, im), ...)) sorted by column and row, so equal matrices merge."""
     return primitive("matrix", *integer_form(
         ((column, row), value) for (row, column), value in entries.items()
+    ))
+
+
+def embedding_op(columns: dict) -> LinOp:
+    """The linear map sending the basis vector of each key to its reduced
+    column, for {key: (den, {row: (re, im)})}: a "matrix" primitive over
+    the common denominator, built on the integer entries."""
+    den = math.lcm(*(d for d, _ in columns.values()))
+    return primitive("matrix", den, tuple(
+        ((key, row), re * (den // d), im * (den // d))
+        for key, (d, entries) in columns.items() for row, (re, im) in entries.items()
     ))
 
 
@@ -328,11 +340,6 @@ def _kernel(tag: tuple):
     if name == "coord":
         i = tag[1] - 1
         return 1, lambda key: (((key[0], _shift(key[1], i, 1)), 1, 0),)
-    if name == "diff":
-        i = tag[1] - 1
-        return 1, lambda key: (
-            (((key[0], _shift(key[1], i, -1)), key[1][i], 0),) if key[1][i] else ()
-        )
     if name == "euler":
         idx = [a - 1 for a in tag[1]]
 
@@ -539,71 +546,92 @@ def image_columns(ops: list[LinOp], keys: list) -> list[list[tuple]]:
 
 @dataclass
 class IdentityReport:
-    """Outcome of checking lhs = rhs on the monomial-spinor basis."""
+    """Outcome of one check: it passes exactly when it has no
+    counterexample.  An identity checked on a basis also records its degree
+    range and basis size, the number of basis vectors evaluated up to and
+    including a counterexample; other checks leave both None, and their
+    JSON has neither field."""
 
     name: str
-    degree_lo: int
-    degree_hi: int
-    basis_size: int
-    status: str  # "pass" | "fail"
     counterexample: dict | None = None
+    degrees: tuple[int, int] | None = None
+    basis_size: int | None = None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.counterexample is None else "fail"
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return self.counterexample is None
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "degrees": [self.degree_lo, self.degree_hi],
-            "basis_size": self.basis_size,
-            "status": self.status,
-            "counterexample": self.counterexample,
-        }
+        out: dict = {"name": self.name}
+        if self.degrees is not None:
+            out["degrees"] = list(self.degrees)
+            out["basis_size"] = self.basis_size
+        out["status"] = self.status
+        out["counterexample"] = self.counterexample
+        return out
+
+
+def first_failures(pairs: list[tuple[LinOp, LinOp]], keys: list) -> list[tuple | None]:
+    """For each (lhs, rhs) pair, the first position i at which the sides
+    differ on the basis vector of keys[i], as (i, lhs column, rhs column),
+    or None when they agree on every key.
+
+    Keys are taken in order, and at each key the pairs in order; a pair that
+    has failed is not applied again.  All sides are evaluated on one merged
+    graph whose shared nodes cache their image columns for the whole call,
+    so an operator that lowers the degree reuses the images of earlier keys.
+    """
+    roots = _compile([op for pair in pairs for op in pair])
+    sides = list(zip(roots[::2], roots[1::2]))
+    failures: list[tuple | None] = [None] * len(sides)
+    for position, key in enumerate(keys):
+        unit = (1, {key: _UNIT})
+        for index, (lhs, rhs) in enumerate(sides):
+            if failures[index] is None:
+                left, right = _eval(lhs, unit), _eval(rhs, unit)
+                if left != right:
+                    failures[index] = (position, left, right)
+    return failures
 
 
 def verify_identities(
     items: list[tuple[str, LinOp, LinOp]],
     max_degree: int,
 ) -> list[IdentityReport]:
-    """Check each (name, lhs, rhs) item on every monomial spinor of degree
-    0..max_degree, in the order degree, basis element, identity.
+    """Check each (name, lhs, rhs) item with `first_failures` on the
+    monomial-spinor keys (sign, exps) of degrees 0..max_degree, in the order
+    of `spinor_basis_labels`.
 
     Passing certifies an identity on the full space of those degrees, by
-    linearity.  A failing identity records its first counterexample and is
-    not applied again.  All sides are evaluated on one merged graph whose
-    shared nodes cache their image columns for the whole batch, so an
-    operator that lowers the degree reuses the images of lower slices.
+    linearity.  A failing identity records its first counterexample.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    roots = _compile([op for _, lhs, rhs in items for op in (lhs, rhs)])
-    sides = list(zip(roots[::2], roots[1::2]))
-    basis_size = 0
-
-    def report(name: str, counterexample: dict | None = None) -> IdentityReport:
-        status = "pass" if counterexample is None else "fail"
-        return IdentityReport(name, 0, max_degree, basis_size, status, counterexample)
-
-    failed: list[IdentityReport | None] = [None] * len(items)
-    for degree in range(max_degree + 1):
-        for exps, sign in spinor_basis_labels(degree):
-            basis_size += 1
-            unit = (1, {(sign, exps): _UNIT})
-            for index, (lhs, rhs) in enumerate(sides):
-                if failed[index] is not None:
-                    continue
-                left = _eval(lhs, unit)
-                right = _eval(rhs, unit)
-                if left != right:
-                    failed[index] = report(items[index][0], {
-                        "degree": degree,
-                        "exponents": list(exps),
-                        "spinor": "+" if sign == 1 else "-",
-                        "lhs": SpinorPoly.from_column(left).to_json_dict(),
-                        "rhs": SpinorPoly.from_column(right).to_json_dict(),
-                    })
-    return [bad or report(name) for bad, (name, _, _) in zip(failed, items)]
+    keys = [
+        (sign, exps)
+        for degree in range(max_degree + 1)
+        for exps, sign in spinor_basis_labels(degree)
+    ]
+    failures = first_failures([(lhs, rhs) for _, lhs, rhs in items], keys)
+    reports = []
+    for (name, _, _), failure in zip(items, failures):
+        if failure is None:
+            reports.append(IdentityReport(name, None, (0, max_degree), len(keys)))
+            continue
+        position, left, right = failure
+        sign, exps = keys[position]
+        reports.append(IdentityReport(name, {
+            "degree": sum(exps),
+            "exponents": list(exps),
+            "spinor": "+" if sign == 1 else "-",
+            "lhs": SpinorPoly.from_column(left).to_json_dict(),
+            "rhs": SpinorPoly.from_column(right).to_json_dict(),
+        }, (0, max_degree), position + 1))
+    return reports
 
 
 def verify_identity(

@@ -1,9 +1,12 @@
 """Named verification suites, grouped as the sections of the `verify` command.
 
-Each suite returns JSON-ready check dicts with at least "name" and "status";
-failing checks carry a counterexample.  The optional `mutation` argument
-plants one deliberate defect in exactly one suite, which the test suite uses
-to demonstrate that every section is sensitive (no check is vacuous).
+Each suite returns the JSON dicts of its `IdentityReport`s: "name", "status"
+and "counterexample", plus "degrees" and "basis_size" for the identities
+checked on a basis.  The kernel and eigenvalue checks on basis elements are
+operator identities over the element keys (k, sign) (see
+`_failing_elements`).  The optional `mutation` argument plants one
+deliberate defect in exactly one suite, which the test suite uses to
+demonstrate that every section is sensitive (no check is vacuous).
 """
 
 from __future__ import annotations
@@ -14,18 +17,22 @@ from fractions import Fraction
 from . import birep, ck, closedform, linalg, operators
 from .exact import GRational, I, Params
 from .operators import (
+    IdentityReport,
     anticommutator,
     bi_generator,
     casimir,
     central_element,
     commutator,
     dirac,
+    embedding_op,
+    first_failures,
     identity,
     image_columns,
     involution,
     laplace,
     laplace_explicit,
     laplace_s2,
+    matrix_op,
     norm_sq,
     pauli_op,
     reflect_op,
@@ -50,12 +57,19 @@ MUTATIONS = {
 }
 
 
-def _check(name: str, ok: bool, counterexample: dict | None = None) -> dict:
-    return {
-        "name": name,
-        "status": "pass" if ok else "fail",
-        "counterexample": None if ok else (counterexample or {}),
-    }
+def _failing_elements(elements: dict, equations: list) -> list:
+    """For each (op, eigenvalue) equation, the first key of elements
+    ({key: column}, in order) whose element v fails op v = eigenvalue(key) v,
+    or None.  With E the embedding of the elements, this is the identity
+    op E = E diag(eigenvalue) on the element keys; the kernel is eigenvalue
+    zero."""
+    keys = list(elements)
+    embed = embedding_op(elements)
+    failures = first_failures([
+        (op * embed, embed * matrix_op({(key, key): eigenvalue(key) for key in keys}))
+        for op, eigenvalue in equations
+    ], keys)
+    return [None if failure is None else keys[failure[0]] for failure in failures]
 
 
 def suite_osp12(params: Params, degree: int, mutation: str | None = None) -> list[dict]:
@@ -229,6 +243,10 @@ def suite_symmetry(params: Params, degree: int, mutation: str | None = None) -> 
     return [report.to_json_dict() for report in verify_identities(items, degree)]
 
 
+def _element_key(N: int, key: tuple, k_name: str = "k") -> dict:
+    return {"N": N, k_name: key[0], "sign": "+" if key[1] == 1 else "-"}
+
+
 def suite_monogenic(params: Params, n_max: int, mutation: str | None = None) -> list[dict]:
     """Construction of the monogenic bases and their eigenvalue data."""
     shift = 1 if mutation == "eigenvalue+1" else 0
@@ -236,56 +254,52 @@ def suite_monogenic(params: Params, n_max: int, mutation: str | None = None) -> 
     scas = spherical_dirac(params) + scalar_op(1)
     gen3 = bi_generator(params, 3)
     inv3 = involution(3)
-    checks = []
+    reports = []
     for N in range(n_max + 1):
-        basis = ck.monogenic_basis(N, params)
-        elements = basis.elements
+        name = f"monogenic N={N}: "
+        elements = ck.monogenic_basis(N, params).elements
         ok_count = len(elements) == 2 * (N + 1)
         ok_rank = linalg.rank([el.poly.column for el in elements]) == 2 * (N + 1)
-        checks.append(_check(
-            f"monogenic N={N}: dimension and independence",
-            ok_count and ok_rank,
-            {"expected": 2 * (N + 1)},
+        reports.append(IdentityReport(
+            name + "dimension and independence",
+            None if ok_count and ok_rank else {"expected": 2 * (N + 1)},
         ))
 
         keys = [(sign, exps) for exps, sign in spinor_basis_labels(N)]
         (images,) = image_columns([dd], keys)
         nullity = len(keys) - linalg.rank(images)
-        checks.append(_check(
-            f"monogenic N={N}: span equals the full kernel",
-            nullity == 2 * (N + 1),
-            {"kernel_dimension": nullity, "expected": 2 * (N + 1)},
+        reports.append(IdentityReport(
+            name + "span equals the full kernel",
+            None if nullity == 2 * (N + 1)
+            else {"kernel_dimension": nullity, "expected": 2 * (N + 1)},
         ))
 
-        expected_degree_eig = N + params.mu_sum + 1 + shift
-        for el in elements:
-            ce = {"N": N, "k": el.k, "sign": "+" if el.sign == 1 else "-"}
-            if not (el.poly.is_homogeneous() and el.poly.degree() == N):
-                checks.append(_check(f"monogenic N={N}: homogeneity", False, ce))
-                break
-        else:
-            checks.append(_check(f"monogenic N={N}: homogeneity", True))
-        for name, ok_fn in (
-            (f"monogenic N={N}: kernel of the Dirac operator",
-             lambda el: not dd(el.poly)),
-            (f"monogenic N={N}: degree eigenvalue",
-             lambda el: scas(el.poly) == el.poly.scale(expected_degree_eig)),
-            (f"monogenic N={N}: third generator eigenvalue",
-             lambda el: gen3(el.poly)
-             == el.poly.scale(birep.k3_eigenvalue(el.k, params))),
-            (f"monogenic N={N}: sign sector eigenvalue",
-             lambda el: inv3(el.poly)
-             == el.poly.scale(Fraction(el.sign * (-1) ** (N - el.k)))),
-        ):
-            bad = next((el for el in elements if not ok_fn(el)), None)
-            checks.append(_check(
-                name,
-                bad is None,
-                None if bad is None else {
-                    "N": N, "k": bad.k, "sign": "+" if bad.sign == 1 else "-",
-                },
+        bad = next((
+            el for el in elements
+            if not (el.poly.is_homogeneous() and el.poly.degree() == N)
+        ), None)
+        reports.append(IdentityReport(
+            name + "homogeneity",
+            None if bad is None else _element_key(N, (bad.k, bad.sign)),
+        ))
+
+        degree_eig = N + params.mu_sum + 1 + shift
+        checks = (
+            ("kernel of the Dirac operator", dd, lambda key: 0),
+            ("degree eigenvalue", scas, lambda key: degree_eig),
+            ("third generator eigenvalue", gen3,
+             lambda key: birep.k3_eigenvalue(key[0], params)),
+            ("sign sector eigenvalue", inv3, lambda key: birep.z3_eigenvalue(N, *key)),
+        )
+        failures = _failing_elements(
+            {(el.k, el.sign): el.poly.column for el in elements},
+            [(op, eigenvalue) for _, op, eigenvalue in checks],
+        )
+        for (label, _, _), key in zip(checks, failures):
+            reports.append(IdentityReport(
+                name + label, None if key is None else _element_key(N, key)
             ))
-    return checks
+    return [report.to_json_dict() for report in reports]
 
 
 def suite_closedform(params: Params, n_max: int, mutation: str | None = None) -> list[dict]:
@@ -298,16 +312,15 @@ def suite_closedform(params: Params, n_max: int, mutation: str | None = None) ->
         for k in range(N + 1):
             pair = closedform.closed_basis_pair(N, k, params, even_parameter_shift=shift)
             closed.update(((N, k, sign), poly) for sign, poly in zip((1, -1), pair))
-    checks = []
+    reports = []
     for k in range(n_max + 1):
         bad = next((
             sign for sign in (1, -1)
             if closed[k, k, sign]
             != ck.ck_extend_x2(SpinorPoly.monomial((k, 0, 0), sign), params)
         ), None)
-        checks.append(_check(
+        reports.append(IdentityReport(
             f"planar monogenic closed form k={k}",
-            bad is None,
             None if bad is None else {"k": k, "sign": "+" if bad == 1 else "-"},
         ))
     for N in range(n_max + 1):
@@ -315,14 +328,11 @@ def suite_closedform(params: Params, n_max: int, mutation: str | None = None) ->
             el for el in ck.monogenic_basis(N, params).elements
             if closed[N, el.k, el.sign] != el.poly
         ), None)
-        checks.append(_check(
+        reports.append(IdentityReport(
             f"closed form equals extension tower N={N}",
-            bad is None,
-            None if bad is None else {
-                "N": N, "k": bad.k, "sign": "+" if bad.sign == 1 else "-",
-            },
+            None if bad is None else _element_key(N, (bad.k, bad.sign)),
         ))
-    return checks
+    return [report.to_json_dict() for report in reports]
 
 
 def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None) -> list[dict]:
@@ -330,7 +340,7 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
     equations, and the overlap sum rule.  Both families are built once, and
     every scalar product comes from one `scalar_products` call over them."""
     scale_odd = mutation == "norm-factor*2"
-    checks = []
+    reports = []
 
     waves = []
     ups = []
@@ -340,100 +350,75 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
     n = len(waves)  # upsilon wavefunction i is operand n + i
     product = closedform.scalar_products([w.poly for w in waves + ups], params)
     gram = [product(i, i) for i in range(n + len(ups))]
-    ok = True
-    ce = None
-    for i, a in enumerate(waves):
-        for j, b in enumerate(waves[i + 1:], i + 1):
-            if product(i, j):
-                ok = False
-                ce = {"left": [a.N, a.k, a.sign], "right": [b.N, b.k, b.sign]}
-                break
-        if not ok:
-            break
-    checks.append(_check(f"gram matrix diagonal through N={n_max}", ok, ce))
+    ce = next((
+        {"left": [a.N, a.k, a.sign], "right": [b.N, b.k, b.sign]}
+        for i, a in enumerate(waves)
+        for j, b in enumerate(waves[i + 1:], i + 1)
+        if product(i, j)
+    ), None)
+    reports.append(IdentityReport(f"gram matrix diagonal through N={n_max}", ce))
 
-    common = None
-    ok = True
-    ce = None
-    for i, w in enumerate(waves):
-        factor = w.squared_norm_factor
-        if scale_odd and w.k % 2 == 1:
-            factor *= 2
-        value = gram[i] * factor
-        if common is None:
-            common = value
-        elif value != common:
-            ok = False
-            ce = {"N": w.N, "k": w.k, "value": str(value), "common": str(common)}
-            break
-    checks.append(_check("common squared diagonal constant", ok, ce))
+    values = [
+        gram[i] * w.squared_norm_factor * (2 if scale_odd and w.k % 2 == 1 else 1)
+        for i, w in enumerate(waves)
+    ]
+    ce = next((
+        {"N": w.N, "k": w.k, "value": str(value), "common": str(values[0])}
+        for w, value in zip(waves, values) if value != values[0]
+    ), None)
+    reports.append(IdentityReport("common squared diagonal constant", ce))
 
+    # The first element of each degree that fails any of the three
+    # eigenvalue equations.
     scas = spherical_dirac(params) + scalar_op(1)
     gen1 = bi_generator(params, 1)
     inv3 = involution(3)
     for N in range(n_max + 1):
-        ok = True
-        ce = None
-        for u in ups:
-            if u.N != N:
-                continue
-            eig = N + params.mu_sum + 1
-            k1_eig = birep.k1_eigenvalue(u.k, params)
-            z3_eig = Fraction(u.sign * (-1) ** (N - u.k))
-            if (
-                scas(u.poly) != u.poly.scale(eig)
-                or gen1(u.poly) != u.poly.scale(k1_eig)
-                or inv3(u.poly) != u.poly.scale(z3_eig)
-            ):
-                ok = False
-                ce = {"N": N, "s": u.k, "sign": "+" if u.sign == 1 else "-"}
-                break
-        checks.append(_check(f"cycled family eigenvalue equations N={N}", ok, ce))
+        elements = {(u.k, u.sign): u.poly.column for u in ups if u.N == N}
+        degree_eig = N + params.mu_sum + 1
+        failures = _failing_elements(elements, [
+            (scas, lambda key: degree_eig),
+            (gen1, lambda key: birep.k1_eigenvalue(key[0], params)),
+            (inv3, lambda key: birep.z3_eigenvalue(N, *key)),
+        ])
+        keys = list(elements)
+        key = min((key for key in failures if key is not None), key=keys.index, default=None)
+        reports.append(IdentityReport(
+            f"cycled family eigenvalue equations N={N}",
+            None if key is None else _element_key(N, key, "s"),
+        ))
 
     def sector(w) -> int:
-        return w.sign * (-1) ** (w.N - w.k)
+        return birep.z3_eigenvalue(w.N, w.k, w.sign)
 
     for N in range(n_max + 1):
         rows = [(n + i, u) for i, u in enumerate(ups) if u.N == N]
         cols = [(j, w) for j, w in enumerate(waves) if w.N == N]
         overlaps = [[product(i, j) for j, _ in cols] for i, _ in rows]
-        ok = True
-        ce = None
-        for r, (_, u) in enumerate(rows):
-            for c, (_, w) in enumerate(cols):
-                if sector(u) != sector(w) and overlaps[r][c]:
-                    ok = False
-                    ce = {"N": N, "s": u.k, "k": w.k}
-                    break
-            if not ok:
-                break
-        checks.append(_check(f"overlap sign sectors decouple N={N}", ok, ce))
+        ce = next((
+            {"N": N, "s": u.k, "k": w.k}
+            for r, (_, u) in enumerate(rows)
+            for c, (_, w) in enumerate(cols)
+            if sector(u) != sector(w) and overlaps[r][c]
+        ), None)
+        reports.append(IdentityReport(f"overlap sign sectors decouple N={N}", ce))
 
-        ok = True
-        ce = None
-        for side in (1, -1):
-            in_rows = [r for r, (_, u) in enumerate(rows) if sector(u) == side]
-            in_cols = [c for c, (_, w) in enumerate(cols) if sector(w) == side]
-            for c1 in in_cols:
-                for c2 in in_cols:
-                    total = GRational(0)
-                    for r in in_rows:
-                        total = total + (
-                            overlaps[r][c1].conjugate()
-                            * overlaps[r][c2]
-                            / gram[rows[r][0]]
-                        )
-                    expected = gram[cols[c1][0]] if c1 == c2 else GRational(0)
-                    if total != expected:
-                        ok = False
-                        ce = {"N": N, "sector": side, "cols": [c1, c2]}
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        checks.append(_check(f"overlap sum rule N={N}", ok, ce))
-    return checks
+        def sum_rule_holds(side: int, c1: int, c2: int) -> bool:
+            total = GRational(0)
+            for r, (i, u) in enumerate(rows):
+                if sector(u) == side:
+                    total = total + overlaps[r][c1].conjugate() * overlaps[r][c2] / gram[i]
+            return total == (gram[cols[c1][0]] if c1 == c2 else GRational(0))
+
+        in_sector = {side: [c for c, (_, w) in enumerate(cols) if sector(w) == side]
+                     for side in (1, -1)}
+        ce = next((
+            {"N": N, "sector": side, "cols": [c1, c2]}
+            for side in (1, -1) for c1 in in_sector[side] for c2 in in_sector[side]
+            if not sum_rule_holds(side, c1, c2)
+        ), None)
+        reports.append(IdentityReport(f"overlap sum rule N={N}", ce))
+    return [report.to_json_dict() for report in reports]
 
 
 def suite_representation(
@@ -443,12 +428,9 @@ def suite_representation(
     mutation: str | None = None,
 ) -> list[dict]:
     shift = 1 if mutation == "omega3+1" else 0
-    checks = []
-    for N in range(n_max + 1):
-        checks.append(birep.verify_rep(N, params, omega3_shift=shift).to_json_dict())
-    for N in range(n_match + 1):
-        checks.append(birep.match_function_realization(N, params).to_json_dict())
-    return checks
+    reports = [birep.verify_rep(N, params, omega3_shift=shift) for N in range(n_max + 1)]
+    reports += [birep.match_function_realization(N, params) for N in range(n_match + 1)]
+    return [report.to_json_dict() for report in reports]
 
 
 def _random_homogeneous(rng: random.Random, N: int) -> SpinorPoly:
@@ -474,7 +456,7 @@ def suite_fischer(
     audit of the decomposition."""
     rng = random.Random(seed)
     mutate = mutation == "component*2"
-    checks = []
+    reports = []
     for N in range(n_max + 1):
         f = _random_homogeneous(rng, N)
         parts = ck.fischer_decompose(f, params)
@@ -485,10 +467,8 @@ def suite_fischer(
                     components[k] = components[k].scale(2)
                     break
         recon = ck.FischerComponents(N, tuple(components)).reconstruct()
-        checks.append(_check(
-            f"fischer reconstruction N={N}",
-            recon == f,
-            {"N": N},
+        reports.append(IdentityReport(
+            f"fischer reconstruction N={N}", None if recon == f else {"N": N}
         ))
         total = sum(2 * (N - k + 1) for k in range(N + 1))
         expected = (N + 1) * (N + 2)
@@ -498,12 +478,11 @@ def suite_fischer(
             for el in ck.monogenic_basis(N - k, params).elements:
                 columns.append(power(el.poly).column)
         full_rank = linalg.rank(columns) == expected
-        checks.append(_check(
+        reports.append(IdentityReport(
             f"fischer dimension audit N={N}",
-            total == expected and full_rank,
-            {"sum": total, "expected": expected},
+            None if total == expected and full_rank else {"sum": total, "expected": expected},
         ))
-    return checks
+    return [report.to_json_dict() for report in reports]
 
 
 def seeded_mu_samples(count: int, seed: int) -> list[Params]:

@@ -16,12 +16,19 @@ polynomials of the terminating hypergeometric series, each coefficient a
 quotient-free product of Pochhammer symbols and the homogenized form a sum of
 `ScalarPoly` products: the reference for `diracdunkl.closedform`'s integer
 Jacobi factors.
+
+`gamma2`, `raising_norm_sq` and `lowering_norm_sq` are band quantities only
+the tests use.  `monogenic_element_checks`, `cycled_family_checks` and
+`function_realization` apply each operator to one basis element at a time
+and compare with the scaled element: the reference for the element checks
+that `diracdunkl` runs as operator identities over element keys.
 """
 
 import math
 from fractions import Fraction
 
-from diracdunkl.exact import HALF, as_grational, factorial, pochhammer
+from diracdunkl import birep, ck, closedform, linalg, operators
+from diracdunkl.exact import HALF, as_grational, factorial, pochhammer, rational_str
 from diracdunkl.poly import ScalarPoly
 
 
@@ -275,3 +282,155 @@ def homogenized_jacobi(m: int, alpha, beta, big_x: ScalarPoly, big_y: ScalarPoly
         if c:
             total = total + (big_y**j * (big_x + big_y) ** (m - j)).scale(c)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Test-only band quantities.
+
+def gamma2(params) -> Fraction:
+    """The conformal constant mu1 + mu2 + 1 of the planar setting."""
+    return params.mu1 + params.mu2 + 1
+
+
+def raising_norm_sq(lam: Fraction, N: int, params) -> Fraction:
+    """Squared norm of the raising ladder action on a state of eigenvalue lam."""
+    w1, w2, w3 = birep.structure_constants(N, params)
+    q = birep.casimir_value(N, params)
+    return (lam - HALF) ** 2 * (q - lam * lam + lam + w3) - (w1 + w2) ** 2 / 4
+
+
+def lowering_norm_sq(lam: Fraction, N: int, params) -> Fraction:
+    w1, w2, w3 = birep.structure_constants(N, params)
+    q = birep.casimir_value(N, params)
+    return (lam + HALF) ** 2 * (q - lam * lam - lam - w3) - (w1 - w2) ** 2 / 4
+
+
+# ---------------------------------------------------------------------------
+# Element checks, one basis element at a time: op(el.poly) against
+# el.poly.scale(lambda).  The eigenvalues and bases are looked up through
+# their modules, so a monkeypatched defect reaches both these loops and the
+# library.
+
+def _check(name: str, counterexample: dict | None) -> dict:
+    status = "pass" if counterexample is None else "fail"
+    return {"name": name, "status": status, "counterexample": counterexample}
+
+
+def _element(N: int, el) -> dict:
+    return {"N": N, "k": el.k, "sign": "+" if el.sign == 1 else "-"}
+
+
+def monogenic_element_checks(params, N: int) -> list[dict]:
+    """The kernel and the three eigenvalue checks of the degree-N section of
+    `suites.suite_monogenic`, in its order, each reporting its first failing
+    basis element."""
+    elements = ck.monogenic_basis(N, params).elements
+    dd = operators.dirac(params)
+    scas = operators.spherical_dirac(params) + operators.scalar_op(1)
+    gen3 = operators.bi_generator(params, 3)
+    inv3 = operators.involution(3)
+    eig = N + params.mu_sum + 1
+    checks = []
+    for name, ok in (
+        (f"monogenic N={N}: kernel of the Dirac operator", lambda el: not dd(el.poly)),
+        (f"monogenic N={N}: degree eigenvalue",
+         lambda el: scas(el.poly) == el.poly.scale(eig)),
+        (f"monogenic N={N}: third generator eigenvalue",
+         lambda el: gen3(el.poly) == el.poly.scale(birep.k3_eigenvalue(el.k, params))),
+        (f"monogenic N={N}: sign sector eigenvalue",
+         lambda el: inv3(el.poly) == el.poly.scale(birep.z3_eigenvalue(N, el.k, el.sign))),
+    ):
+        bad = next((el for el in elements if not ok(el)), None)
+        checks.append(_check(name, None if bad is None else _element(N, bad)))
+    return checks
+
+
+def cycled_family_checks(params, n_max: int) -> list[dict]:
+    """The cycled-family checks of `suites.suite_orthogonality`: per degree,
+    the first upsilon wavefunction that fails any of its three eigenvalue
+    equations."""
+    scas = operators.spherical_dirac(params) + operators.scalar_op(1)
+    gen1 = operators.bi_generator(params, 1)
+    inv3 = operators.involution(3)
+    checks = []
+    for N in range(n_max + 1):
+        eig = N + params.mu_sum + 1
+        bad = next((
+            u for u in closedform.wavefunctions(N, params, "upsilon")
+            if scas(u.poly) != u.poly.scale(eig)
+            or gen1(u.poly) != u.poly.scale(birep.k1_eigenvalue(u.k, params))
+            or inv3(u.poly) != u.poly.scale(birep.z3_eigenvalue(N, u.k, u.sign))
+        ), None)
+        checks.append(_check(
+            f"cycled family eigenvalue equations N={N}",
+            None if bad is None else {
+                "N": N, "s": bad.k, "sign": "+" if bad.sign == 1 else "-",
+            },
+        ))
+    return checks
+
+
+def function_realization(N: int, params) -> dict:
+    """The JSON report of `birep.match_function_realization`, with the K3
+    and Casimir eigenvalue checks applied element by element."""
+    rep = birep.rep_matrices(N, params)
+    elements = birep.monogenic_basis(N, params).elements
+
+    def report(check=None, **detail):
+        return {
+            "name": f"function realization of the representation N={N}",
+            "degrees": [N, N],
+            "basis_size": len(elements),
+            "status": "pass" if check is None else "fail",
+            "counterexample": None if check is None else {"check": check, **detail},
+        }
+
+    k3_op = birep.bi_generator(params, 3)
+    q_op = birep.casimir(params)
+    expansions = linalg.solve(
+        [el.poly.column for el in elements],
+        [birep.bi_generator(params, i)(el.poly).column for i in (1, 2) for el in elements],
+    )
+    k2_expansions = expansions[len(elements):]
+
+    def sector(el) -> int:
+        return birep.z3_eigenvalue(N, el.k, el.sign)
+
+    index = {(el.k, el.sign): pos for pos, el in enumerate(elements)}
+
+    def off_diagonal(check, coefs, products):
+        for eps in (1, -1):
+            for k in range(N):
+                here = index[(k, eps * (-1) ** (N - k))]
+                there = index[(k + 1, eps * (-1) ** (N - k - 1))]
+                product = coefs[here][there] * coefs[there][here]
+                if product != products[k]:
+                    return report(check, k=k, sector=eps, got=str(product),
+                                  expected=rational_str(products[k]))
+        return None
+
+    for pos, el in enumerate(elements):
+        if k3_op(el.poly) != el.poly.scale(birep.k3_eigenvalue(el.k, params)):
+            return report("K3 eigenvalue", k=el.k, sign=el.sign)
+        if q_op(el.poly) != el.poly.scale(rep.casimir):
+            return report("casimir eigenvalue", k=el.k, sign=el.sign)
+        coefs = expansions[pos]
+        for other_pos, value in enumerate(coefs):
+            other = elements[other_pos]
+            if value and not (sector(other) == sector(el) and abs(other.k - el.k) <= 1):
+                return report("tridiagonal support", **{
+                    "from": [el.k, el.sign], "to": [other.k, other.sign]})
+        if coefs[pos] != rep.diag[el.k]:
+            return report("diagonal coefficient", k=el.k, sign=el.sign, got=str(coefs[pos]),
+                          expected=rational_str(rep.diag[el.k]))
+    failure = off_diagonal("off-diagonal product", expansions, rep.u_squared)
+    if failure:
+        return failure
+    eig = rep.eigenvalues
+    for pos, el in enumerate(elements):
+        expected = 2 * eig[el.k] * rep.diag[el.k] - rep.omega[1]
+        if k2_expansions[pos][pos] != expected:
+            return report("K2 diagonal coefficient", k=el.k, sign=el.sign,
+                          got=str(k2_expansions[pos][pos]), expected=rational_str(expected))
+    products = [(eig[k] + eig[k + 1]) ** 2 * u2 for k, u2 in enumerate(rep.u_squared)]
+    return off_diagonal("K2 off-diagonal product", k2_expansions, products) or report()

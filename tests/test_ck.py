@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference
 from conftest import EDGE_MUS, mu_triples, random_spinor
 
 from diracdunkl import linalg
@@ -165,7 +166,7 @@ def test_classical_reduction_without_third_parameter():
 def test_power_identities_for_tangent_operators():
     # The four rising-factorial identities for powers of the tangent Dirac
     # operator acting on in-plane Clifford powers of planar monogenics.
-    gamma2 = P.gamma2
+    gamma2 = reference.gamma2(P)
     for k in range(3):
         mk = ck_extend_x2(up((k, 0, 0)), P)
         for beta in range(3):  # 2 beta <= 4
@@ -245,7 +246,7 @@ def test_planar_commutation_relations():
             lhs = tangent_dirac(xt2, P) - (XT ** 2)(tangent_dirac(f, P))
             assert lhs == XT(f).scale(2)
             anti = tangent_dirac(XT(f), P) + XT(tangent_dirac(f, P))
-            assert anti == euler(f, axes=(1, 2)).scale(2) + f.scale(2 * P.gamma2)
+            assert anti == euler(f, axes=(1, 2)).scale(2) + f.scale(2 * reference.gamma2(P))
 
 
 def test_monogenic_basis_smallest_cases():

@@ -180,6 +180,21 @@ def test_verify_report_golden_digest(extra, returncode, digest):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    (("--degree", "5", "--mu", MU),
+     "bd04e55b139d9beef5b77bed1b3f04be50dde4fb08daa4c2d02636c927db8ace"),
+    (("--degree", "3", "--mu", "0,0,0"),
+     "32631617e967f881e78b288e5696c25aa5f947c973e88129b593a66dcbaf2e70"),
+])
+def test_verify_element_checks_golden_digest(args, digest):
+    # SHA-256 of the full report, recorded before the eigenvalue and kernel
+    # checks on basis elements ran as operator identities over element keys.
+    # Degree 5 reaches the largest monogenic and closed-form sections.
+    result = run_cli("verify", *args)
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
 def test_verify_sweep_golden_digest():
     # SHA-256 of the report of a seeded five-triple sweep, recorded before
     # spinor polynomials were stored as reduced Gaussian-integer columns.
@@ -327,3 +342,42 @@ def test_huge_size_exits_promptly():
         )
         assert result.returncode == 2
         assert "must be <=" in result.stderr
+
+
+def _unwritable_targets(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return {
+        "missing directory": tmp_path / "missing" / "report.json",
+        "directory": tmp_path,
+        "file as directory": blocker / "report.json",
+    }
+
+
+@pytest.mark.parametrize("target", ["missing directory", "directory", "file as directory"])
+@pytest.mark.parametrize("argv", [
+    ["verify"], ["verify", "--mu", MU],
+    *([command, "--N", "1", "--mu", MU] for command in sorted(cli.MAX_N)),
+], ids=lambda argv: " ".join(argv))
+def test_unwritable_out_exits_before_work(argv, target, tmp_path, monkeypatch, capsys):
+    # The work functions raise WorkStarted, so exit code 2 here means the
+    # path was refused before any work.
+    _stub_work(monkeypatch)
+    out = _unwritable_targets(tmp_path)[target]
+    assert _exit_code([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"diracdunkl: error: cannot write --out {out}: ")
+    assert err.count("\n") == 1
+
+
+def test_out_write_error_exits_with_usage_code(tmp_path, monkeypatch, capsys):
+    # A path that passes the checks but cannot be opened: one line, code 2.
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", denied, raising=False)
+    out = tmp_path / "rep.json"
+    assert _exit_code(["rep", "--N", "1", "--mu", MU, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"diracdunkl: error: cannot write --out {out}: Permission denied\n"
+    )

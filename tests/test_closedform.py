@@ -13,6 +13,7 @@ from diracdunkl.birep import k1_eigenvalue
 from diracdunkl.ck import ck_extend_x2, monogenic_basis
 from diracdunkl.closedform import (
     closed_basis_element,
+    closed_basis_pair,
     homogenized_jacobi,
     inner_product,
     moment,
@@ -198,8 +199,8 @@ def test_lift_parameter_variant_is_inconsistent():
     # tower, the other is rejected by the same cross-check.
     basis = monogenic_basis(2, P)
     el = basis.elements[0]  # k = 0, sign +, N - k even
-    good = closed_basis_element(2, el.k, el.sign, P, even_parameter_shift=0)
-    bad = closed_basis_element(2, el.k, el.sign, P, even_parameter_shift=1)
+    good, _ = closed_basis_pair(2, el.k, P, even_parameter_shift=0)
+    bad, _ = closed_basis_pair(2, el.k, P, even_parameter_shift=1)
     assert good == el.poly
     assert bad != el.poly
 

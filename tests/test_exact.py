@@ -125,7 +125,6 @@ def test_parse_rational_size_limits():
 def test_params_invariants():
     p = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
     assert p.gamma3 == Fraction(1, 2) + Fraction(1, 3) + Fraction(2, 5) + Fraction(3, 2)
-    assert p.gamma2 == Fraction(1, 2) + Fraction(1, 3) + 1
     assert p.mu(2) == Fraction(1, 3)
     with pytest.raises(ValueError):
         Params(Fraction(-1), 0, 0)

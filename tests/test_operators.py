@@ -15,7 +15,6 @@ from diracdunkl.operators import (
     dunkl_op,
     identity,
     multiply_op,
-    partial_op,
     angular,
     bi_generator,
     casimir,
@@ -43,7 +42,6 @@ from diracdunkl.poly import (
     ScalarPoly,
     SpinorPoly,
     coordinate_multiply,
-    diff,
     dunkl,
     euler,
     pauli,
@@ -404,7 +402,6 @@ def test_primitive_kernels_match_poly_references():
                 assert pauli_op(axis)(f) == pauli(f, axis)
                 assert reflect_op(axis)(f) == reflect(f, axis)
                 assert coordinate_op(axis)(f) == coordinate_multiply(f, axis)
-                assert partial_op(axis)(f) == diff(f, axis)
             for axes in ((1, 2, 3), (1, 2), (3,)):
                 assert euler_op(axes)(f) == euler(f, axes)
             for value in (0, 1, Fraction(-997, 3), _mixed_coefficient(rng), I):
