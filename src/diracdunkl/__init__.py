@@ -7,7 +7,7 @@ the monogenic bases, closed-form wavefunctions and finite-dimensional
 representation matrices, and verifies every identity by strict equality.
 """
 
-from .exact import GRational, Params, Rational, pochhammer
+from .exact import GRational, Params, pochhammer
 from .poly import ScalarPoly, SpinorPoly, divide_by_coordinate, dunkl, euler, pauli, reflect
 from .operators import (
     IdentityReport,
@@ -36,7 +36,6 @@ from .closedform import (
     NormalizedWavefunction,
     inner_product,
     moment,
-    normalized_wavefunction,
     overlap_matrix,
     wavefunctions,
 )
@@ -52,7 +51,7 @@ from .birep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GRational", "Params", "Rational", "pochhammer",
+    "GRational", "Params", "pochhammer",
     "ScalarPoly", "SpinorPoly", "divide_by_coordinate", "dunkl", "euler",
     "pauli", "reflect",
     "IdentityReport", "LinOp", "angular", "bi_generator", "casimir", "dirac",
@@ -60,8 +59,8 @@ __all__ = [
     "spherical_dirac", "symmetry", "verify_identity",
     "FischerComponents", "MonogenicBasis", "ck_extend_x2", "ck_extend_x3",
     "fischer_decompose", "monogenic_basis",
-    "NormalizedWavefunction", "inner_product", "moment",
-    "normalized_wavefunction", "overlap_matrix", "wavefunctions",
+    "NormalizedWavefunction", "inner_product", "moment", "overlap_matrix",
+    "wavefunctions",
     "LadderData", "RepMatrices", "ladder_norms", "match_function_realization",
     "rep_matrices", "verify_rep",
     "__version__",

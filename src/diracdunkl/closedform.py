@@ -204,20 +204,6 @@ def closed_basis_pair(
     return op(SpinorPoly.unit(1)), op(SpinorPoly.unit(-1))
 
 
-def closed_basis_element(
-    N: int,
-    k: int,
-    sign: int,
-    params: Params,
-    axes: tuple[int, int, int] = PSI_AXES,
-) -> SpinorPoly:
-    """Closed-form basis spinor (N, k, sign), from `closed_basis_pair`."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    plus, minus = closed_basis_pair(N, k, params, axes)
-    return plus if sign == 1 else minus
-
-
 def squared_norm_factor(
     N: int, k: int, params: Params, axes: tuple[int, int, int] = PSI_AXES
 ) -> Fraction:
@@ -271,19 +257,6 @@ class NormalizedWavefunction:
             "poly": self.poly.to_json_dict(),
             "squared_norm": rational_str(self.squared_norm_factor),
         }
-
-
-def normalized_wavefunction(
-    N: int, k: int, sign: int, params: Params, family: str = "psi"
-) -> NormalizedWavefunction:
-    axes = _family_axes(family)
-    return NormalizedWavefunction(
-        N=N,
-        k=k,
-        sign=sign,
-        poly=closed_basis_element(N, k, sign, params, axes),
-        squared_norm_factor=squared_norm_factor(N, k, params, axes),
-    )
 
 
 def _family_axes(family: str) -> tuple[int, int, int]:

@@ -4,6 +4,12 @@ Everything computed in this package reduces to a polynomial identity over
 Q(i) once the three deformation parameters mu1, mu2, mu3 are fixed to
 rational values.  Keeping every scalar an exact rational therefore turns
 each operator identity into a strict equality check, with no tolerances.
+
+`GRational` is the scalar of the public values: polynomial coefficients,
+eigenvalues, matrix entries and scalar products.  The operator and
+polynomial kernels compute on reduced Gaussian-integer columns instead (see
+`poly`), so `GRational` arithmetic is off their hot paths and keeps one
+plain formula per operation.
 """
 
 from __future__ import annotations
@@ -13,13 +19,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-# Rational scalar: arbitrary-precision numerator, positive denominator,
-# always in lowest terms (fractions.Fraction maintains both invariants).
-Rational = Fraction
-
 HALF = Fraction(1, 2)
-
-_ZERO = Fraction(0)
 
 
 def rational_str(value) -> str:
@@ -63,18 +63,17 @@ def parse_rational(text: str) -> Fraction:
 class GRational:
     """Gaussian rational re + im*i with exact rational parts.
 
-    Values are immutable by convention; every operation returns a new value.
-    Every real value holds the one shared zero `_ZERO` as its imaginary
-    part, so the arithmetic tests for realness by identity and takes a
-    real-only path that skips the products and sums of imaginary parts.
+    Values are immutable by convention.  Each operation is one formula on
+    the (re, im) pairs and returns a new value through the constructor,
+    which keeps both parts as Fractions.  A real value hashes like its real
+    part, so it finds the same dict and set entries as the plain rational.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
         self.re = re if type(re) is Fraction else Fraction(re)
-        im = im if type(im) is Fraction else Fraction(im)
-        self.im = im if im else _ZERO
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def _coerce(value):
@@ -85,38 +84,18 @@ class GRational:
         return None
 
     def __add__(self, other):
-        if other.__class__ is not GRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b = self.im, other.im
-        if a is _ZERO:
-            im = b
-        elif b is _ZERO:
-            im = a
-        else:
-            im = a + b
-            if not im:
-                im = _ZERO
-        return _make(self.re + other.re, im)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is not GRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b = self.im, other.im
-        if b is _ZERO:
-            im = a
-        elif a is _ZERO:
-            im = -b
-        else:
-            im = a - b
-            if not im:
-                im = _ZERO
-        return _make(self.re - other.re, im)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return GRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -125,39 +104,26 @@ class GRational:
         return other - self
 
     def __neg__(self):
-        im = self.im
-        return _make(-self.re, im if im is _ZERO else -im)
+        return GRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        if other.__class__ is not GRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         a, ai, b, bi = self.re, self.im, other.re, other.im
-        if ai is _ZERO:
-            if bi is _ZERO:
-                return _make(a * b, _ZERO)
-            return _make(a * b, a * bi if a else _ZERO)
-        if bi is _ZERO:
-            return _make(a * b, ai * b if b else _ZERO)
-        im = a * bi + ai * b
-        return _make(a * b - ai * bi, im if im else _ZERO)
+        return GRational(a * b - ai * bi, a * bi + ai * b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.__class__ is not GRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         a, ai, b, bi = self.re, self.im, other.re, other.im
-        if bi is _ZERO:
-            if not b:
-                raise ZeroDivisionError("division by zero Gaussian rational")
-            return _make(a / b, ai if ai is _ZERO else ai / b)
         norm = b * b + bi * bi
-        im = (ai * b - a * bi) / norm
-        return _make((a * b + ai * bi) / norm, im if im else _ZERO)
+        if not norm:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return GRational((a * b + ai * bi) / norm, (ai * b - a * bi) / norm)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -166,25 +132,22 @@ class GRational:
         return other / self
 
     def __eq__(self, other):
-        if other.__class__ is not GRational:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b = self.im, other.im
-        return (a is b or a == b) and self.re == other.re
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
         # Matches hash of the plain rational when the value is real.
-        if self.im is _ZERO:
+        if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.im is not _ZERO or bool(self.re)
+        return bool(self.re) or bool(self.im)
 
     def conjugate(self) -> "GRational":
-        im = self.im
-        return _make(self.re, im if im is _ZERO else -im)
+        return GRational(self.re, -self.im)
 
     def __repr__(self):
         return f"GRational({self.re!s}, {self.im!s})"
@@ -196,18 +159,6 @@ class GRational:
 
     def to_json_dict(self) -> dict:
         return {"re": rational_str(self.re), "im": rational_str(self.im)}
-
-
-_new = object.__new__
-
-
-def _make(re: Fraction, im: Fraction) -> GRational:
-    """Unchecked constructor: both parts are Fractions, and im is _ZERO
-    whenever it is zero."""
-    out = _new(GRational)
-    out.re = re
-    out.im = im
-    return out
 
 
 I = GRational(0, 1)

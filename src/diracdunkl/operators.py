@@ -207,14 +207,14 @@ def x_underline(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
     return _sum(pauli_op(a) * coordinate_op(a) for a in axes)
 
 
-def norm_sq(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
-    """Multiplication by the squared radius over the given axes."""
-    return _sum(coordinate_op(a) * coordinate_op(a) for a in axes)
+def norm_sq() -> LinOp:
+    """Multiplication by the squared radius."""
+    return _sum(coordinate_op(a) * coordinate_op(a) for a in (1, 2, 3))
 
 
-def laplace(params: Params, axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
+def laplace(params: Params) -> LinOp:
     """Laplace-Dunkl operator as composed squares of Dunkl derivatives."""
-    return _sum(dunkl_op(a, params) * dunkl_op(a, params) for a in axes)
+    return _sum(dunkl_op(a, params) * dunkl_op(a, params) for a in (1, 2, 3))
 
 
 def laplace_explicit(params: Params) -> LinOp:

@@ -11,7 +11,9 @@ keys, and `linalg` eliminates on them directly.  No code mutates a column
 once built: an operator's result can share its dict with a memo entry of its
 graph.
 
-A `ScalarPoly` maps exponent triples to nonzero `GRational` coefficients.
+A `ScalarPoly` maps exponent triples to nonzero `GRational` coefficients;
+its one constructor coerces the coefficients and drops the zero terms, and
+every operation on it returns through that constructor.
 The reference versions of the primitive operators below (reflection, partial
 derivative, division by a coordinate, Dunkl derivative, Pauli action, Euler
 operator, coordinate multiplication) act on the two `ScalarPoly` components;
@@ -45,15 +47,8 @@ class ScalarPoly:
         self.terms = clean
 
     @classmethod
-    def _raw(cls, terms: dict) -> "ScalarPoly":
-        # Internal fast path: coefficients already GRational, zeros possible.
-        self = object.__new__(cls)
-        self.terms = {e: c for e, c in terms.items() if c}
-        return self
-
-    @classmethod
     def zero(cls) -> "ScalarPoly":
-        return cls._raw({})
+        return cls()
 
     @classmethod
     def constant(cls, value) -> "ScalarPoly":
@@ -77,23 +72,21 @@ class ScalarPoly:
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return ScalarPoly._raw(out)
+        return ScalarPoly(out)
 
     def __sub__(self, other: "ScalarPoly") -> "ScalarPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
             out[e] = -c if s is None else s - c
-        return ScalarPoly._raw(out)
+        return ScalarPoly(out)
 
     def __neg__(self) -> "ScalarPoly":
-        return ScalarPoly._raw({e: -c for e, c in self.terms.items()})
+        return ScalarPoly({e: -c for e, c in self.terms.items()})
 
     def scale(self, value) -> "ScalarPoly":
         value = as_grational(value)
-        if not value:
-            return ScalarPoly.zero()
-        return ScalarPoly._raw({e: c * value for e, c in self.terms.items()})
+        return ScalarPoly({e: c * value for e, c in self.terms.items()})
 
     def __mul__(self, other: "ScalarPoly") -> "ScalarPoly":
         out: dict = {}
@@ -103,7 +96,7 @@ class ScalarPoly:
                 prod = c1 * c2
                 s = out.get(e)
                 out[e] = prod if s is None else s + prod
-        return ScalarPoly._raw(out)
+        return ScalarPoly(out)
 
     def __pow__(self, n: int) -> "ScalarPoly":
         if n < 0:
@@ -138,7 +131,7 @@ class ScalarPoly:
 
     def reflect(self, axis: int) -> "ScalarPoly":
         i = axis - 1
-        return ScalarPoly._raw(
+        return ScalarPoly(
             {e: (c if e[i] % 2 == 0 else -c) for e, c in self.terms.items()}
         )
 
@@ -152,7 +145,7 @@ class ScalarPoly:
             low = list(e)
             low[i] = a - 1
             out[tuple(low)] = c * a
-        return ScalarPoly._raw(out)
+        return ScalarPoly(out)
 
     def divide_coord(self, axis: int) -> "ScalarPoly":
         i = axis - 1
@@ -163,7 +156,7 @@ class ScalarPoly:
             low = list(e)
             low[i] = e[i] - 1
             out[tuple(low)] = c
-        return ScalarPoly._raw(out)
+        return ScalarPoly(out)
 
     def dunkl(self, axis: int, mu: Fraction) -> "ScalarPoly":
         # T(x^a) = a x^(a-1) for even a, (a + 2 mu) x^(a-1) for odd a;
@@ -184,11 +177,11 @@ class ScalarPoly:
             add = c * factor
             s = out.get(key)
             out[key] = add if s is None else s + add
-        return ScalarPoly._raw(out)
+        return ScalarPoly(out)
 
     def set_coordinate_zero(self, axis: int) -> "ScalarPoly":
         i = axis - 1
-        return ScalarPoly._raw({e: c for e, c in self.terms.items() if e[i] == 0})
+        return ScalarPoly({e: c for e, c in self.terms.items() if e[i] == 0})
 
 
 class SpinorPoly:
@@ -239,7 +232,7 @@ class SpinorPoly:
 
     def _component(self, sign: int) -> ScalarPoly:
         den, entries = self.column
-        return ScalarPoly._raw({
+        return ScalarPoly({
             exps: _coefficient(den, re, im)
             for (s, exps), (re, im) in entries.items() if s == sign
         })
@@ -412,7 +405,7 @@ def euler(f: SpinorPoly, axes: tuple[int, ...] = (1, 2, 3)) -> SpinorPoly:
             d = sum(e[i] for i in idx)
             if d:
                 out[e] = c * d
-        return ScalarPoly._raw(out)
+        return ScalarPoly(out)
 
     return SpinorPoly(component(f.up), component(f.down))
 

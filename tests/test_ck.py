@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -7,14 +8,14 @@ import pytest
 import reference
 from conftest import EDGE_MUS, mu_triples, random_spinor
 
-from diracdunkl import linalg
+from diracdunkl import ck, linalg, suites
 from diracdunkl.ck import (
     ck_extend_x2,
     ck_extend_x3,
     fischer_decompose,
     monogenic_basis,
 )
-from diracdunkl.closedform import closed_basis_element
+from diracdunkl.closedform import closed_basis_pair
 from diracdunkl.exact import HALF, GRational, I, Params, pochhammer
 from diracdunkl.operators import dirac, x_underline
 from diracdunkl.poly import (
@@ -269,7 +270,8 @@ def test_monogenic_basis_cache_evicts_past_its_bound():
     assert monogenic_basis.cache_info().misses == misses + 1
     assert again is not first and again == first
     for el in again.elements:
-        assert el.poly == closed_basis_element(2, el.k, el.sign, P)
+        plus, minus = closed_basis_pair(2, el.k, P)
+        assert el.poly == (plus if el.sign == 1 else minus)
     monogenic_basis.cache_clear()
 
 
@@ -337,6 +339,32 @@ def test_fischer_dimension_audit():
             columns.append((x_underline() ** k)(el.poly).column)
     assert len(columns) == (N + 1) * (N + 2)
     assert linalg.rank(columns) == 2 * 15
+
+
+def test_fischer_dimension_audit_reports_the_rank_of_a_degenerate_basis(monkeypatch):
+    # The degree-1 basis with element 1 a copy of element 0: as many columns
+    # as expected, one short of full rank.  The decomposition is stubbed to
+    # the trivial one, so only the audit can fail.
+    built = ck.monogenic_basis
+
+    def duplicated(n, params):
+        basis = built(n, params)
+        if n != 1:
+            return basis
+        first = basis.elements[0]
+        return dataclasses.replace(
+            basis, elements=(first, first) + basis.elements[2:])
+
+    def trivial(f, params):
+        N = f.homogeneous_degree()
+        return ck.FischerComponents(N, (f,) + (SpinorPoly.zero(),) * N)
+
+    monkeypatch.setattr(ck, "monogenic_basis", duplicated)
+    monkeypatch.setattr(ck, "fischer_decompose", trivial)
+    checks = suites.suite_fischer(P, 2)
+    assert [c["status"] for c in checks] == ["pass"] * 3 + ["fail", "pass", "fail"]
+    assert checks[3]["counterexample"] == {"columns": 6, "rank": 5, "expected": 6}
+    assert checks[5]["counterexample"] == {"columns": 12, "rank": 11, "expected": 12}
 
 
 def test_fischer_rejects_bad_input():

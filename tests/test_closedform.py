@@ -12,13 +12,11 @@ from diracdunkl import closedform, suites
 from diracdunkl.birep import k1_eigenvalue
 from diracdunkl.ck import ck_extend_x2, monogenic_basis
 from diracdunkl.closedform import (
-    closed_basis_element,
     closed_basis_pair,
     homogenized_jacobi,
     inner_product,
     moment,
     monogenic_lift,
-    normalized_wavefunction,
     overlap_matrix,
     planar_monogenic,
     squared_norm_factor,
@@ -189,7 +187,8 @@ def test_closed_form_equals_tower():
         for N in range(6):
             basis = monogenic_basis(N, params)
             for el in basis.elements:
-                closed = closed_basis_element(N, el.k, el.sign, params)
+                plus, minus = closed_basis_pair(N, el.k, params)
+                closed = plus if el.sign == 1 else minus
                 assert closed == el.poly, (N, el.k, el.sign)
 
 
@@ -389,7 +388,7 @@ def test_self_adjointness():
 # Normalized wavefunctions.
 
 def test_normalized_wavefunction_base_case():
-    w = normalized_wavefunction(0, 0, 1, P)
+    w, _ = wavefunctions(0, P)
     assert w.poly == CHI_PLUS
     assert w.squared_norm_factor == 1
     assert inner_product(w.poly, w.poly, P) * w.squared_norm_factor == GRational(1)
@@ -409,8 +408,7 @@ def test_wavefunctions_share_one_diagonal_constant():
 
 def test_first_degree_diagonal_matches_classical_pair():
     params = Params(0, 0, 0)
-    w10 = normalized_wavefunction(1, 0, 1, params)
-    w11 = normalized_wavefunction(1, 1, 1, params)
+    w10, _, w11, _ = wavefunctions(1, params)
     g10 = inner_product(w10.poly, w10.poly, params) * w10.squared_norm_factor
     g11 = inner_product(w11.poly, w11.poly, params) * w11.squared_norm_factor
     assert g10 == g11

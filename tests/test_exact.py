@@ -18,9 +18,11 @@ from diracdunkl.exact import (
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 grationals = st.builds(GRational, rationals, rationals)
-# Real and complex values in even measure, so every real/complex pairing of
-# the arithmetic's real-only paths is reached.
+# Real and complex values in even measure, so products and quotients whose
+# imaginary parts vanish or cancel come up as often as complex ones; and
+# plain int and Fraction operands, which the arithmetic coerces on either side.
 mixed_grationals = st.one_of(st.builds(GRational, rationals), grationals)
+operands = st.one_of(mixed_grationals, st.integers(-10, 10), rationals)
 
 
 def test_pochhammer_examples():
@@ -59,26 +61,55 @@ def test_grational_division_and_conjugation(a, b):
         assert (a / b) * b == a
 
 
-@settings(derandomize=True, max_examples=500)
-@given(mixed_grationals, mixed_grationals)
+@settings(derandomize=True, max_examples=600)
+@given(mixed_grationals, operands)
 def test_grational_matches_pair_reference(a, b):
-    # Reference arithmetic on (re, im) pairs of Fractions.
-    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    # Reference arithmetic on (re, im) pairs of Fractions; b is a GRational,
+    # an int or a Fraction, and stands on either side of a.
+    ar, ai = a.re, a.im
+    br, bi = as_grational(b).re, as_grational(b).im
     cases = [
         (a + b, (ar + br, ai + bi)),
+        (b + a, (ar + br, ai + bi)),
         (a - b, (ar - br, ai - bi)),
+        (b - a, (br - ar, bi - ai)),
         (a * b, (ar * br - ai * bi, ar * bi + ai * br)),
+        (b * a, (ar * br - ai * bi, ar * bi + ai * br)),
         (-a, (-ar, -ai)),
     ]
     if b:
         norm = br * br + bi * bi
         cases.append((a / b, ((ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)))
+    if a:
+        norm = ar * ar + ai * ai
+        cases.append((b / a, ((br * ar + bi * ai) / norm, (bi * ar - br * ai) / norm)))
     for value, (re, im) in cases:
+        assert type(value) is GRational
         assert (value.re, value.im) == (re, im)
         assert type(value.re) is Fraction and type(value.im) is Fraction
+        assert bool(value) == (re != 0 or im != 0)
         if not im:
             assert hash(value) == hash(value.re)
             assert value == value.re
+    assert (a == b) == (b == a) == ((ar, ai) == (br, bi))
+
+
+def test_division_by_zero_raises():
+    g = GRational(Fraction(1, 2), 3)
+    for divide in (lambda: g / 0, lambda: g / GRational(0), lambda: 1 / GRational(0)):
+        with pytest.raises(ZeroDivisionError, match="division by zero Gaussian rational"):
+            divide()
+
+
+def test_cancelled_imaginary_part_is_real():
+    a = GRational(Fraction(2, 3))
+    value = (a + I) - I
+    assert value.im == 0 and type(value.im) is Fraction
+    assert bool(value) and not bool((I + 1) - (I + 1))
+    assert hash(value) == hash(Fraction(2, 3)) == hash(a)
+    assert value.conjugate() == value == Fraction(2, 3)
+    assert {value: 1}[Fraction(2, 3)] == 1
+    assert str(value) == "2/3" and repr(value) == "GRational(2/3, 0)"
 
 
 def test_imaginary_unit():
