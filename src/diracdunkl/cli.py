@@ -12,7 +12,9 @@ any work starts.
 checked before any work starts.  Each limit is the size whose run took about
 a minute or about 0.4-0.5 GB of peak memory, whichever came first, on
 CPython 3.11.7 with the triple 5/7,3/4,2/9 (the default five-triple sweep for
-`verify`).  Parameters of greater height cost more.
+`verify`).  Parameters of greater height cost more.  `verify` runs on every
+usable CPU (`suites.run_verify`), so its minute is CPU time summed over its
+processes, which does not depend on how many there are.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import sys
 from . import birep, ck, closedform, suites
 from .exact import Params, rational_str
 
-# Measured at the limit: verify 36 s / 58 MB; basis 22 s / 404 MB;
+# Measured at the limit: verify 36 s CPU, 21 s wall on 2 CPUs, 57 MB per
+# process (133 MB summed over the parent and its 2 workers); basis 22 s / 404 MB;
 # wavefunctions 8 s / 401 MB; rep 49 s / 384 MB; overlaps 56 s / 251 MB;
 # moments 9 s / 491 MB.
 MAX_DEGREE = 16

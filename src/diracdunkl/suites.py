@@ -3,7 +3,7 @@
 Each suite returns the JSON dicts of its `IdentityReport`s: "name", "status"
 and "counterexample", plus "degrees" and "basis_size" for the identities
 checked on a basis.  The kernel and eigenvalue checks on basis elements are
-operator identities over the element keys (k, sign) (see
+operator identities over the element keys (N, k, sign) (see
 `_failing_elements`).  The optional `mutation` argument plants one
 deliberate defect in exactly one suite, which the test suite uses to
 demonstrate that every section is sensitive (no check is vacuous).
@@ -11,6 +11,7 @@ demonstrate that every section is sensitive (no check is vacuous).
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -57,19 +58,31 @@ MUTATIONS = {
 }
 
 
-def _failing_elements(elements: dict, equations: list) -> list:
-    """For each (op, eigenvalue) equation, the first key of elements
-    ({key: column}, in order) whose element v fails op v = eigenvalue(key) v,
-    or None.  With E the embedding of the elements, this is the identity
-    op E = E diag(eigenvalue) on the element keys; the kernel is eigenvalue
-    zero."""
-    keys = list(elements)
-    embed = embedding_op(elements)
-    failures = first_failures([
-        (op * embed, embed * matrix_op({(key, key): eigenvalue(key) for key in keys}))
-        for op, eigenvalue in equations
-    ], keys)
-    return [None if failure is None else keys[failure[0]] for failure in failures]
+def _failing_elements(families: dict, equations: list) -> dict:
+    """For each degree N of families ({N: {key: column}}, keys in order) and
+    each (op, eigenvalue) equation, the first key of degree N whose element
+    v fails op v = eigenvalue(N, key) v, or None: {N: [key or None per
+    equation]}.  With E_N the embedding of the degree-N elements, this is
+    the identity op E_N = E_N diag(eigenvalue) on the keys (N, key); the
+    kernel is eigenvalue zero.  Every degree is checked by one
+    `first_failures` call, on one merged graph."""
+    pairs = []
+    for N, elements in families.items():
+        embed = embedding_op({(N, key): column for key, column in elements.items()})
+        pairs += [
+            (op * embed, embed * matrix_op({
+                ((N, key), (N, key)): eigenvalue(N, key) for key in elements
+            }))
+            for op, eigenvalue in equations
+        ]
+    keys = [(N, key) for N, elements in families.items() for key in elements]
+    failures = first_failures(pairs, keys)
+    count = len(equations)
+    return {
+        N: [None if failure is None else keys[failure[0]][1]
+            for failure in failures[i * count:(i + 1) * count]]
+        for i, N in enumerate(families)
+    }
 
 
 def suite_osp12(params: Params, degree: int, mutation: str | None = None) -> list[dict]:
@@ -254,10 +267,22 @@ def suite_monogenic(params: Params, n_max: int, mutation: str | None = None) -> 
     scas = spherical_dirac(params) + scalar_op(1)
     gen3 = bi_generator(params, 3)
     inv3 = involution(3)
+    bases = {N: ck.monogenic_basis(N, params).elements for N in range(n_max + 1)}
+    checks = (
+        ("kernel of the Dirac operator", dd, lambda N, key: 0),
+        ("degree eigenvalue", scas, lambda N, key: N + params.mu_sum + 1 + shift),
+        ("third generator eigenvalue", gen3,
+         lambda N, key: birep.k3_eigenvalue(key[0], params)),
+        ("sign sector eigenvalue", inv3, lambda N, key: birep.z3_eigenvalue(N, *key)),
+    )
+    failures = _failing_elements(
+        {N: {(el.k, el.sign): el.poly.column for el in elements}
+         for N, elements in bases.items()},
+        [(op, eigenvalue) for _, op, eigenvalue in checks],
+    )
     reports = []
-    for N in range(n_max + 1):
+    for N, elements in bases.items():
         name = f"monogenic N={N}: "
-        elements = ck.monogenic_basis(N, params).elements
         ok_count = len(elements) == 2 * (N + 1)
         ok_rank = linalg.rank([el.poly.column for el in elements]) == 2 * (N + 1)
         reports.append(IdentityReport(
@@ -282,20 +307,7 @@ def suite_monogenic(params: Params, n_max: int, mutation: str | None = None) -> 
             name + "homogeneity",
             None if bad is None else _element_key(N, (bad.k, bad.sign)),
         ))
-
-        degree_eig = N + params.mu_sum + 1 + shift
-        checks = (
-            ("kernel of the Dirac operator", dd, lambda key: 0),
-            ("degree eigenvalue", scas, lambda key: degree_eig),
-            ("third generator eigenvalue", gen3,
-             lambda key: birep.k3_eigenvalue(key[0], params)),
-            ("sign sector eigenvalue", inv3, lambda key: birep.z3_eigenvalue(N, *key)),
-        )
-        failures = _failing_elements(
-            {(el.k, el.sign): el.poly.column for el in elements},
-            [(op, eigenvalue) for _, op, eigenvalue in checks],
-        )
-        for (label, _, _), key in zip(checks, failures):
+        for (label, _, _), key in zip(checks, failures[N]):
             reports.append(IdentityReport(
                 name + label, None if key is None else _element_key(N, key)
             ))
@@ -373,16 +385,18 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
     scas = spherical_dirac(params) + scalar_op(1)
     gen1 = bi_generator(params, 1)
     inv3 = involution(3)
-    for N in range(n_max + 1):
-        elements = {(u.k, u.sign): u.poly.column for u in ups if u.N == N}
-        degree_eig = N + params.mu_sum + 1
-        failures = _failing_elements(elements, [
-            (scas, lambda key: degree_eig),
-            (gen1, lambda key: birep.k1_eigenvalue(key[0], params)),
-            (inv3, lambda key: birep.z3_eigenvalue(N, *key)),
-        ])
+    families = {N: {} for N in range(n_max + 1)}
+    for u in ups:
+        families[u.N][u.k, u.sign] = u.poly.column
+    failures = _failing_elements(families, [
+        (scas, lambda N, key: N + params.mu_sum + 1),
+        (gen1, lambda N, key: birep.k1_eigenvalue(key[0], params)),
+        (inv3, lambda N, key: birep.z3_eigenvalue(N, *key)),
+    ])
+    for N, elements in families.items():
         keys = list(elements)
-        key = min((key for key in failures if key is not None), key=keys.index, default=None)
+        key = min((key for key in failures[N] if key is not None),
+                  key=keys.index, default=None)
         reports.append(IdentityReport(
             f"cycled family eigenvalue equations N={N}",
             None if key is None else _element_key(N, key, "s"),
@@ -497,33 +511,113 @@ def seeded_mu_samples(count: int, seed: int) -> list[Params]:
     ]
 
 
+# A verify run splits into three tasks per triple.  The five construction
+# sections form one task, as they share `ck.monogenic_basis` and the
+# closed-form caches.
+_PARTS = ("osp12", "symmetry", "constructions")
+
+
+def _run_part(task: tuple) -> list[tuple[str, list[dict]]]:
+    """The (section, checks) pairs of one (part, params, degree, mutation)
+    task."""
+    part, params, degree, mutation = task
+    if part == "osp12":
+        return [("osp12", suite_osp12(params, degree, mutation))]
+    if part == "symmetry":
+        return [("symmetry", suite_symmetry(params, degree, mutation))]
+    return [
+        ("monogenic", suite_monogenic(params, min(degree, 5), mutation)),
+        ("closedform", suite_closedform(params, min(degree, 5), mutation)),
+        ("orthogonality", suite_orthogonality(params, min(degree, 3), mutation)),
+        ("representation", suite_representation(params, 6, min(degree, 4), mutation)),
+        ("fischer", suite_fischer(params, min(degree, 4), mutation)),
+    ]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_tasks(fn, tasks: list) -> list:
+    """[fn(task) for task in tasks], computed by min(tasks, usable CPUs)
+    forked worker processes.  It runs in this process instead when that
+    number is 1, when the platform cannot fork, or when this process runs
+    other threads, which a fork would copy in whatever state they are."""
+    workers = min(len(tasks), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+            return _map_forked(fn, tasks, workers)
+    return [fn(task) for task in tasks]
+
+
+def _map_forked(fn, tasks: list, workers: int) -> list:
+    """`_map_tasks` on a pool of forked workers.  Each worker exits as soon
+    as nothing holds the write end of a pipe any more: when this process
+    ends, however it ends, or closes its end after an error, so that no
+    worker outlives the run or finishes a task nobody will read."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    read_end, write_end = os.pipe()
+    try:
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent, initargs=(read_end, write_end),
+        )
+        try:
+            return list(pool.map(fn, tasks))
+        except BaseException:
+            os.close(write_end)
+            write_end = None
+            raise
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+
+
+def _exit_with_parent(read_end: int, write_end: int) -> None:
+    """Worker initializer: leave SIGINT to the parent, and exit at once
+    when the pipe's read end reaches end of file."""
+    import signal
+    import threading
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.close(write_end)
+    threading.Thread(target=_exit_at_eof, args=(read_end,), daemon=True).start()
+
+
+def _exit_at_eof(read_end: int) -> None:
+    os.read(read_end, 1)  # nothing is ever written: this returns at end of file
+    os._exit(1)
+
+
 def run_verify(
     mu_list: list[Params],
     degree: int,
     mutation: str | None = None,
     seed: int = 0,
 ) -> dict:
+    """The `verify` report.  Its (part, triple) tasks share no state and run
+    on every usable CPU (`_map_tasks`); the report does not depend on how
+    many."""
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
-    sections = []
-    for params in mu_list:
-        mu_strings = params.mu_strings()
-        per_mu = [
-            ("osp12", suite_osp12(params, degree, mutation)),
-            ("symmetry", suite_symmetry(params, degree, mutation)),
-            ("monogenic", suite_monogenic(params, min(degree, 5), mutation)),
-            ("closedform", suite_closedform(params, min(degree, 5), mutation)),
-            ("orthogonality", suite_orthogonality(params, min(degree, 3), mutation)),
-            ("representation", suite_representation(
-                params, 6, min(degree, 4), mutation)),
-            ("fischer", suite_fischer(params, min(degree, 4), mutation)),
-        ]
-        for section, check_list in per_mu:
-            sections.append({
-                "section": section,
-                "mu": mu_strings,
-                "checks": check_list,
-            })
+    tasks = [(part, params, degree, mutation) for params in mu_list for part in _PARTS]
+    sections = [
+        {"section": section, "mu": task[1].mu_strings(), "checks": check_list}
+        for task, pairs in zip(tasks, _map_tasks(_run_part, tasks))
+        for section, check_list in pairs
+    ]
     failures = [
         {"section": s["section"], "mu": s["mu"], "name": c["name"],
          "counterexample": c.get("counterexample")}
