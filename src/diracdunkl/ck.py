@@ -131,6 +131,17 @@ class FischerComponents:
         return out
 
 
+def fischer_columns(N: int, params: Params) -> list[tuple]:
+    """The columns of x^k M_(N-k) for k = 0..N, one per element of each
+    degree-(N-k) monogenic basis, in basis order."""
+    columns = []
+    for k in range(N + 1):
+        power = x_underline() ** k
+        for element in monogenic_basis(N - k, params).elements:
+            columns.append(power(element.poly).column)
+    return columns
+
+
 def fischer_decompose(f: SpinorPoly, params: Params) -> FischerComponents:
     """Split a homogeneous spinor polynomial into Clifford-coordinate powers
     of monogenics, by one exact linear solve in the monomial frame.
@@ -142,24 +153,17 @@ def fischer_decompose(f: SpinorPoly, params: Params) -> FischerComponents:
     if not f:
         raise ValueError("cannot decompose the zero polynomial")
     N = f.homogeneous_degree()
-    columns = []
-    labels = []  # (k, index within the degree-(N-k) basis)
-    for k in range(N + 1):
-        power = x_underline() ** k
-        for idx, element in enumerate(monogenic_basis(N - k, params).elements):
-            columns.append(power(element.poly).column)
-            labels.append((k, idx))
     try:
-        (solution,) = linalg.solve(columns, [f.column])
+        (solution,) = linalg.solve(fischer_columns(N, params), [f.column])
     except ValueError as exc:
         raise RuntimeError(f"Fischer system unexpectedly singular: {exc}") from exc
+    coefs = iter(solution)  # in the order of fischer_columns
     parts = []
     for k in range(N + 1):
-        basis = monogenic_basis(N - k, params)
         part = SpinorPoly.zero()
-        for (kk, idx), coef in zip(labels, solution):
-            if kk == k and coef:
-                part = part + basis.elements[idx].poly.scale(coef)
+        for element, coef in zip(monogenic_basis(N - k, params).elements, coefs):
+            if coef:
+                part = part + element.poly.scale(coef)
         parts.append(part)
     return FischerComponents(N, tuple(parts))
 

@@ -23,14 +23,15 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain, islice
 
 from . import birep, ck, closedform, suites
 from .exact import Params, rational_str
 
 # Measured at the limit: verify 36 s CPU, 21 s wall on 2 CPUs, 57 MB per
-# process (133 MB summed over the parent and its 2 workers); basis 22 s / 404 MB;
-# wavefunctions 8 s / 401 MB; rep 49 s / 384 MB; overlaps 56 s / 251 MB;
-# moments 9 s / 491 MB.
+# process (133 MB summed over the parent and its 2 workers); basis 15 s / 163 MB;
+# wavefunctions 8 s / 162 MB; rep 41 s / 385 MB; overlaps 53 s / 251 MB;
+# moments 5 s / 227 MB (with streamed JSON, basis, wavefunctions, moments: below the rule).
 MAX_DEGREE = 16
 MAX_N = {
     "basis": 60,
@@ -91,15 +92,17 @@ def _unwritable(out: str, reason: str):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    # Written in batches of encoder chunks, so the whole text is never held.
+    chunks = chain(json.JSONEncoder(indent=2).iterencode(payload), ["\n"])
+    batches = iter(lambda: "".join(islice(chunks, 1 << 14)), "")
     if out:
         try:
             with open(out, "w") as handle:
-                handle.write(text)
+                handle.writelines(batches)
         except OSError as exc:
             _unwritable(out, exc.strerror or str(exc))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(batches)
 
 
 def main(argv=None) -> int:

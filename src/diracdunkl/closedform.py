@@ -1,8 +1,8 @@
-"""Closed-form eigenfunctions: homogenized Jacobi polynomials (summed on
-Gaussian-integer terms), the explicit monogenic basis (one operator per
-(N, k), applied to both constant spinors), normalized wavefunctions, the
-exact scalar product on the sphere (one integer bilinear form,
-`scalar_products`) and overlap matrices between the two eigenbases.
+"""Closed-form eigenfunctions: homogenized Jacobi polynomials (scalar
+columns summed on Gaussian integers), the explicit monogenic basis (one
+operator per (N, k), applied to both constant spinors), normalized
+wavefunctions, the exact scalar product on the sphere (one integer bilinear
+form, `scalar_products`) and overlap matrices between the two eigenbases.
 
 Square roots never appear: each wavefunction is stored as a radical-free
 spinor polynomial together with the exact square of its normalization
@@ -12,10 +12,10 @@ level, where it is a rational identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 
 from .exact import (
     GRational,
@@ -26,7 +26,7 @@ from .exact import (
     rational_str,
 )
 from .operators import LinOp, coordinate_op, multiply_op, pauli_op
-from .poly import ScalarPoly, SpinorPoly, integer_form, lcm_of_denominators, scaled
+from .poly import SpinorPoly, combine, lcm_of_denominators, reduced, scaled
 
 PSI_AXES = (1, 2, 3)
 UPSILON_AXES = (2, 3, 1)
@@ -62,10 +62,9 @@ def _product(a: dict, b: dict) -> dict:
     return out
 
 
-def homogenized_jacobi(
-    m: int, alpha, beta, big_x: ScalarPoly, big_y: ScalarPoly
-) -> ScalarPoly:
-    """(X + Y)^m P_m^(alpha, beta)((X - Y)/(X + Y)) as an exact polynomial.
+def homogenized_jacobi(m: int, alpha, beta, big_x: tuple, big_y: tuple) -> tuple:
+    """(X + Y)^m P_m^(alpha, beta)((X - Y)/(X + Y)) as the reduced column of
+    an exact polynomial, for X and Y scalar columns (den, {exps: (re, im)}).
 
     Substituting the argument into the series turns ((1 - w)/2)^j into
     Y^j (X + Y)^(m - j), so the result is polynomial in X and Y.  The sum
@@ -74,16 +73,14 @@ def homogenized_jacobi(
     formulas below).
     """
     if m < 0:
-        return ScalarPoly.zero()
+        return (1, {})
     coeffs = _jacobi_series_coeffs(m, Fraction(alpha), Fraction(beta))
     scale = lcm_of_denominators(coeffs)
     # X + Y and Y as Gaussian-integer terms over one denominator d.
-    d, terms = integer_form(chain(
-        (((0, e), c) for e, c in (big_x + big_y).terms.items()),
-        (((1, e), c) for e, c in big_y.terms.items()),
-    ))
-    s = {e: (re, im) for (which, e), re, im in terms if not which}
-    y = {e: (re, im) for (which, e), re, im in terms if which}
+    d = math.lcm(big_x[0], big_y[0])
+    x = (d // big_x[0], 0, (1, big_x[1]))
+    y = (d // big_y[0], 0, (1, big_y[1]))
+    s, y = combine([x, y], 1)[1], combine([y], 1)[1]  # over den 1: not reduced
     one = (0, 0, 0)
     total = {one: (scaled(coeffs[0], scale), 0)}
     y_power = {one: (1, 0)}
@@ -95,14 +92,16 @@ def homogenized_jacobi(
             for e, (re, im) in y_power.items():
                 tr, ti = total.get(e, (0, 0))
                 total[e] = (tr + c * re, ti + c * im)
-    den = scale * d**m
-    return ScalarPoly({
-        e: GRational(Fraction(re, den), Fraction(im, den)) for e, (re, im) in total.items()
-    })
+    return reduced(scale * d**m, total)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form basis factors.
+
+def _sum_of_squares(*axes: int) -> tuple:
+    """The scalar column of the sum of x_a^2 over the given axes."""
+    return (1, {tuple(2 * (i == a - 1) for i in range(3)): (1, 0) for a in axes})
+
 
 def planar_monogenic(
     k: int, params: Params, axes: tuple[int, int, int] = PSI_AXES
@@ -117,24 +116,22 @@ def planar_monogenic(
         raise ValueError("k must be >= 0")
     a1, a2 = axes[0], axes[1]
     m1, m2 = params.mu(a1), params.mu(a2)
-    x1 = ScalarPoly.variable(a1)
-    x2 = ScalarPoly.variable(a2)
-    big_x = x1 * x1
-    big_y = x2 * x2
+    x1, x2 = coordinate_op(a1), coordinate_op(a2)
+    big_x, big_y = _sum_of_squares(a1), _sum_of_squares(a2)
     beta, odd = divmod(k, 2)
     pref = factorial(beta) / pochhammer(m2 + HALF, beta)
     if not odd:
         first = multiply_op(homogenized_jacobi(beta, m2 - HALF, m1 - HALF, big_x, big_y))
         cross = homogenized_jacobi(beta - 1, m2 + HALF, m1 + HALF, big_x, big_y)
-        second = pauli_op(a2) * pauli_op(a1) * multiply_op(x1 * x2 * cross)
+        second = pauli_op(a2) * pauli_op(a1) * x1 * x2 * multiply_op(cross)
         op = first - second
     else:
-        first = multiply_op(
-            x1 * homogenized_jacobi(beta, m2 - HALF, m1 + HALF, big_x, big_y)
+        first = x1 * multiply_op(
+            homogenized_jacobi(beta, m2 - HALF, m1 + HALF, big_x, big_y)
         )
         ratio = (beta + m1 + HALF) / (beta + m2 + HALF)
-        second = pauli_op(a2) * pauli_op(a1) * multiply_op(
-            x2 * homogenized_jacobi(beta, m2 + HALF, m1 - HALF, big_x, big_y)
+        second = pauli_op(a2) * pauli_op(a1) * x2 * multiply_op(
+            homogenized_jacobi(beta, m2 + HALF, m1 - HALF, big_x, big_y)
         )
         op = first - ratio * second
     return pref * op
@@ -158,12 +155,8 @@ def monogenic_lift(
     a1, a2, a3 = axes
     m3 = params.mu(a3)
     s12 = params.mu(a1) + params.mu(a2)
-    x3 = ScalarPoly.variable(a3)
-    big_x = (
-        ScalarPoly.variable(a1) * ScalarPoly.variable(a1)
-        + ScalarPoly.variable(a2) * ScalarPoly.variable(a2)
-    )
-    big_y = x3 * x3
+    x3 = coordinate_op(a3)
+    big_x, big_y = _sum_of_squares(a1, a2), _sum_of_squares(a3)
     beta, odd = divmod(N - k, 2)
     pref = factorial(beta) / pochhammer(m3 + HALF, beta)
     xt = pauli_op(a1) * coordinate_op(a1) + pauli_op(a2) * coordinate_op(a2)
@@ -174,15 +167,15 @@ def monogenic_lift(
             )
         )
         cross = homogenized_jacobi(beta - 1, m3 + HALF, k + s12 + 1, big_x, big_y)
-        second = pauli_op(a3) * xt * multiply_op(x3 * cross)
+        second = pauli_op(a3) * xt * x3 * multiply_op(cross)
         op = first - second
     else:
         first = xt * multiply_op(
             homogenized_jacobi(beta, m3 - HALF, k + s12 + 1, big_x, big_y)
         )
         ratio = (k + beta + s12 + 1) / (beta + m3 + HALF)
-        second = pauli_op(a3) * multiply_op(
-            x3 * homogenized_jacobi(beta, m3 + HALF, k + s12, big_x, big_y)
+        second = pauli_op(a3) * x3 * multiply_op(
+            homogenized_jacobi(beta, m3 + HALF, k + s12, big_x, big_y)
         )
         op = first - ratio * second
     return pref * op

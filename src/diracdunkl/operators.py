@@ -15,7 +15,8 @@ is the identity op E = E diag(lambda) on the element keys.
 Operators are expression trees over primitives that are plain data: a
 hashable tag such as ("dunkl", axis, mu) or ("pauli", i), whose integer
 kernel maps one monomial spinor to a column, the reduced Gaussian-integer
-form that `poly` defines and `SpinorPoly` stores.  The "scalar" and "matrix"
+form that `poly` defines and `SpinorPoly` stores; a coordinate is a
+"multiply" primitive like any scalar polynomial.  The "scalar" and "matrix"
 primitives act on columns over any hashable keys, such as the states (k,) of
 a finite-dimensional representation (see `image_columns`).
 
@@ -37,7 +38,6 @@ from fractions import Fraction
 
 from .exact import HALF, MINUS_I, GRational, Params, as_grational
 from .poly import (
-    ScalarPoly,
     SpinorPoly,
     combine,
     integer_form,
@@ -139,19 +139,21 @@ def dunkl_op(axis: int, params: Params) -> LinOp:
 
 
 def coordinate_op(axis: int) -> LinOp:
-    return primitive("coord", axis)
+    return multiply_op((1, {_shift((0, 0, 0), axis - 1, 1): (1, 0)}))
 
 
-def multiply_op(scalar: ScalarPoly) -> LinOp:
-    """Multiplication by a scalar polynomial, stored in integer form as
-    ("multiply", den, ((exps, re, im), ...))."""
-    return primitive("multiply", *integer_form(scalar.terms.items()))
+def multiply_op(scalar: tuple) -> LinOp:
+    """Multiplication by the scalar polynomial of a reduced column
+    (den, {exps: (re, im)}), stored as ("multiply", den, ((exps, re, im),
+    ...)) sorted by exponents, so equal polynomials merge."""
+    den, terms = scalar
+    return primitive("multiply", den, tuple((e, *value) for e, value in sorted(terms.items())))
 
 
 def matrix_op(entries: dict) -> LinOp:
     """The linear map with the given {(row, column): value} entries over
     hashable keys, sending every key that is no column to zero.  Stored in
-    the integer form of `multiply_op`, as ("matrix", den, (((column, row),
+    integer form like `multiply_op`, as ("matrix", den, (((column, row),
     re, im), ...)) sorted by column and row, so equal matrices merge."""
     return primitive("matrix", *integer_form(
         ((column, row), value) for (row, column), value in entries.items()
@@ -169,8 +171,8 @@ def embedding_op(columns: dict) -> LinOp:
     ))
 
 
-def euler_op(axes: tuple[int, ...] = (1, 2, 3)) -> LinOp:
-    return primitive("euler", tuple(axes))
+def euler_op() -> LinOp:
+    return primitive("euler")
 
 
 def commutator(a: LinOp, b: LinOp) -> LinOp:
@@ -337,14 +339,9 @@ def _kernel(tag: tuple):
     if name == "reflect":
         i = tag[1] - 1
         return 1, lambda key: ((key, -1 if key[1][i] % 2 else 1, 0),)
-    if name == "coord":
-        i = tag[1] - 1
-        return 1, lambda key: (((key[0], _shift(key[1], i, 1)), 1, 0),)
     if name == "euler":
-        idx = [a - 1 for a in tag[1]]
-
         def euler_image(key):
-            d = sum(key[1][i] for i in idx)
+            d = sum(key[1])
             return ((key, d, 0),) if d else ()
 
         return 1, euler_image

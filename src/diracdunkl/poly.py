@@ -7,14 +7,15 @@ of the second and third Pauli actions.  Columns are reduced (den > 0, no zero
 entries, den coprime to the entries, den = 1 for zero), so equal polynomials
 have equal columns, and `combine` sums and scales them with integer products
 and one gcd.  `operators` evaluates on columns, also over other hashable
-keys, and `linalg` eliminates on them directly.  No code mutates a column
-once built: an operator's result can share its dict with a memo entry of its
-graph.
+keys (a scalar polynomial is a column over exponent triples), and `linalg`
+eliminates on them directly.  No code mutates a column once built: an
+operator's result can share its dict with a memo entry of its graph.
 
-A `ScalarPoly` maps exponent triples to nonzero `GRational` coefficients;
-its one constructor coerces the coefficients and drops the zero terms, and
-every operation on it returns through that constructor.
-The reference versions of the primitive operators below (reflection, partial
+`ScalarPoly`, `SpinorPoly(up, down)` and the `up` and `down` views are the
+reference representation, which no production path builds.  A `ScalarPoly`
+maps exponent triples to nonzero `GRational` coefficients; every operation
+returns through its one constructor, which drops the zero terms.  The
+reference versions of the primitive operators below (reflection, partial
 derivative, division by a coordinate, Dunkl derivative, Pauli action, Euler
 operator, coordinate multiplication) act on the two `ScalarPoly` components;
 the tests compare the integer kernels of `operators`, and the extension maps
@@ -30,6 +31,14 @@ from itertools import chain
 from .exact import GRational, I, MINUS_I, Params, as_grational
 
 MultiIndex = tuple[int, int, int]
+
+
+def _exponent_triple(exps) -> MultiIndex:
+    """exps as a triple of non-negative ints; ValueError otherwise."""
+    exps = tuple(exps)
+    if len(exps) != 3 or any(e < 0 or not isinstance(e, int) for e in exps):
+        raise ValueError(f"invalid exponent triple: {exps!r}")
+    return exps
 
 
 class ScalarPoly:
@@ -56,10 +65,7 @@ class ScalarPoly:
 
     @classmethod
     def monomial(cls, exps, coef=1) -> "ScalarPoly":
-        exps = tuple(exps)
-        if len(exps) != 3 or any(e < 0 or not isinstance(e, int) for e in exps):
-            raise ValueError(f"invalid exponent triple: {exps!r}")
-        return cls({exps: coef})
+        return cls({_exponent_triple(exps): coef})
 
     @classmethod
     def variable(cls, axis: int) -> "ScalarPoly":
@@ -187,7 +193,7 @@ class ScalarPoly:
 class SpinorPoly:
     """Two-component spinor polynomial (up along chi+, down along chi-),
     immutable, stored as its reduced column (see the module docstring).
-    `up` and `down` are read-only views, new `ScalarPoly` values."""
+    `up` and `down` are read-only `ScalarPoly` views for the references."""
 
     __slots__ = ("column",)
 
@@ -213,14 +219,14 @@ class SpinorPoly:
     @classmethod
     def unit(cls, sign: int) -> "SpinorPoly":
         """The constant spinor chi+ (sign = +1) or chi- (sign = -1)."""
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         return cls.monomial((0, 0, 0), sign)
 
     @classmethod
     def monomial(cls, exps, sign: int, coef=1) -> "SpinorPoly":
-        scalar = ScalarPoly.monomial(exps, coef)
-        return cls(scalar, None) if sign == 1 else cls(None, scalar)
+        """coef x^exps chi_sign."""
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        return cls.from_column((1, {(sign, _exponent_triple(exps)): (1, 0)})).scale(coef)
 
     @property
     def up(self) -> ScalarPoly:

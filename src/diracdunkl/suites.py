@@ -487,11 +487,7 @@ def suite_fischer(
             f"fischer reconstruction N={N}", None if recon == f else {"N": N}
         ))
         expected = (N + 1) * (N + 2)
-        columns = []
-        for k in range(N + 1):
-            power = x_underline() ** k
-            for el in ck.monogenic_basis(N - k, params).elements:
-                columns.append(power(el.poly).column)
+        columns = ck.fischer_columns(N, params)
         rank = linalg.rank(columns)
         reports.append(IdentityReport(
             f"fischer dimension audit N={N}",

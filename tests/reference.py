@@ -15,7 +15,8 @@ matrix into the reduced keyed columns that `linalg` takes.
 polynomials of the terminating hypergeometric series, each coefficient a
 quotient-free product of Pochhammer symbols and the homogenized form a sum of
 `ScalarPoly` products: the reference for `diracdunkl.closedform`'s integer
-Jacobi factors.
+Jacobi factors.  `scalar_column` turns a `ScalarPoly` into the scalar column
+`(den, {exps: (re, im)})` that `closedform` and `operators.multiply_op` take.
 
 `gamma2`, `raising_norm_sq` and `lowering_norm_sq` are band quantities only
 the tests use.  `monogenic_element_checks`, `cycled_family_checks` and
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 from diracdunkl import birep, ck, closedform, linalg, operators
 from diracdunkl.exact import HALF, as_grational, factorial, pochhammer, rational_str
-from diracdunkl.poly import ScalarPoly
+from diracdunkl.poly import ScalarPoly, integer_form
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
@@ -267,6 +268,12 @@ def jacobi(n: int, alpha, beta) -> UnivariatePoly:
             out = out + power.scale(c)
         power = power * half_one_minus_x
     return out
+
+
+def scalar_column(p: ScalarPoly) -> tuple:
+    """The reduced column (den, {exps: (re, im)}) of a scalar polynomial."""
+    den, entries = integer_form(p.terms.items())
+    return (den, {exps: (re, im) for exps, re, im in entries})
 
 
 def homogenized_jacobi(m: int, alpha, beta, big_x: ScalarPoly, big_y: ScalarPoly) -> ScalarPoly:

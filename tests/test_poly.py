@@ -244,3 +244,44 @@ def test_spinor_arithmetic_matches_the_scalar_pair_reference():
         assert (f == SpinorPoly(fd, fu)) == (fu == fd)
         assert f + g - g == f
         assert not (f - f)
+
+
+def test_spinor_monomial_builds_the_reference_column_and_rejects_bad_input():
+    rng = random.Random(41)
+    for exps in ((0, 0, 0), (3, 0, 1), (0, 2, 5)):
+        for sign in (1, -1):
+            for coef in (1, 0, Fraction(-6, 4), I, _random_coefficient(rng)):
+                got = SpinorPoly.monomial(exps, sign, coef)
+                _assert_reduced(got)
+                scalar = ScalarPoly.monomial(exps, coef)
+                assert got == (SpinorPoly(scalar) if sign == 1 else SpinorPoly(None, scalar))
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match="sign"):
+            SpinorPoly.monomial((1, 0, 0), sign)
+        with pytest.raises(ValueError, match="sign"):
+            SpinorPoly.unit(sign)
+    for exps in ((1, 0), (1, 0, 0, 0), (-1, 0, 0), (1.0, 0, 0)):
+        for build in (lambda: SpinorPoly.monomial(exps, 1), lambda: ScalarPoly.monomial(exps)):
+            with pytest.raises(ValueError, match="exponent"):
+                build()
+
+
+def test_production_paths_build_no_scalar_poly(monkeypatch):
+    # ScalarPoly is the reference representation only: bases, Fischer
+    # decompositions, closed-form wavefunctions, overlaps and a verify run
+    # all build their polynomials as columns.
+    from diracdunkl import ck, closedform, suites
+
+    ck.monogenic_basis.cache_clear()
+    f = SpinorPoly.monomial((1, 2, 0), 1) + SpinorPoly.monomial((0, 1, 2), -1, I)
+
+    def refuse(self, terms=None):
+        raise AssertionError("ScalarPoly built on a production path")
+
+    monkeypatch.setattr(ScalarPoly, "__init__", refuse)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
+    assert len(ck.monogenic_basis(4, P).elements) == 10
+    assert ck.fischer_decompose(f, P).reconstruct() == f
+    assert len(closedform.wavefunctions(4, P, "upsilon")) == 10
+    assert closedform.overlap_matrix(3, P).N == 3
+    assert not suites.run_verify([P], 2)["failures"]
