@@ -14,6 +14,9 @@ is the rising factorial.  The series terminates because Dt lowers degree by
 one; the result restricts to p at x_e = 0 and lies in the kernel of the full
 Dirac-Dunkl operator.  Substituting x_e = 0 inverts the map.
 
+`fischer_decompose` peels the Fischer decomposition off by the constants of
+the osp(1|2) relations, with no monogenic basis and no linear solve.
+
 Operators are applied only as `operators.LinOp` values, on the exact
 integer kernels of `operators`: Dt is `operators.dirac(params, axes)`, the
 Clifford coordinate is `operators.x_underline(axes)`, and x_e, sigma_e and
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .exact import HALF, Params, pochhammer
 from .operators import coordinate_op, dirac, pauli_op, x_underline
 from .poly import SpinorPoly
@@ -125,46 +127,38 @@ class FischerComponents:
     components: tuple[SpinorPoly, ...]  # indexed by k = 0..N
 
     def reconstruct(self) -> SpinorPoly:
+        x = x_underline()
         out = SpinorPoly.zero()
-        for k, part in enumerate(self.components):
-            out = out + (x_underline() ** k)(part)
+        for part in reversed(self.components):
+            out = x(out) + part
         return out
 
 
-def fischer_columns(N: int, params: Params) -> list[tuple]:
-    """The columns of x^k M_(N-k) for k = 0..N, one per element of each
-    degree-(N-k) monogenic basis, in basis order."""
-    columns = []
-    for k in range(N + 1):
-        power = x_underline() ** k
-        for element in monogenic_basis(N - k, params).elements:
-            columns.append(power(element.poly).column)
-    return columns
-
-
 def fischer_decompose(f: SpinorPoly, params: Params) -> FischerComponents:
-    """Split a homogeneous spinor polynomial into Clifford-coordinate powers
-    of monogenics, by one exact linear solve in the monomial frame.
+    """Split a homogeneous spinor polynomial of degree N into Clifford-
+    coordinate powers of monogenics, f = sum_k x^k M_(N-k).
 
-    The decomposition is a direct sum for non-negative parameters, so the
-    square system below is invertible; a singular system indicates an
-    internal error rather than bad input.
+    For a monogenic M of degree m the osp(1|2) relations give
+    D x^k M = c_k x^(k-1) M, with c_(2j) = 2j and c_(2j+1) = 2(m + j + gamma3),
+    all positive for non-negative parameters.  So D^k sends x^j M to zero for
+    j < k, and for k = N down to 0, M_(N-k) = D^k(rest) / (c_1 ... c_k) at
+    m = N - k, where rest is the input less the components already found.
     """
     if not f:
         raise ValueError("cannot decompose the zero polynomial")
     N = f.homogeneous_degree()
-    try:
-        (solution,) = linalg.solve(fischer_columns(N, params), [f.column])
-    except ValueError as exc:
-        raise RuntimeError(f"Fischer system unexpectedly singular: {exc}") from exc
-    coefs = iter(solution)  # in the order of fischer_columns
-    parts = []
-    for k in range(N + 1):
-        part = SpinorPoly.zero()
-        for element, coef in zip(monogenic_basis(N - k, params).elements, coefs):
-            if coef:
-                part = part + element.poly.scale(coef)
-        parts.append(part)
+    d, x = dirac(params), x_underline()
+    parts = [None] * (N + 1)
+    rest = f
+    for k in range(N, -1, -1):
+        image, norm = rest, Fraction(1)
+        for i in range(1, k + 1):
+            image = d(image)
+            norm *= 2 * (N - k + i // 2 + params.gamma3) if i % 2 else i
+        parts[k] = part = image.scale(1 / norm)
+        for _ in range(k):
+            part = x(part)
+        rest = rest - part
     return FischerComponents(N, tuple(parts))
 
 

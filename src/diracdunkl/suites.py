@@ -54,7 +54,7 @@ MUTATIONS = {
     "lift-parameter+1": "closedform: shift a Jacobi parameter of the lift factor",
     "norm-factor*2": "orthogonality: scale odd-index squared norm factors",
     "omega3+1": "representation: shift a structure constant in expected relations",
-    "component*2": "fischer: scale one solved component before reconstructing",
+    "component*2": "fischer: scale the last nonzero component before reconstructing",
 }
 
 
@@ -466,33 +466,37 @@ def suite_fischer(
     mutation: str | None = None,
     seed: int = 20251,
 ) -> list[dict]:
-    """Exact reconstruction of random homogeneous inputs, plus the dimension
-    audit of the decomposition: the columns x^k M_(N-k) built from the bases
-    number (N + 1)(N + 2) and have that rank.  A failing audit reports both
-    numbers."""
+    """Per degree N, the decomposition of a random homogeneous input must
+    reconstruct it from components M_(N-k) that are zero or monogenic of
+    degree N - k; and the columns x^k M_(N-k) over the bases (degree N's: the
+    degree-N basis, then x times degree N - 1's) must number (N + 1)(N + 2)
+    and have that rank.  A failing audit reports both numbers."""
     rng = random.Random(seed)
     mutate = mutation == "component*2"
+    d, x = dirac(params), x_underline()
+    polys = []  # x^k M over the bases of degrees N - k
     reports = []
     for N in range(n_max + 1):
         f = _random_homogeneous(rng, N)
-        parts = ck.fischer_decompose(f, params)
-        components = list(parts.components)
+        components = list(ck.fischer_decompose(f, params).components)
         if mutate:
             for k in reversed(range(len(components))):
                 if components[k]:
                     components[k] = components[k].scale(2)
                     break
-        recon = ck.FischerComponents(N, tuple(components)).reconstruct()
-        reports.append(IdentityReport(
-            f"fischer reconstruction N={N}", None if recon == f else {"N": N}
-        ))
+        bad = next((k for k, part in enumerate(components) if part and (
+            d(part) or not part.is_homogeneous() or part.degree() != N - k)), None)
+        counterexample = None if bad is None else {"N": N, "k": bad}
+        if ck.FischerComponents(N, tuple(components)).reconstruct() != f:
+            counterexample = {"N": N}
+        reports.append(IdentityReport(f"fischer reconstruction N={N}", counterexample))
         expected = (N + 1) * (N + 2)
-        columns = ck.fischer_columns(N, params)
-        rank = linalg.rank(columns)
+        polys = [el.poly for el in ck.monogenic_basis(N, params).elements] + [x(p) for p in polys]
+        rank = linalg.rank([p.column for p in polys])
         reports.append(IdentityReport(
             f"fischer dimension audit N={N}",
-            None if len(columns) == rank == expected
-            else {"columns": len(columns), "rank": rank, "expected": expected},
+            None if len(polys) == rank == expected
+            else {"columns": len(polys), "rank": rank, "expected": expected},
         ))
     return [report.to_json_dict() for report in reports]
 

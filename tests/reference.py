@@ -23,6 +23,10 @@ the tests use.  `monogenic_element_checks`, `cycled_family_checks` and
 `function_realization` apply each operator to one basis element at a time
 and compare with the scaled element: the reference for the element checks
 that `diracdunkl` runs as operator identities over element keys.
+
+`fischer_components` is the Fischer decomposition by one linear solve on the
+columns x^k M over the monogenic bases: the reference for the
+back-substitution of `diracdunkl.ck.fischer_decompose`.
 """
 
 import math
@@ -30,7 +34,7 @@ from fractions import Fraction
 
 from diracdunkl import birep, ck, closedform, linalg, operators
 from diracdunkl.exact import HALF, as_grational, factorial, pochhammer, rational_str
-from diracdunkl.poly import ScalarPoly, integer_form
+from diracdunkl.poly import ScalarPoly, SpinorPoly, integer_form
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
@@ -441,3 +445,25 @@ def function_realization(N: int, params) -> dict:
                           got=str(k2_expansions[pos][pos]), expected=rational_str(expected))
     products = [(eig[k] + eig[k + 1]) ** 2 * u2 for k, u2 in enumerate(rep.u_squared)]
     return off_diagonal("K2 off-diagonal product", k2_expansions, products) or report()
+
+
+def fischer_components(f, params) -> tuple:
+    """The components M_(N-k), k = 0..N, of a homogeneous f of degree N
+    with f = sum_k x^k M_(N-k), from one exact linear solve on the columns
+    x^k M over the degree-(N-k) monogenic bases: the reference for the
+    back-substitution of `ck.fischer_decompose`."""
+    N = f.homogeneous_degree()
+    bases = [ck.monogenic_basis(N - k, params).elements for k in range(N + 1)]
+    columns = [
+        (operators.x_underline() ** k)(element.poly).column
+        for k in range(N + 1) for element in bases[k]
+    ]
+    (solution,) = linalg.solve(columns, [f.column])
+    coefs = iter(solution)
+    parts = []
+    for elements in bases:
+        part = SpinorPoly.zero()
+        for element, coef in zip(elements, coefs):
+            part = part + element.poly.scale(coef)
+        parts.append(part)
+    return tuple(parts)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -343,8 +344,8 @@ def test_fischer_dimension_audit():
 
 def test_fischer_dimension_audit_reports_the_rank_of_a_degenerate_basis(monkeypatch):
     # The degree-1 basis with element 1 a copy of element 0: as many columns
-    # as expected, one short of full rank.  The decomposition is stubbed to
-    # the trivial one, so only the audit can fail.
+    # as expected, one short of full rank.  The decomposition reads no basis,
+    # so only the audit can fail.
     built = ck.monogenic_basis
 
     def duplicated(n, params):
@@ -355,16 +356,62 @@ def test_fischer_dimension_audit_reports_the_rank_of_a_degenerate_basis(monkeypa
         return dataclasses.replace(
             basis, elements=(first, first) + basis.elements[2:])
 
-    def trivial(f, params):
-        N = f.homogeneous_degree()
-        return ck.FischerComponents(N, (f,) + (SpinorPoly.zero(),) * N)
-
     monkeypatch.setattr(ck, "monogenic_basis", duplicated)
-    monkeypatch.setattr(ck, "fischer_decompose", trivial)
     checks = suites.suite_fischer(P, 2)
     assert [c["status"] for c in checks] == ["pass"] * 3 + ["fail", "pass", "fail"]
     assert checks[3]["counterexample"] == {"columns": 6, "rank": 5, "expected": 6}
     assert checks[5]["counterexample"] == {"columns": 12, "rank": 11, "expected": 12}
+
+
+@pytest.mark.parametrize("params", EDGE_MUS, ids=str)
+def test_fischer_decompose_matches_the_solve(params):
+    rng = random.Random(47)
+    for N in range(8):
+        f = _random_homogeneous(rng, N)
+        assert fischer_decompose(f, params).components == reference.fischer_components(f, params)
+
+
+def test_fischer_decompose_builds_no_basis_and_solves_nothing(monkeypatch):
+    f = _random_homogeneous(random.Random(1005), 5)
+    expected = reference.fischer_components(f, P)
+
+    def refuse(*args):
+        raise AssertionError("the decomposition must not call this")
+
+    monkeypatch.setattr(ck, "monogenic_basis", refuse)
+    monkeypatch.setattr(linalg, "solve", refuse)
+    assert fischer_decompose(f, P).components == expected
+
+
+def _reconstruction_checks(params, n_max):
+    checks = suites.suite_fischer(params, n_max)
+    assert all(c["status"] == "pass" for c in checks[1::2])  # the audits
+    return checks[0::2]
+
+
+@pytest.mark.parametrize("params", [P, Params(0, 0, 0), Params(Fraction(7, 3), Fraction(1, 11), 5)],
+                         ids=str)
+def test_fischer_reconstruction_fails_with_a_wrong_conformal_constant(params):
+    # Wrong constants c_k leave each lower component monogenic but misscaled;
+    # the last component takes the rest, which is not monogenic.
+    shifted = copy.copy(params)
+    object.__setattr__(shifted, "gamma3", params.gamma3 + 1)
+    checks = _reconstruction_checks(shifted, 4)
+    assert checks[0]["status"] == "pass"
+    assert [c["counterexample"] for c in checks[1:]] == [{"N": N, "k": 0} for N in range(1, 5)]
+
+
+def test_fischer_reconstruction_fails_on_the_trivial_split(monkeypatch):
+    # (f, 0, ..., 0) reconstructs every input exactly; its first component
+    # is monogenic only in degree 0.
+    def trivial(f, params):
+        N = f.homogeneous_degree()
+        return ck.FischerComponents(N, (f,) + (SpinorPoly.zero(),) * N)
+
+    monkeypatch.setattr(ck, "fischer_decompose", trivial)
+    checks = _reconstruction_checks(P, 4)
+    assert checks[0]["status"] == "pass"
+    assert [c["counterexample"] for c in checks[1:]] == [{"N": N, "k": 0} for N in range(1, 5)]
 
 
 def test_fischer_rejects_bad_input():
