@@ -1,8 +1,12 @@
 """Closed-form eigenfunctions: homogenized Jacobi polynomials (scalar
-columns summed on Gaussian integers), the explicit monogenic basis (one
-operator per (N, k), applied to both constant spinors), normalized
-wavefunctions, the exact scalar product on the sphere (one integer bilinear
-form, `scalar_products`) and overlap matrices between the two eigenbases.
+columns summed on Gaussian integers), the closed-form Cauchy-Kovalevskaia
+lift (`lift`, one formula for both steps of the extension tower: from the
+line to the plane, with source-space conformal constant mu_a1 + 1/2, and
+from the plane to space, with mu_a1 + mu_a2 + 1), the explicit monogenic
+basis (the two lifts applied to both constant spinors), normalized
+wavefunctions (one squared-norm factor per lift), the exact scalar product
+on the sphere (one integer bilinear form, `scalar_products`) and overlap
+matrices between the two eigenbases.
 
 Square roots never appear: each wavefunction is stored as a radical-free
 spinor polynomial together with the exact square of its normalization
@@ -25,7 +29,7 @@ from .exact import (
     pochhammer,
     rational_str,
 )
-from .operators import LinOp, coordinate_op, multiply_op, pauli_op
+from .operators import LinOp, coordinate_op, multiply_op, pauli_op, x_underline
 from .poly import SpinorPoly, combine, lcm_of_denominators, reduced, scaled
 
 PSI_AXES = (1, 2, 3)
@@ -96,86 +100,65 @@ def homogenized_jacobi(m: int, alpha, beta, big_x: tuple, big_y: tuple) -> tuple
 
 
 # ---------------------------------------------------------------------------
-# Closed-form basis factors.
+# The closed-form Cauchy-Kovalevskaia lift.
 
 def _sum_of_squares(*axes: int) -> tuple:
     """The scalar column of the sum of x_a^2 over the given axes."""
     return (1, {tuple(2 * (i == a - 1) for i in range(3)): (1, 0) for a in axes})
 
 
-def planar_monogenic(
-    k: int, params: Params, axes: tuple[int, int, int] = PSI_AXES
-) -> LinOp:
-    """Matrix-valued polynomial acting on constant spinors: the degree-k
-    monogenic in the two tangential coordinates, in closed form.
-
-    The two branches (k even / odd) combine homogenized Jacobi polynomials in
-    the squared coordinates with at most one Clifford matrix factor.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    a1, a2 = axes[0], axes[1]
-    m1, m2 = params.mu(a1), params.mu(a2)
-    x1, x2 = coordinate_op(a1), coordinate_op(a2)
-    big_x, big_y = _sum_of_squares(a1), _sum_of_squares(a2)
-    beta, odd = divmod(k, 2)
-    pref = factorial(beta) / pochhammer(m2 + HALF, beta)
-    if not odd:
-        first = multiply_op(homogenized_jacobi(beta, m2 - HALF, m1 - HALF, big_x, big_y))
-        cross = homogenized_jacobi(beta - 1, m2 + HALF, m1 + HALF, big_x, big_y)
-        second = pauli_op(a2) * pauli_op(a1) * x1 * x2 * multiply_op(cross)
-        op = first - second
-    else:
-        first = x1 * multiply_op(
-            homogenized_jacobi(beta, m2 - HALF, m1 + HALF, big_x, big_y)
-        )
-        ratio = (beta + m1 + HALF) / (beta + m2 + HALF)
-        second = pauli_op(a2) * pauli_op(a1) * x2 * multiply_op(
-            homogenized_jacobi(beta, m2 + HALF, m1 - HALF, big_x, big_y)
-        )
-        op = first - ratio * second
-    return pref * op
+def _conformal_constant(axes: tuple[int, ...], params: Params) -> Fraction:
+    """gamma of the space spanned by axes: the sum of their parameters plus
+    half their number (mu1 + 1/2 on the line, mu1 + mu2 + 1 on the plane)."""
+    return sum((params.mu(a) for a in axes), Fraction(len(axes), 2))
 
 
-def monogenic_lift(
-    N: int,
+def lift(
+    j: int,
     k: int,
+    tangent: tuple[int, ...],
+    axis: int,
     params: Params,
-    axes: tuple[int, int, int] = PSI_AXES,
     even_parameter_shift: int = 0,
 ) -> LinOp:
-    """Closed-form factor lifting a degree-k planar monogenic to degree N.
+    """Closed form of the Cauchy-Kovalevskaia extension into `axis` of
+    x_t^j M, for M a degree-k Dunkl monogenic in the `tangent` axes and
+    x_t = x_underline(tangent): a matrix-valued polynomial acting on M.
+
+    Its one parameter is s = gamma + k - 1, where gamma, the conformal
+    constant of the source space, is the sum of the tangent parameters plus
+    len(tangent) / 2: mu_a1 + 1/2 on the line, mu_a1 + mu_a2 + 1 on the
+    plane.  The two branches (j even / odd) combine homogenized Jacobi
+    polynomials in X = |x_t|^2 and Y = x_axis^2 with at most one Clifford
+    factor, as in the Jacobi-polynomial extensions of De Bie, Orsted,
+    Somberg and Van der Jeugt (Trans. AMS 2012).  At j = 0 it is the
+    identity, whatever the shift.
 
     even_parameter_shift perturbs the second Jacobi parameter of the even
     branch's leading term; it exists only so the verification suite can show
     that the cross-validation against the extension tower is sensitive to it.
     """
-    if not 0 <= k <= N:
-        raise ValueError("need 0 <= k <= N")
-    a1, a2, a3 = axes
-    m3 = params.mu(a3)
-    s12 = params.mu(a1) + params.mu(a2)
-    x3 = coordinate_op(a3)
-    big_x, big_y = _sum_of_squares(a1, a2), _sum_of_squares(a3)
-    beta, odd = divmod(N - k, 2)
-    pref = factorial(beta) / pochhammer(m3 + HALF, beta)
-    xt = pauli_op(a1) * coordinate_op(a1) + pauli_op(a2) * coordinate_op(a2)
+    if j < 0 or k < 0:
+        raise ValueError("need j >= 0 and k >= 0")
+    m = params.mu(axis)
+    s = _conformal_constant(tangent, params) + (k - 1)
+    xt, x = x_underline(tangent), coordinate_op(axis)
+    big_x, big_y = _sum_of_squares(*tangent), _sum_of_squares(axis)
+    beta, odd = divmod(j, 2)
+    pref = factorial(beta) / pochhammer(m + HALF, beta)
     if not odd:
         first = multiply_op(
-            homogenized_jacobi(
-                beta, m3 - HALF, k + s12 + even_parameter_shift, big_x, big_y
-            )
+            homogenized_jacobi(beta, m - HALF, s + even_parameter_shift, big_x, big_y)
         )
-        cross = homogenized_jacobi(beta - 1, m3 + HALF, k + s12 + 1, big_x, big_y)
-        second = pauli_op(a3) * xt * x3 * multiply_op(cross)
-        op = first - second
+        cross = homogenized_jacobi(beta - 1, m + HALF, s + 1, big_x, big_y)
+        op = first - pauli_op(axis) * xt * x * multiply_op(cross)
     else:
         first = xt * multiply_op(
-            homogenized_jacobi(beta, m3 - HALF, k + s12 + 1, big_x, big_y)
+            homogenized_jacobi(beta, m - HALF, s + 1, big_x, big_y)
         )
-        ratio = (k + beta + s12 + 1) / (beta + m3 + HALF)
-        second = pauli_op(a3) * x3 * multiply_op(
-            homogenized_jacobi(beta, m3 + HALF, k + s12, big_x, big_y)
+        ratio = (beta + s + 1) / (beta + m + HALF)
+        second = pauli_op(axis) * x * multiply_op(
+            homogenized_jacobi(beta, m + HALF, s, big_x, big_y)
         )
         op = first - ratio * second
     return pref * op
@@ -188,19 +171,51 @@ def closed_basis_pair(
     axes: tuple[int, int, int] = PSI_AXES,
     even_parameter_shift: int = 0,
 ) -> tuple[SpinorPoly, SpinorPoly]:
-    """The closed-form basis spinors (N, k, +) and (N, k, -): one operator,
-    lift factor times planar factor, applied to chi+ and to chi-.  At N = k
-    the lift factor is the identity, whatever the shift."""
-    op = monogenic_lift(N, k, params, axes, even_parameter_shift) * planar_monogenic(
-        k, params, axes
+    """The closed-form basis spinors (N, k, +) and (N, k, -), the
+    extensions of x_a1^k chi+ and x_a1^k chi-.  On the line x_a1^k chi is
+    x_t^k sigma_a1^k chi, so the planar lift(k, 0, (a1,), a2) acts on
+    sigma_a1^k chi, and lift(N - k, k, (a1, a2), a3) carries the result to
+    space.  The two lifts are applied one after the other: composed into one
+    operator, the node sigma_a1 x_a1 they share would be evaluated one
+    monomial at a time.  At N = k the outer lift is the identity, whatever
+    the shift."""
+    if not 0 <= k <= N:
+        raise ValueError("need 0 <= k <= N")
+    a1, a2, a3 = axes
+    planar = lift(k, 0, (a1,), a2, params)
+    if k % 2:
+        planar = planar * pauli_op(a1)
+    outer = lift(N - k, k, (a1, a2), a3, params, even_parameter_shift)
+    plus, minus = (outer(planar(SpinorPoly.unit(sign))) for sign in (1, -1))
+    return plus, minus
+
+
+def _lift_norm(j: int, k: int, tangent: tuple, axis: int, params: Params) -> Fraction:
+    """The factor of `squared_norm_factor` owed to lift(j, k, tangent, axis):
+    (gamma + m + 1/2)_(beta + k) (m + 1/2)_beta / (beta! (gamma)_(beta + k)),
+    times (beta + m + 1/2) / (beta + k + gamma) for odd j, with beta = j // 2,
+    m the parameter of axis and gamma the conformal constant of the source
+    space."""
+    m = params.mu(axis)
+    gamma = _conformal_constant(tangent, params)
+    beta, odd = divmod(j, 2)
+    out = (
+        pochhammer(gamma + m + HALF, beta + k)
+        * pochhammer(m + HALF, beta)
+        / (factorial(beta) * pochhammer(gamma, beta + k))
     )
-    return op(SpinorPoly.unit(1)), op(SpinorPoly.unit(-1))
+    if odd:
+        out *= (beta + m + HALF) / (beta + k + gamma)
+    return out
 
 
 def squared_norm_factor(
     N: int, k: int, params: Params, axes: tuple[int, int, int] = PSI_AXES
 ) -> Fraction:
-    """Exact square of the normalization prefactor of the (N, k) wavefunction.
+    """Exact square of the normalization prefactor of the (N, k) wavefunction:
+    one factor per lift of `closed_basis_pair`, the planar one from the line
+    (gamma = mu_a1 + 1/2) and the outer one from the plane
+    (gamma = mu_a1 + mu_a2 + 1).
 
     All Gamma-function ratios are reduced to rising factorials relative to
     the k = N = 0 wavefunction; the constant dropped that way is shared by
@@ -209,27 +224,8 @@ def squared_norm_factor(
     elements (and equals 1 under the unit-mass measure used here).
     """
     a1, a2, a3 = axes
-    m1, m2, m3 = params.mu(a1), params.mu(a2), params.mu(a3)
-    s12 = m1 + m2
-    beta_m, odd_k = divmod(k, 2)
-    beta_q, odd_n = divmod(N - k, 2)
-    phi2 = (
-        factorial(beta_m)
-        * pochhammer(s12 + 1, beta_m)
-        / (pochhammer(m1 + HALF, beta_m) * pochhammer(m2 + HALF, beta_m))
-    )
-    if odd_k:
-        phi2 *= (beta_m + m2 + HALF) / (beta_m + m1 + HALF)
-    theta2 = (
-        factorial(beta_q)
-        * pochhammer(params.gamma3, beta_q + k)
-        / (pochhammer(m3 + HALF, beta_q) * pochhammer(s12 + 1, beta_q + k))
-    )
-    if odd_n:
-        theta2 *= (beta_q + m3 + HALF) / (beta_q + k + s12 + 1)
-    m_pref = factorial(beta_m) / pochhammer(m2 + HALF, beta_m)
-    q_pref = factorial(beta_q) / pochhammer(m3 + HALF, beta_q)
-    return theta2 * phi2 / (m_pref * m_pref * q_pref * q_pref)
+    planar = _lift_norm(k, 0, (a1,), a2, params)
+    return planar * _lift_norm(N - k, k, (a1, a2), a3, params)
 
 
 @dataclass(frozen=True)

@@ -424,29 +424,16 @@ def coordinate_multiply(f: SpinorPoly, axis: int) -> SpinorPoly:
 # ---------------------------------------------------------------------------
 # Monomial bases.
 
-def monomial_exponents(degree: int, axes: tuple[int, ...] = (1, 2, 3)) -> list[MultiIndex]:
-    """All exponent triples of the given total degree supported on axes,
-    lexicographically descending along axes."""
-    if degree < 0:
-        return []
-    if not axes:
-        raise ValueError("at least one axis required")
-    heads = [()]  # the exponents along all axes but the last, lex descending
-    for _ in axes[1:]:
-        heads = [h + (v,) for h in heads for v in range(degree - sum(h), -1, -1)]
-    out: list[MultiIndex] = []
-    for head in heads:
-        exps = [0, 0, 0]
-        for axis, v in zip(axes, head + (degree - sum(head),)):
-            exps[axis - 1] = v
-        out.append(tuple(exps))
-    return out
-
-
-def spinor_basis_labels(degree: int, axes: tuple[int, ...] = (1, 2, 3)):
-    """Deterministic (exponents, sign) labels spanning the degree slice."""
+def monomial_exponents(degree: int) -> list[MultiIndex]:
+    """All exponent triples of the given total degree, lexicographically
+    descending."""
     return [
-        (exps, sign)
-        for exps in monomial_exponents(degree, axes)
-        for sign in (1, -1)
+        (a, b, degree - a - b)
+        for a in range(degree, -1, -1)
+        for b in range(degree - a, -1, -1)
     ]
+
+
+def spinor_basis_labels(degree: int):
+    """Deterministic (exponents, sign) labels spanning the degree slice."""
+    return [(exps, sign) for exps in monomial_exponents(degree) for sign in (1, -1)]

@@ -24,11 +24,20 @@ EDGE_MUS = [
 ] + mu_triples(2, seed=41)
 
 
+def on_axes(labels: list, axes: tuple[int, ...]) -> list:
+    """The (exponents, sign) labels whose exponents vanish off the given
+    axes, in their order."""
+    return [
+        (exps, sign) for exps, sign in labels
+        if not any(e for axis, e in enumerate(exps, 1) if axis not in axes)
+    ]
+
+
 def random_spinor(rng: random.Random, max_degree: int, axes=(1, 2, 3)) -> SpinorPoly:
     """Random spinor polynomial with small Gaussian-rational coefficients."""
     out = SpinorPoly.zero()
     for degree in range(max_degree + 1):
-        for exps, sign in spinor_basis_labels(degree, axes):
+        for exps, sign in on_axes(spinor_basis_labels(degree), axes):
             if rng.random() < 0.5:
                 coef = GRational(
                     Fraction(rng.randint(-3, 3), rng.randint(1, 3)),

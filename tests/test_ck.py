@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import reference
-from conftest import EDGE_MUS, mu_triples, random_spinor
+from conftest import EDGE_MUS, mu_triples, on_axes, random_spinor
 
 from diracdunkl import ck, linalg, suites
 from diracdunkl.ck import (
@@ -242,7 +242,7 @@ def test_power_identities_for_tangent_operators():
 def test_planar_commutation_relations():
     # [Dt, xt^2] = 2 xt and {Dt, xt} = 2 (euler + gamma2) on the plane.
     for degree in range(7):
-        for exps, sign in spinor_basis_labels(degree, axes=(1, 2)):
+        for exps, sign in on_axes(spinor_basis_labels(degree), (1, 2)):
             f = SpinorPoly.monomial(exps, sign)
             xt2 = (XT ** 2)(f)
             lhs = tangent_dirac(xt2, P) - (XT ** 2)(tangent_dirac(f, P))

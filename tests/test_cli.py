@@ -245,6 +245,10 @@ def test_verify_default_degree_sweep_golden_digest():
      "9a9eea0163cd58d646ecf0479f4cc4184fa123eea6a1096c0ec1ba12390bb3a4"),
     (("wavefunctions", "--N", "10", "--basis", "psi", "--mu", "0,0,0"),
      "925403c8e67b4502bea2c747b3bf05c6d92a9ea6e418d1910795e6af2958d4bc"),
+    (("wavefunctions", "--N", "6", "--mu", "1e3,1,1"),
+     "df49fe2d02e96e99124a2ba84607be0c260e8dab9ccb820f6f69ab6eca3f4462"),
+    (("wavefunctions", "--N", "6", "--basis", "upsilon", "--mu", "997/3,0,2/5"),
+     "ca0a9f5d8a2865da3c62cb63f51347c506c256ec9a566fbd6fce0864ed578c58"),
 ])
 def test_artifact_golden_digest(args, digest):
     # SHA-256 of the artifact JSON, recorded before the extension tower was
@@ -255,8 +259,10 @@ def test_artifact_golden_digest(args, digest):
     # operators kept their compiled graphs (basis and wavefunctions at
     # N = 12), or before spinor polynomials were stored as reduced
     # Gaussian-integer columns (psi wavefunctions at N = 6), or before each
-    # closed-form operator was built once on integer Jacobi factors (the last
-    # two rows).
+    # closed-form operator was built once on integer Jacobi factors (the
+    # N = 10 overlaps and psi rows), or before the planar and outer factors
+    # became one lift formula applied twice (the last two rows: squared
+    # norms at a large height and at a zero parameter).
     result = run_cli(*args)
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest

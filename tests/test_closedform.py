@@ -10,15 +10,14 @@ from reference import UnivariatePoly, jacobi, scalar_column
 
 from diracdunkl import closedform, suites
 from diracdunkl.birep import k1_eigenvalue
-from diracdunkl.ck import ck_extend_x2, monogenic_basis
+from diracdunkl.ck import ck_extend_x2, ck_extend_x3, monogenic_basis
 from diracdunkl.closedform import (
     closed_basis_pair,
     homogenized_jacobi,
     inner_product,
+    lift,
     moment,
-    monogenic_lift,
     overlap_matrix,
-    planar_monogenic,
     squared_norm_factor,
     wavefunctions,
 )
@@ -26,8 +25,10 @@ from diracdunkl.exact import GRational, HALF, I, Params, factorial, pochhammer
 from diracdunkl.operators import (
     bi_generator,
     involution,
+    pauli_op,
     scalar_op,
     spherical_dirac,
+    x_underline,
 )
 from diracdunkl.poly import ScalarPoly, SpinorPoly, pauli
 
@@ -151,9 +152,10 @@ def test_homogenized_jacobi_matches_the_series_reference(m):
 # --------------------------------------------------------------------------
 # Closed-form basis factors.
 
-def test_planar_monogenic_small_cases():
-    assert planar_monogenic(0, P)(CHI_PLUS) == CHI_PLUS
-    result = planar_monogenic(1, P)(CHI_PLUS)
+def test_planar_lift_small_cases():
+    assert lift(0, 0, (1,), 2, P)(CHI_PLUS) == CHI_PLUS
+    # x1 chi+ = x_t sigma1 chi+ on the line.
+    result = lift(1, 0, (1,), 2, P)(pauli(CHI_PLUS, 1))
     ratio = (P.mu1 + HALF) / (P.mu2 + HALF)
     expected = up((1, 0, 0)) + pauli(
         pauli(SpinorPoly.monomial((0, 1, 0), 1, -ratio), 1), 2
@@ -161,20 +163,30 @@ def test_planar_monogenic_small_cases():
     assert result == expected
 
 
-def test_planar_monogenic_matches_extension():
-    for params in mu_triples(2, seed=55):
-        for k in range(6):
-            for sign in (1, -1):
-                closed = planar_monogenic(k, params)(SpinorPoly.unit(sign))
-                tower = ck_extend_x2(SpinorPoly.monomial((k, 0, 0), sign), params)
-                assert closed == tower, (k, sign)
+@pytest.mark.parametrize("params", EDGE_MUS, ids=str)
+def test_lift_matches_the_extension_tower(params):
+    # Both steps of the tower: from the line to the plane, x1^j chi =
+    # x_t^j sigma1^j chi, and from the plane to space, x_t^j M for the
+    # planar monogenic M of degree k.
+    xt = x_underline((1, 2))
+    for sign in (1, -1):
+        chi = SpinorPoly.unit(sign)
+        for j in range(8):
+            closed = lift(j, 0, (1,), 2, params)((pauli_op(1) ** j)(chi))
+            tower = ck_extend_x2(SpinorPoly.monomial((j, 0, 0), sign), params)
+            assert closed == tower, (j, sign)
+        for k in range(8):
+            planar = ck_extend_x2(SpinorPoly.monomial((k, 0, 0), sign), params)
+            for j in range(8 - k):
+                closed = lift(j, k, (1, 2), 3, params)(planar)
+                assert closed == ck_extend_x3((xt ** j)(planar), params), (j, k, sign)
 
 
 def test_lift_small_cases():
     rng = random.Random(57)
     f = random_spinor(rng, 2)
-    assert monogenic_lift(3, 3, P)(f) == f  # equal degrees: identity factor
-    lifted = monogenic_lift(1, 0, P)(CHI_PLUS)
+    assert lift(0, 3, (1, 2), 3, P)(f) == f  # no power of x_t: identity factor
+    lifted = lift(1, 0, (1, 2), 3, P)(CHI_PLUS)
     ratio = (P.mu1 + P.mu2 + 1) / (P.mu3 + HALF)
     expected = (
         pauli(SpinorPoly.monomial((1, 0, 0), 1), 1)
@@ -182,6 +194,14 @@ def test_lift_small_cases():
         + pauli(SpinorPoly.monomial((0, 0, 1), 1, -ratio), 3)
     )
     assert lifted == expected
+
+
+def test_lift_rejects_negative_degrees():
+    for j, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            lift(j, k, (1, 2), 3, P)
+    with pytest.raises(ValueError):
+        closed_basis_pair(2, 3, P)
 
 
 def test_closed_form_equals_tower():
