@@ -28,8 +28,8 @@ from itertools import chain, islice
 from . import birep, ck, closedform, poly, suites
 from .exact import Params, rational_str
 
-# Measured at the limit: verify 36 s CPU, 21 s wall on 2 CPUs, 57 MB per
-# process (133 MB summed over the parent and its 2 workers); basis 15 s / 163 MB;
+# Measured at the limit: verify 21-24 s CPU, 11-15 s wall on 2 CPUs, 53 MB per
+# process (125 MB summed over the parent and its 2 workers); basis 15 s / 163 MB;
 # wavefunctions 8 s / 162 MB; rep 41 s / 385 MB; overlaps 53 s / 251 MB;
 # moments 5 s / 227 MB (with streamed JSON, basis, wavefunctions, moments: below the rule).
 MAX_DEGREE = 16

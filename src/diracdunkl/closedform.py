@@ -30,7 +30,7 @@ from .exact import (
     rational_str,
 )
 from .operators import LinOp, coordinate_op, multiply_op, pauli_op, x_underline
-from .poly import SpinorPoly, combine, lcm_of_denominators, reduced, scaled
+from .poly import SpinorPoly, accumulate, lcm_of_denominators, reduced, scaled
 
 PSI_AXES = (1, 2, 3)
 UPSILON_AXES = (2, 3, 1)
@@ -82,9 +82,9 @@ def homogenized_jacobi(m: int, alpha, beta, big_x: tuple, big_y: tuple) -> tuple
     scale = lcm_of_denominators(coeffs)
     # X + Y and Y as Gaussian-integer terms over one denominator d.
     d = math.lcm(big_x[0], big_y[0])
-    x = (d // big_x[0], 0, (1, big_x[1]))
-    y = (d // big_y[0], 0, (1, big_y[1]))
-    s, y = combine([x, y], 1)[1], combine([y], 1)[1]  # over den 1: not reduced
+    x = (d // big_x[0], 0, big_x[1])
+    y = (d // big_y[0], 0, big_y[1])
+    s, y = accumulate([x, y]), accumulate([y])
     one = (0, 0, 0)
     total = {one: (scaled(coeffs[0], scale), 0)}
     y_power = {one: (1, 0)}
@@ -164,6 +164,20 @@ def lift(
     return pref * op
 
 
+# At least the 2 x 49 = 98 (k, axes) of `overlaps --N 48`, the largest
+# working set of a command: k = 0..48 for each family.
+@lru_cache(maxsize=128)
+def _planar_images(k: int, params: Params, axes: tuple[int, int, int]) -> tuple:
+    """The planar factor of `closed_basis_pair` applied to chi+ and chi-:
+    the extensions of x_a1^k chi into the plane of a1 and a2, shared by
+    every N >= k.  Memoized, least recently used entries evicted past 128."""
+    a1, a2, _ = axes
+    planar = lift(k, 0, (a1,), a2, params)
+    if k % 2:
+        planar = planar * pauli_op(a1)
+    return tuple(planar(SpinorPoly.unit(sign)) for sign in (1, -1))
+
+
 def closed_basis_pair(
     N: int,
     k: int,
@@ -177,16 +191,14 @@ def closed_basis_pair(
     sigma_a1^k chi, and lift(N - k, k, (a1, a2), a3) carries the result to
     space.  The two lifts are applied one after the other: composed into one
     operator, the node sigma_a1 x_a1 they share would be evaluated one
-    monomial at a time.  At N = k the outer lift is the identity, whatever
-    the shift."""
+    monomial at a time.  The planar images come from `_planar_images`, once
+    per (k, params, axes).  At N = k the outer lift is the identity,
+    whatever the shift."""
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
     a1, a2, a3 = axes
-    planar = lift(k, 0, (a1,), a2, params)
-    if k % 2:
-        planar = planar * pauli_op(a1)
     outer = lift(N - k, k, (a1, a2), a3, params, even_parameter_shift)
-    plus, minus = (outer(planar(SpinorPoly.unit(sign))) for sign in (1, -1))
+    plus, minus = (outer(f) for f in _planar_images(k, params, axes))
     return plus, minus
 
 

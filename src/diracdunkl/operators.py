@@ -14,17 +14,22 @@ is the identity op E = E diag(lambda) on the element keys.
 
 Operators are expression trees over primitives that are plain data: a
 hashable tag such as ("dunkl", axis, mu) or ("pauli", i), whose integer
-kernel maps one monomial spinor to a column, the reduced Gaussian-integer
-form that `poly` defines and `SpinorPoly` stores; a coordinate is a
-"multiply" primitive like any scalar polynomial.  The "scalar" and "matrix"
-primitives act on columns over any hashable keys, such as the states (k,) of
-a finite-dimensional representation (see `image_columns`).
+kernel maps one monomial spinor to integer entries over a fixed denominator;
+a coordinate is a "multiply" primitive like any scalar polynomial.  The
+"scalar" and "matrix" primitives act on columns over any hashable keys, such
+as the states (k,) of a finite-dimensional representation (see
+`image_columns`).
 
 Evaluation, both for `LinOp.__call__` and for the checker, first merges
 structurally equal nodes of the trees it is given and folds each sum of
-scaled terms into one linear combination.  A merged node with two or more
-parents (an identity side counts as a parent) is shared: it caches the image
-column of each monomial spinor and applies to a column by linearity.
+scaled terms into one linear combination.  Each merged node gets one
+denominator when the graph is compiled, and nodes pass unreduced integer
+entry dicts to each other: the image of entries / d is some result / (d *
+den(node)).  Only the result at a root is reduced, once, to the column that
+`poly` defines and `SpinorPoly` stores.  The checker compiles one difference
+root lhs - rhs per identity, so a passing identity reduces nothing.
+A merged node with two or more parents is shared: it caches the integer
+image of each basis vector and applies to a column by linearity.
 A cache lasts as long as its merged graph: a `LinOp` compiles its tree on
 its first call and keeps the graph, and `first_failures` and `image_columns`
 compile one graph per call, whose caches serve every key of that call.
@@ -39,7 +44,7 @@ from fractions import Fraction
 from .exact import HALF, MINUS_I, GRational, Params, as_grational
 from .poly import (
     SpinorPoly,
-    combine,
+    accumulate,
     integer_form,
     lcm_of_denominators,
     reduced,
@@ -52,6 +57,7 @@ from .poly import dunkl  # noqa: F401
 
 _UNIT = (1, 0)
 _ONE = GRational(1)
+_EMPTY: dict = {}
 
 
 class LinOp:
@@ -80,7 +86,8 @@ class LinOp:
         if root is None:
             (root,) = _compile([self])
             self._root = root
-        return SpinorPoly.from_column(_eval(root, f.column))
+        den, entries = f.column
+        return SpinorPoly.from_column(reduced(den * root.den, _eval(root, entries)))
 
     def __add__(self, other: "LinOp") -> "LinOp":
         return LinOp("add", (self, other))
@@ -311,38 +318,38 @@ def _shift(exps: tuple, i: int, delta: int) -> tuple:
 
 
 def _kernel(tag: tuple):
-    """(den, image) for a primitive tag, where image(key) lists the triples
-    (key', re, im) of the image of the basis vector of key: the sum of
-    (re + i im) / den times the basis vector of key'.  The spinor kernels
-    take monomial-spinor keys (sign, exps); "scalar" and "matrix" act on
-    any hashable keys."""
+    """(den, image) for a primitive tag, where image(key) is the integer
+    entry dict {key': (re, im)} of the image of the basis vector of key: the
+    sum of (re + i im) / den times the basis vector of key'.  The spinor
+    kernels take monomial-spinor keys (sign, exps); "scalar" and "matrix"
+    act on any hashable keys."""
     name = tag[0]
     if name == "scalar":
         value = tag[1]
         den = lcm_of_denominators((value.re, value.im))
-        re, im = scaled(value.re, den), scaled(value.im, den)
-        if not (re or im):
-            return 1, lambda key: ()
-        return den, lambda key: ((key, re, im),)
+        entry = (scaled(value.re, den), scaled(value.im, den))
+        if entry == (0, 0):
+            return 1, lambda key: _EMPTY
+        return den, lambda key: {key: entry}
     if name == "matrix":
         columns: dict = {}
         for (column, row), re, im in tag[2]:
-            columns.setdefault(column, []).append((row, re, im))
-        return tag[1], lambda key: columns.get(key, ())
+            columns.setdefault(column, {})[row] = (re, im)
+        return tag[1], lambda key: columns.get(key, _EMPTY)
     if name == "pauli":
         index = tag[1]
         if index == 1:
-            return 1, lambda key: (((-key[0], key[1]), 1, 0),)
+            return 1, lambda key: {(-key[0], key[1]): _UNIT}
         if index == 2:  # chi+ -> i chi-, chi- -> -i chi+
-            return 1, lambda key: (((-key[0], key[1]), 0, key[0]),)
-        return 1, lambda key: ((key, key[0], 0),)
+            return 1, lambda key: {(-key[0], key[1]): (0, key[0])}
+        return 1, lambda key: {key: (key[0], 0)}
     if name == "reflect":
         i = tag[1] - 1
-        return 1, lambda key: ((key, -1 if key[1][i] % 2 else 1, 0),)
+        return 1, lambda key: {key: (-1 if key[1][i] % 2 else 1, 0)}
     if name == "euler":
         def euler_image(key):
             d = sum(key[1])
-            return ((key, d, 0),) if d else ()
+            return {key: (d, 0)} if d else _EMPTY
 
         return 1, euler_image
     if name == "dunkl":
@@ -354,7 +361,7 @@ def _kernel(tag: tuple):
             sign, exps = key
             a = exps[i]
             factor = a * q if a % 2 == 0 else a * q + 2 * p
-            return (((sign, _shift(exps, i, -1)), factor, 0),) if factor else ()
+            return {(sign, _shift(exps, i, -1)): (factor, 0)} if factor else _EMPTY
 
         return q, dunkl_image
     if name == "laplace_explicit":
@@ -364,14 +371,14 @@ def _kernel(tag: tuple):
 
         def laplace_image(key):
             sign, exps = key
-            out = []
+            out = {}
             for i in range(3):
                 a = exps[i]
                 if a < 2:
                     continue
                 factor = a * (a - 1) * den + nums[i] * (2 * a - (1 - (-1) ** a))
                 if factor:
-                    out.append(((sign, _shift(exps, i, -2)), factor, 0))
+                    out[sign, _shift(exps, i, -2)] = (factor, 0)
             return out
 
         return den, laplace_image
@@ -380,10 +387,10 @@ def _kernel(tag: tuple):
 
         def multiply_image(key):
             sign, exps = key
-            return [
-                ((sign, (exps[0] + e[0], exps[1] + e[1], exps[2] + e[2])), re, im)
+            return {
+                (sign, (exps[0] + e[0], exps[1] + e[1], exps[2] + e[2])): (re, im)
                 for e, re, im in terms
-            ]
+            }
 
         return den, multiply_image
     raise ValueError(f"unknown primitive {name!r}")
@@ -395,10 +402,13 @@ def _kernel(tag: tuple):
 class _Node:
     """A node of the merged graph, with the kind and payload of its LinOp
     and merged `args`.  `_compile` rewrites sums, differences, negations and
-    scalings into "linear" nodes whose `data` lists (cr, ci, child) terms
-    over `den`, child None standing for the identity; a primitive keeps its
-    kernel in `den` and `data`.  `memo` caches image columns by monomial
-    spinor at shared nodes and is None elsewhere."""
+    scalings into "linear" nodes whose `data` lists (cr, ci, child) terms,
+    child None standing for the identity; a primitive keeps its kernel's
+    image function in `data`.  `den` is fixed at compile time: the node maps
+    integer entries e over any denominator d to integer entries over
+    d * den, with no reduction (see `_compile`).  `memo` caches the integer
+    image entries of each basis vector at shared nodes and is None
+    elsewhere."""
 
     __slots__ = ("kind", "args", "payload", "den", "data", "parents", "memo")
 
@@ -460,7 +470,13 @@ def _compile(roots: list[LinOp]) -> list[_Node]:
     """Merge structurally equal nodes of the graphs spanned by roots, and
     flatten each maximal sum of unshared linear nodes into one "linear"
     node.  Returns the merged roots; each entry of roots counts as one
-    parent of its node, and every shared node gets an empty `memo`."""
+    parent of its node, and every shared node gets an empty `memo`.
+
+    Denominators are fixed in one pass, children first (the order in which
+    `_merge` creates them): a primitive keeps its kernel's, a composition
+    takes the product of its two children's, and a linear node takes the
+    lcm of its coefficients' denominators times the lcm L of its children's,
+    each coefficient scaled by L / den(child)."""
     merged: dict = {}
     by_id: dict = {}
     out = [_merge(op, merged, by_id) for op in roots]
@@ -476,66 +492,66 @@ def _compile(roots: list[LinOp]) -> list[_Node]:
     for node in nodes:
         if node.kind == "primitive":
             node.den, node.data = _kernel(node.payload)
-        elif node in expansions:
+        elif node.kind == "compose":
+            node.den = node.args[0].den * node.args[1].den
+        else:
             terms = expansions[node]
+            dens = [1 if child is None else child.den for child, _ in terms]
+            common = math.lcm(*dens)
             den = lcm_of_denominators(part for _, c in terms for part in (c.re, c.im))
-            node.kind, node.args, node.den = "linear", (), den
-            node.data = [(scaled(c.re, den), scaled(c.im, den), child) for child, c in terms]
-    for node in nodes:
+            node.kind, node.args, node.den = "linear", (), den * common
+            node.data = [
+                (scaled(c.re, den) * (common // d), scaled(c.im, den) * (common // d), child)
+                for (child, c), d in zip(terms, dens)
+            ]
         if node.parents > 1 and node.kind != "primitive":
             node.memo = {}
     return out
 
 
-def _eval(node: _Node, column: tuple) -> tuple:
-    """Image of a column under a merged node."""
+def _eval(node: _Node, entries: dict) -> dict:
+    """Integer entries of the image under node of a column with these
+    entries: the image of entries / d is the result / (d * node.den)."""
     memo = node.memo
     if memo is None:
-        return _direct(node, column)
-    den, entries = column
+        return _direct(node, entries)
     parts = []
-    for key, (re, im) in entries.items():
+    for key, value in entries.items():
         image = memo.get(key)
         if image is None:
-            image = memo[key] = _direct(node, (1, {key: _UNIT}))
-        parts.append((re, im, image))
-    if den == 1 and len(parts) == 1 and parts[0][:2] == _UNIT:
+            image = memo[key] = _direct(node, {key: _UNIT})
+        parts.append((*value, image))
+    if len(parts) == 1 and parts[0][:2] == _UNIT:
         return parts[0][2]
-    return combine(parts, den)
+    return accumulate(parts)
 
 
-def _direct(node: _Node, column: tuple) -> tuple:
+def _direct(node: _Node, entries: dict) -> dict:
     kind = node.kind
     if kind == "linear":
-        return combine([
-            (cr, ci, column if child is None else _eval(child, column))
+        return accumulate([
+            (cr, ci, entries if child is None else _eval(child, entries))
             for cr, ci, child in node.data
-        ], node.den)
+        ])
     if kind == "compose":
-        inner = _eval(node.args[1], column)
-        return _eval(node.args[0], inner) if inner[1] else inner
+        inner = _eval(node.args[1], entries)
+        return _eval(node.args[0], inner) if inner else inner
     if kind == "primitive":
         image = node.data
-        out: dict = {}
-        get = out.get
-        for source, (re, im) in column[1].items():
-            for key, kr, ki in image(source):
-                if ki:
-                    x, y = re * kr - im * ki, re * ki + im * kr
-                else:
-                    x, y = re * kr, im * kr
-                acc = get(key)
-                out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
-        return reduced(column[0] * node.den, out)
+        if len(entries) == 1:
+            ((key, value),) = entries.items()
+            if value == _UNIT:
+                return image(key)
+        return accumulate([(*value, image(key)) for key, value in entries.items()])
     raise ValueError(f"unknown operator node {kind!r}")
 
 
 def image_columns(ops: list[LinOp], keys: list) -> list[list[tuple]]:
     """The image column of each op on the basis vector of each key, from
     one merged graph whose shared nodes memoize their images across ops and
-    keys: result[i][j] is ops[i] applied to keys[j]."""
+    keys: result[i][j] is ops[i] applied to keys[j], reduced once."""
     roots = _compile(ops)
-    return [[_eval(root, (1, {key: _UNIT})) for key in keys] for root in roots]
+    return [[reduced(root.den, _eval(root, {key: _UNIT})) for key in keys] for root in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +594,21 @@ def first_failures(pairs: list[tuple[LinOp, LinOp]], keys: list) -> list[tuple |
     or None when they agree on every key.
 
     Keys are taken in order, and at each key the pairs in order; a pair that
-    has failed is not applied again.  All sides are evaluated on one merged
-    graph whose shared nodes cache their image columns for the whole call,
-    so an operator that lowers the degree reuses the images of earlier keys.
+    has failed is not applied again.  Each pair is checked as one difference
+    root lhs - rhs, all of them on one merged graph whose shared nodes cache
+    their images for the whole call, so an operator that lowers the degree
+    reuses the images of earlier keys.  A pair fails at the first key where
+    the difference has a nonzero entry; only then are its two sides
+    evaluated and reduced, for the counterexample.
     """
-    roots = _compile([op for pair in pairs for op in pair])
-    sides = list(zip(roots[::2], roots[1::2]))
-    failures: list[tuple | None] = [None] * len(sides)
+    roots = _compile([lhs - rhs for lhs, rhs in pairs])
+    failures: list[tuple | None] = [None] * len(roots)
     for position, key in enumerate(keys):
-        unit = (1, {key: _UNIT})
-        for index, (lhs, rhs) in enumerate(sides):
-            if failures[index] is None:
-                left, right = _eval(lhs, unit), _eval(rhs, unit)
-                if left != right:
-                    failures[index] = (position, left, right)
+        unit = {key: _UNIT}
+        for index, root in enumerate(roots):
+            if failures[index] is None and any(map(any, _eval(root, unit).values())):
+                (left,), (right,) = image_columns(list(pairs[index]), [key])
+                failures[index] = (position, left, right)
     return failures
 
 

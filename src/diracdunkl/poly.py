@@ -6,10 +6,12 @@ sign 1 and chi- = (0, 1) sign -1; this ordering fixes the sign conventions
 of the second and third Pauli actions.  Columns are reduced (den > 0, no zero
 entries, den coprime to the entries, den = 1 for zero), so equal polynomials
 have equal columns, and `combine` sums and scales them with integer products
-and one gcd.  `operators` evaluates on columns, also over other hashable
-keys (a scalar polynomial is a column over exponent triples), and `linalg`
-eliminates on them directly.  No code mutates a column once built: an
-operator's result can share its dict with a memo entry of its graph.
+(`accumulate`) and one gcd.  `operators` evaluates on integer entries over
+fixed denominators, also over other hashable keys (a scalar polynomial is a
+column over exponent triples), and reduces once per result; `linalg`
+eliminates on reduced columns directly.  No code mutates an entry dict once
+built: an intermediate image can share its dict with a memo entry of an
+operator graph.
 
 `ScalarPoly`, `SpinorPoly(up, down)` and the `up` and `down` views are the
 reference representation, which no production path builds.  A `ScalarPoly`
@@ -334,20 +336,14 @@ def reduced(den: int, entries: dict) -> tuple:
     return (den // g, {key: (re // g, im // g) for key, (re, im) in entries.items()})
 
 
-def combine(parts: list, den: int) -> tuple:
-    """Reduced column of (sum of (cr + i ci) * column) / den over the
-    (cr, ci, column) triples in parts."""
-    common = 1
-    for _, _, (d, _) in parts:
-        if common % d:
-            common = common // math.gcd(common, d) * d
+def accumulate(parts) -> dict:
+    """The integer entries of the sum of (cr + i ci) * entries over the
+    (cr, ci, entries) triples in parts, unreduced: a key whose terms cancel
+    keeps an explicit zero.  The one accumulation loop of the package, for
+    `combine` and for the operator graphs of `operators`."""
     out: dict = {}
     get = out.get
-    for cr, ci, (d, entries) in parts:
-        if d != common:
-            m = common // d
-            cr *= m
-            ci *= m
+    for cr, ci, entries in parts:
         if ci:
             for key, (re, im) in entries.items():
                 x = cr * re - ci * im
@@ -360,7 +356,19 @@ def combine(parts: list, den: int) -> tuple:
                 y = cr * im
                 acc = get(key)
                 out[key] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
-    return reduced(common * den, out)
+    return out
+
+
+def combine(parts: list, den: int) -> tuple:
+    """Reduced column of (sum of (cr + i ci) * column) / den over the
+    (cr, ci, column) triples in parts."""
+    common = 1
+    for _, _, (d, _) in parts:
+        if common % d:
+            common = common // math.gcd(common, d) * d
+    return reduced(common * den, accumulate(
+        (cr * (common // d), ci * (common // d), entries) for cr, ci, (d, entries) in parts
+    ))
 
 
 def _coefficient(den: int, re: int, im: int) -> GRational:

@@ -27,6 +27,12 @@ that `diracdunkl` runs as operator identities over element keys.
 `fischer_components` is the Fischer decomposition by one linear solve on the
 columns x^k M over the monogenic bases: the reference for the
 back-substitution of `diracdunkl.ck.fischer_decompose`.
+
+`evaluate` walks a `LinOp` tree as it was built, with no merging and no
+memo, and reduces the image column of every node with `poly.combine`:
+the reference for the merged graphs of `diracdunkl.operators`, which fix one
+denominator per node and reduce only at a root.  `first_failures` and
+`image_columns` are the checker and the batch evaluator on top of it.
 """
 
 import math
@@ -34,7 +40,14 @@ from fractions import Fraction
 
 from diracdunkl import birep, ck, closedform, linalg, operators
 from diracdunkl.exact import HALF, as_grational, factorial, pochhammer, rational_str
-from diracdunkl.poly import ScalarPoly, SpinorPoly, integer_form
+from diracdunkl.poly import (
+    ScalarPoly,
+    SpinorPoly,
+    combine,
+    integer_form,
+    lcm_of_denominators,
+    scaled,
+)
 
 
 def mat_mul(a: list[list], b: list[list]) -> list[list]:
@@ -467,3 +480,47 @@ def fischer_components(f, params) -> tuple:
             part = part + element.poly.scale(coef)
         parts.append(part)
     return tuple(parts)
+
+
+# ---------------------------------------------------------------------------
+# Operator trees evaluated node by node, every image reduced.
+
+_SIGNS = {"add": (1, 1), "sub": (1, -1), "neg": (-1,)}
+
+
+def evaluate(op, column: tuple) -> tuple:
+    """The reduced image column of op on a reduced column, from the
+    primitives' kernels up through the tree of op, one node at a time."""
+    kind, args = op.kind, op.operands
+    if kind == "primitive":
+        den, image = operators._kernel(op.payload)
+        d, entries = column
+        return combine([(re, im, (1, image(key))) for key, (re, im) in entries.items()], d * den)
+    if kind == "compose":
+        return evaluate(args[0], evaluate(args[1], column))
+    if kind == "scale":
+        c = op.payload
+        den = lcm_of_denominators((c.re, c.im))
+        return combine([(scaled(c.re, den), scaled(c.im, den), evaluate(args[0], column))], den)
+    return combine([(sign, 0, evaluate(arg, column)) for sign, arg in zip(_SIGNS[kind], args)], 1)
+
+
+def image_columns(ops: list, keys: list) -> list[list[tuple]]:
+    """result[i][j] is ops[i] applied to the basis vector of keys[j]."""
+    return [[evaluate(op, (1, {key: (1, 0)})) for key in keys] for op in ops]
+
+
+def first_failures(pairs: list, keys: list) -> list:
+    """For each (lhs, rhs) pair, (i, lhs column, rhs column) at the first
+    position i whose key the sides map to different columns, or None."""
+    out = []
+    for lhs, rhs in pairs:
+        failure = None
+        for position, key in enumerate(keys):
+            unit = (1, {key: (1, 0)})
+            left, right = evaluate(lhs, unit), evaluate(rhs, unit)
+            if left != right:
+                failure = (position, left, right)
+                break
+        out.append(failure)
+    return out

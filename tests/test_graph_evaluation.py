@@ -1,0 +1,221 @@
+"""The merged operator graphs against the plain tree evaluator of
+`reference.evaluate`.
+
+A merged graph fixes one denominator per node and passes unreduced integer
+entries between nodes; only a root's result is reduced, and the checker
+compares the two sides of a pair through one difference root.  Each test
+here gives `first_failures`, `image_columns` and `LinOp.__call__` the same
+operators as the reference, which reduces every node's image, and demands
+equal results: the same failure positions and the same reduced columns.
+The large fixed denominators come from `EDGE_MUS` (997/3 and 1000).
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import reference
+from conftest import EDGE_MUS, random_spinor
+
+from diracdunkl import operators, suites
+from diracdunkl.exact import GRational, I, Params
+from diracdunkl.operators import (
+    LinOp,
+    anticommutator,
+    bi_generator,
+    casimir,
+    central_element,
+    commutator,
+    coordinate_op,
+    dirac,
+    dunkl_op,
+    first_failures,
+    identity,
+    image_columns,
+    laplace_s2,
+    matrix_op,
+    reflect_op,
+    scalar_op,
+    symmetry,
+    x_underline,
+    zero_op,
+)
+from diracdunkl.poly import SpinorPoly, spinor_basis_labels
+
+KEYS = [(sign, exps) for degree in range(4) for exps, sign in spinor_basis_labels(degree)]
+
+
+def _suite_items(params, mutation=None) -> list:
+    """The (name, lhs, rhs) items that the osp12 and symmetry sections
+    check, as passed to `verify_identities`."""
+    captured = []
+    original = suites.verify_identities
+
+    def capture(items, degree):
+        captured.extend(items)
+        return original(items, degree)
+
+    suites.verify_identities = capture
+    try:
+        suites.suite_osp12(params, 1, mutation)
+        suites.suite_symmetry(params, 1, mutation)
+    finally:
+        suites.verify_identities = original
+    return captured
+
+
+def _planted(params) -> LinOp:
+    """An operator that vanishes below degree 3, with a 997 in its
+    denominator: added to one side, it makes that side fail at degree 3."""
+    x1, t1 = coordinate_op(1), dunkl_op(1, params)
+    return Fraction(1, 997) * (x1**3 * t1**3)
+
+
+@pytest.mark.parametrize("params", EDGE_MUS, ids=str)
+def test_suite_identities_match_tree_evaluation(params):
+    items = _suite_items(params)
+    assert len(items) == 80
+    sides = [op for _, lhs, rhs in items for op in (lhs, rhs)]
+    expected = reference.image_columns(sides, KEYS)
+    assert image_columns(sides, KEYS) == expected
+    # The reference's checker would find no failure: each pair's sides
+    # have equal columns on every key.
+    assert expected[::2] == expected[1::2]
+    assert first_failures(list(zip(sides[::2], sides[1::2])), KEYS) == [None] * 80
+
+
+@pytest.mark.parametrize("params", EDGE_MUS[2:4], ids=str)
+def test_planted_failures_match_tree_evaluation(params):
+    # Every suite identity, its right side perturbed by an operator that
+    # vanishes below degree 3; and the two mutated sections, whose planted
+    # defects fail three identities at degree 0.
+    pairs = [(lhs, rhs + _planted(params)) for _, lhs, rhs in _suite_items(params)]
+    pairs += [
+        (lhs, rhs) for mutation in ("gamma3+1", "quad+1")
+        for _, lhs, rhs in _suite_items(params, mutation)
+    ]
+    got = first_failures(pairs, KEYS)
+    assert got == reference.first_failures(pairs, KEYS)
+    first_cubic = next(i for i, (_, exps) in enumerate(KEYS) if exps[0] == 3)
+    assert [f[0] for f in got[:80]] == [first_cubic] * 80
+    failing = [f for f in got[80:] if f is not None]
+    assert len(failing) == 3 and all(f[0] == 0 and f[1] != f[2] for f in failing)
+
+
+def test_sides_with_different_denominators():
+    params = Params(Fraction(997, 3), 0, Fraction(2, 5))
+    t1, x1 = dunkl_op(1, params), coordinate_op(1)
+    big = scalar_op(Fraction(1, 1000))
+    pairs = [
+        # [T1, x1] = 1 + 2 mu1 R1 over the dens 3 and 3 * 1.
+        (commutator(t1, x1), identity() + (2 * params.mu1) * reflect_op(1)),
+        # Sides over 3 * 1000 and 1000 * 3 that agree.
+        (big * t1 * x1, t1 * big * x1),
+        # Sides over 9 and 1000 that differ on every key.
+        (t1 * t1 * x1 * x1, big * identity()),
+        # A den-1 side against a den-997 side that differ everywhere.
+        (x_underline(), Fraction(1, 997) * x_underline()),
+        (scalar_op(Fraction(1, 3)) * 3 * t1, t1),
+    ]
+    got = first_failures(pairs, KEYS)
+    assert got == reference.first_failures(pairs, KEYS)
+    assert [f if f is None else f[0] for f in got] == [None, None, 0, 0, None]
+    assert got[2][1] == (3, {KEYS[0]: (3994, 0)}) and got[2][2] == (1000, {KEYS[0]: (1, 0)})
+    columns = image_columns([op for pair in pairs for op in pair], KEYS)
+    assert columns == reference.image_columns([op for pair in pairs for op in pair], KEYS)
+
+
+def test_cancelling_commutator_leaves_explicit_zeros():
+    # x1 x2 and x2 x1 give the same integer entry, so the unreduced image of
+    # the commutator at its root keeps an explicit zero, which a check must
+    # read as zero and a reduction must drop.
+    params = EDGE_MUS[3]
+    bracket = commutator(coordinate_op(1), coordinate_op(2))
+    (root,) = operators._compile([bracket])
+    unreduced = operators._eval(root, {KEYS[0]: (1, 0)})
+    assert unreduced and not any(map(any, unreduced.values()))
+    cancelling = [
+        bracket,
+        commutator(reflect_op(1), reflect_op(2)),
+        anticommutator(bi_generator(params, 1), bi_generator(params, 2))
+        - anticommutator(bi_generator(params, 2), bi_generator(params, 1)),
+    ]
+    pairs = [(op, zero_op()) for op in cancelling]
+    assert first_failures(pairs, KEYS) == reference.first_failures(pairs, KEYS) == [None] * 3
+    assert image_columns(cancelling, KEYS) == [[(1, {})] * len(KEYS)] * 3
+    f = random_spinor(random.Random(5), 3)
+    assert all(op(f) == SpinorPoly.zero() for op in cancelling)
+
+
+MATRIX_KEYS = [(k,) for k in range(4)] + [(0, 1), (2, 3, 5)]
+
+
+def _random_matrix(rng) -> dict:
+    dens = (1, 3, 997, 1000)
+    return {
+        (row, column): GRational(
+            Fraction(rng.randint(-9, 9), rng.choice(dens)),
+            Fraction(rng.randint(-9, 9), rng.choice(dens)),
+        )
+        for row in MATRIX_KEYS for column in MATRIX_KEYS if rng.random() < 0.4
+    }
+
+
+def test_matrix_keys_match_tree_evaluation():
+    rng = random.Random(67)
+    for _ in range(5):
+        a, b, c = (matrix_op(_random_matrix(rng)) for _ in range(3))
+        ops = [a, a * b - b * a, (a + c) * b * a, Fraction(1, 997) * a * a + 1000 * c, b * b]
+        assert image_columns(ops, MATRIX_KEYS) == reference.image_columns(ops, MATRIX_KEYS)
+        pairs = [
+            (a * b, b * a),
+            (commutator(a, b), a * b - b * a),
+            (a * (b + c), a * b + a * c),
+            ((a + b) * c, a * c + b * c + Fraction(1, 997) * a * a * a),
+        ]
+        got = first_failures(pairs, MATRIX_KEYS)
+        assert got == reference.first_failures(pairs, MATRIX_KEYS)
+        assert got[1] is None and got[2] is None
+
+
+@pytest.mark.parametrize("params", EDGE_MUS, ids=str)
+def test_dense_inputs_match_tree_evaluation(params):
+    rng = random.Random(71)
+    ops = [
+        casimir(params),
+        central_element(params),
+        symmetry(params, 2) * bi_generator(params, 3),
+        laplace_s2(params) - I * dirac(params) * x_underline(),
+        Fraction(1, 997) * commutator(dunkl_op(1, params), coordinate_op(1)),
+    ]
+    inputs = [random_spinor(rng, 3), SpinorPoly.zero(), SpinorPoly.monomial((1, 2, 0), -1, I)]
+    inputs.append(inputs[0].scale(GRational(Fraction(1, 1000), Fraction(-3, 997))))
+    for op in ops:
+        for f in inputs + inputs[::-1]:
+            assert op(f).column == reference.evaluate(op, f.column)
+
+
+def test_reduction_only_at_roots(monkeypatch):
+    # A passing check reduces nothing; image_columns reduces each result
+    # once; a failing pair reduces its two sides, once each.
+    calls = []
+    reduced = operators.reduced
+
+    def counted(den, entries):
+        calls.append(den)
+        return reduced(den, entries)
+
+    monkeypatch.setattr(operators, "reduced", counted)
+    params = EDGE_MUS[3]
+    pairs = [(lhs, rhs) for _, lhs, rhs in _suite_items(params)]
+    assert first_failures(pairs, KEYS) == [None] * len(pairs)
+    assert calls == []
+    ops = [casimir(params), dirac(params), identity(), scalar_op(Fraction(1, 997))]
+    image_columns(ops, KEYS)
+    assert len(calls) == len(ops) * len(KEYS)
+    calls.clear()
+    image_columns([matrix_op({((0,), (1,)): 2})], [(0,), (1,), (2,)])
+    assert len(calls) == 3
+    calls.clear()
+    (failure,) = first_failures([(x_underline(), Fraction(1, 997) * x_underline())], KEYS)
+    assert failure[0] == 0 and len(calls) == 2
