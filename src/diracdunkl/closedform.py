@@ -164,13 +164,16 @@ def lift(
     return pref * op
 
 
-# At least the 2 x 49 = 98 (k, axes) of `overlaps --N 48`, the largest
-# working set of a command: k = 0..48 for each family.
-@lru_cache(maxsize=128)
+# Only `verify` reads this cache back, and only within one triple:
+# `suite_closedform` asks for psi k = 0..min(degree, 5) once per N >= k,
+# and `suite_orthogonality` for psi and upsilon k = 0..min(degree, 3), so at
+# most 10 entries (12 were both sections to reach degree 5).  A default
+# sweep hits 130 of its 175 calls.  A command builds one N, so it never hits.
+@lru_cache(maxsize=12)
 def _planar_images(k: int, params: Params, axes: tuple[int, int, int]) -> tuple:
     """The planar factor of `closed_basis_pair` applied to chi+ and chi-:
     the extensions of x_a1^k chi into the plane of a1 and a2, shared by
-    every N >= k.  Memoized, least recently used entries evicted past 128."""
+    every N >= k.  Memoized, least recently used entries evicted past 12."""
     a1, a2, _ = axes
     planar = lift(k, 0, (a1,), a2, params)
     if k % 2:
