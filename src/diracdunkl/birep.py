@@ -406,8 +406,12 @@ def match_function_realization(N: int, params: Params) -> IdentityReport:
         casimir(params) * embed,
         rep.casimir * embed,
     ], keys)
-    # The expansions of K1 and K2 on each element, from one solve.
-    expansions = linalg.solve([el.poly.column for el in elements], k1_images + k2_images)
+    # The expansions of K1 and K2 on each element, from one solve; a singular
+    # basis or an image outside its span fails here.
+    try:
+        expansions = linalg.solve([el.poly.column for el in elements], k1_images + k2_images)
+    except ValueError:
+        return report({"check": "expansion in the basis"})
     k2_expansions = expansions[len(elements):]
 
     # The generators commute with the sign-sector involution Z3, so the

@@ -1,12 +1,13 @@
-"""Closed-form eigenfunctions: homogenized Jacobi polynomials (scalar
-columns summed on Gaussian integers), the closed-form Cauchy-Kovalevskaia
-lift (`lift`, one formula for both steps of the extension tower: from the
-line to the plane, with source-space conformal constant mu_a1 + 1/2, and
-from the plane to space, with mu_a1 + mu_a2 + 1), the explicit monogenic
-basis (the two lifts applied to both constant spinors), normalized
-wavefunctions (one squared-norm factor per lift), the exact scalar product
-on the sphere (one integer bilinear form, `scalar_products`) and overlap
-matrices between the two eigenbases.
+"""Closed-form eigenfunctions: homogenized Jacobi factors in |x_t|^2 and
+x_axis^2 (scalar columns written out monomial by monomial from the
+two-binomial form), the closed-form Cauchy-Kovalevskaia lift (`lift`, one
+formula for both steps of the extension tower: from the line to the plane,
+with source-space conformal constant mu_a1 + 1/2, and from the plane to
+space, with mu_a1 + mu_a2 + 1), the explicit monogenic basis (the two lifts
+applied to both constant spinors), normalized wavefunctions (one
+squared-norm factor per lift), the exact scalar product on the sphere (one
+integer bilinear form, `scalar_products`) and overlap matrices between the
+two eigenbases.
 
 Square roots never appear: each wavefunction is stored as a radical-free
 spinor polynomial together with the exact square of its normalization
@@ -30,82 +31,45 @@ from .exact import (
     rational_str,
 )
 from .operators import LinOp, coordinate_op, multiply_op, pauli_op, x_underline
-from .poly import SpinorPoly, accumulate, lcm_of_denominators, reduced, scaled
+from .poly import SpinorPoly, lcm_of_denominators, reduced, scaled
 
 PSI_AXES = (1, 2, 3)
 UPSILON_AXES = (2, 3, 1)
 
 
-def _jacobi_series_coeffs(n: int, alpha: Fraction, beta: Fraction) -> list[Fraction]:
-    """Coefficient j of ((1 - x)/2)^j in the degree-n Jacobi polynomial,
-    (-n)_j (n + alpha + beta + 1)_j (alpha + j + 1)_(n - j) / (n! j!), for
-    j = 0..n.  Running products that divide only by j + 1 give exactly these
-    values, so integer and negative parameters need no special cases."""
-    tail = [Fraction(1)] * (n + 1)  # (alpha + j + 1)_(n - j)
-    for j in range(n - 1, -1, -1):
-        tail[j] = tail[j + 1] * (alpha + j + 1)
-    head = 1 / factorial(n)  # (-n)_j (n + alpha + beta + 1)_j / (n! j!)
-    out = []
-    for j in range(n + 1):
-        out.append(head * tail[j])
-        head = head * (j - n) * (n + alpha + beta + 1 + j) / (j + 1)
-    return out
-
-
-def _product(a: dict, b: dict) -> dict:
-    """Product of two polynomials held as {exps: (re, im)} Gaussian-integer
-    terms."""
-    out: dict = {}
-    get = out.get
-    for e1, (r1, i1) in a.items():
-        for e2, (r2, i2) in b.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            x, y = r1 * r2 - i1 * i2, r1 * i2 + i1 * r2
-            acc = get(e)
-            out[e] = (x, y) if acc is None else (acc[0] + x, acc[1] + y)
-    return out
-
-
-def homogenized_jacobi(m: int, alpha, beta, big_x: tuple, big_y: tuple) -> tuple:
+def homogenized_jacobi(m: int, alpha, beta, tangent: tuple[int, ...], axis: int) -> tuple:
     """(X + Y)^m P_m^(alpha, beta)((X - Y)/(X + Y)) as the reduced column of
-    an exact polynomial, for X and Y scalar columns (den, {exps: (re, im)}).
+    an exact polynomial, for X the sum of the squares of the `tangent`
+    coordinates (one or two axes) and Y = x_axis^2; an empty sum, zero, for
+    m < 0 (the convention of the branch formulas of `lift`).
 
-    Substituting the argument into the series turns ((1 - w)/2)^j into
-    Y^j (X + Y)^(m - j), so the result is polynomial in X and Y.  The sum
-    runs by Horner's rule in X + Y on Gaussian-integer terms over one common
-    denominator.  Returns zero for m < 0 (the convention used by the branch
-    formulas below).
+    The two-binomial form of the Jacobi polynomial (DLMF 18.5.8) makes it
+    the sum over s of C(m + alpha, m - s) C(m + beta, s) (-Y)^s X^(m - s),
+    and X^(m - s) expands by the binomial theorem, so the column is written
+    out monomial by monomial on integers over one denominator.  Each
+    generalized binomial is a running product that divides only by an
+    integer, so integer and negative parameters need no special case.
     """
-    if m < 0:
-        return (1, {})
-    coeffs = _jacobi_series_coeffs(m, Fraction(alpha), Fraction(beta))
+    left, right = [Fraction(1)], [Fraction(1)]  # C(m + alpha, s), C(m + beta, s)
+    for s in range(m):
+        left.append(left[-1] * (m + alpha - s) / (s + 1))
+        right.append(right[-1] * (m + beta - s) / (s + 1))
+    coeffs = [(-1) ** s * left[m - s] * right[s] for s in range(m + 1)]
     scale = lcm_of_denominators(coeffs)
-    # X + Y and Y as Gaussian-integer terms over one denominator d.
-    d = math.lcm(big_x[0], big_y[0])
-    x = (d // big_x[0], 0, big_x[1])
-    y = (d // big_y[0], 0, big_y[1])
-    s, y = accumulate([x, y]), accumulate([y])
-    one = (0, 0, 0)
-    total = {one: (scaled(coeffs[0], scale), 0)}
-    y_power = {one: (1, 0)}
-    for j in range(1, m + 1):
-        total = _product(total, s)
-        y_power = _product(y_power, y)
-        c = scaled(coeffs[j], scale)
-        if c:
-            for e, (re, im) in y_power.items():
-                tr, ti = total.get(e, (0, 0))
-                total[e] = (tr + c * re, ti + c * im)
-    return reduced(scale * d**m, total)
+    entries = {}
+    for s, c in enumerate(coeffs):
+        n = m - s
+        for i in range(n + 1) if len(tangent) == 2 else (n,):
+            exps = [0, 0, 0]
+            exps[axis - 1] = 2 * s
+            for a, e in zip(tangent, (i, n - i)):
+                exps[a - 1] = 2 * e
+            entries[tuple(exps)] = (scaled(c, scale) * math.comb(n, i), 0)
+    return reduced(scale, entries)
 
 
 # ---------------------------------------------------------------------------
 # The closed-form Cauchy-Kovalevskaia lift.
-
-def _sum_of_squares(*axes: int) -> tuple:
-    """The scalar column of the sum of x_a^2 over the given axes."""
-    return (1, {tuple(2 * (i == a - 1) for i in range(3)): (1, 0) for a in axes})
-
 
 def _conformal_constant(axes: tuple[int, ...], params: Params) -> Fraction:
     """gamma of the space spanned by axes: the sum of their parameters plus
@@ -129,7 +93,8 @@ def lift(
     constant of the source space, is the sum of the tangent parameters plus
     len(tangent) / 2: mu_a1 + 1/2 on the line, mu_a1 + mu_a2 + 1 on the
     plane.  The two branches (j even / odd) combine homogenized Jacobi
-    polynomials in X = |x_t|^2 and Y = x_axis^2 with at most one Clifford
+    polynomials in X = |x_t|^2 and Y = x_axis^2, each the scalar column
+    `homogenized_jacobi(..., tangent, axis)`, with at most one Clifford
     factor, as in the Jacobi-polynomial extensions of De Bie, Orsted,
     Somberg and Van der Jeugt (Trans. AMS 2012).  At j = 0 it is the
     identity, whatever the shift.
@@ -143,24 +108,19 @@ def lift(
     m = params.mu(axis)
     s = _conformal_constant(tangent, params) + (k - 1)
     xt, x = x_underline(tangent), coordinate_op(axis)
-    big_x, big_y = _sum_of_squares(*tangent), _sum_of_squares(axis)
     beta, odd = divmod(j, 2)
     pref = factorial(beta) / pochhammer(m + HALF, beta)
+
+    def jacobi(n: int, a: Fraction, b: Fraction) -> LinOp:
+        return multiply_op(homogenized_jacobi(n, a, b, tangent, axis))
+
     if not odd:
-        first = multiply_op(
-            homogenized_jacobi(beta, m - HALF, s + even_parameter_shift, big_x, big_y)
-        )
-        cross = homogenized_jacobi(beta - 1, m + HALF, s + 1, big_x, big_y)
-        op = first - pauli_op(axis) * xt * x * multiply_op(cross)
+        first = jacobi(beta, m - HALF, s + even_parameter_shift)
+        op = first - pauli_op(axis) * xt * x * jacobi(beta - 1, m + HALF, s + 1)
     else:
-        first = xt * multiply_op(
-            homogenized_jacobi(beta, m - HALF, s + 1, big_x, big_y)
-        )
+        first = xt * jacobi(beta, m - HALF, s + 1)
         ratio = (beta + s + 1) / (beta + m + HALF)
-        second = pauli_op(axis) * x * multiply_op(
-            homogenized_jacobi(beta, m + HALF, s, big_x, big_y)
-        )
-        op = first - ratio * second
+        op = first - ratio * (pauli_op(axis) * x * jacobi(beta, m + HALF, s))
     return pref * op
 
 

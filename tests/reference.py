@@ -411,10 +411,13 @@ def function_realization(N: int, params) -> dict:
 
     k3_op = birep.bi_generator(params, 3)
     q_op = birep.casimir(params)
-    expansions = linalg.solve(
-        [el.poly.column for el in elements],
-        [birep.bi_generator(params, i)(el.poly).column for i in (1, 2) for el in elements],
-    )
+    try:
+        expansions = linalg.solve(
+            [el.poly.column for el in elements],
+            [birep.bi_generator(params, i)(el.poly).column for i in (1, 2) for el in elements],
+        )
+    except ValueError:
+        return report("expansion in the basis")
     k2_expansions = expansions[len(elements):]
 
     def sector(el) -> int:

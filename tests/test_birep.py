@@ -24,7 +24,13 @@ from diracdunkl.birep import (
 )
 from diracdunkl import birep, linalg
 from diracdunkl.exact import HALF, Params
-from diracdunkl.operators import anticommutator, commutator, image_columns
+from diracdunkl.operators import (
+    anticommutator,
+    commutator,
+    coordinate_op,
+    dunkl_op,
+    image_columns,
+)
 
 P = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 ZERO = Params(0, 0, 0)
@@ -443,3 +449,31 @@ def test_match_function_realization_checks_k2_against_the_band_data(monkeypatch)
         for N in range(1, 4):
             report = match_function_realization(N, params)
             assert report.counterexample["check"] == "K2 off-diagonal product", (N, params)
+
+
+def test_match_function_realization_reports_images_outside_the_basis(monkeypatch):
+    # K1 + x1 T2 maps the degree-N basis to degree N + 1, out of its span.
+    generator = birep.bi_generator
+
+    def leaking(params, i):
+        if i != 1:
+            return generator(params, i)
+        return generator(params, 1) + coordinate_op(1) * dunkl_op(2, params)
+
+    monkeypatch.setattr(birep, "bi_generator", leaking)
+    report = match_function_realization(2, P)
+    assert report.counterexample == {"check": "expansion in the basis"}
+
+
+def test_match_function_realization_reports_a_singular_basis(monkeypatch):
+    basis = birep.monogenic_basis
+
+    def doubled(N, params):
+        built = basis(N, params)
+        first = built.elements[0]
+        twin = dataclasses.replace(built.elements[1], poly=first.poly)
+        return dataclasses.replace(built, elements=(first, twin) + built.elements[2:])
+
+    monkeypatch.setattr(birep, "monogenic_basis", doubled)
+    report = match_function_realization(2, P)
+    assert report.counterexample == {"check": "expansion in the basis"}

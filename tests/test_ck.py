@@ -257,10 +257,19 @@ def test_monogenic_basis_smallest_cases():
     assert [(el.k, el.sign) for el in basis.elements] == [(0, 1), (0, -1)]
 
 
+def test_monogenic_basis_cache_holds_one_construction_task():
+    # `verify` reads the cache back only within one triple's construction
+    # task, which asks for degrees 0..5 whatever --degree says: each basis
+    # is built once.
+    monogenic_basis.cache_clear()
+    suites._run_part(("constructions", P, 16, None))
+    info = monogenic_basis.cache_info()
+    assert (info.misses, info.hits) == (6, 16)
+
+
 def test_monogenic_basis_cache_evicts_past_its_bound():
-    # A default `verify` run reuses 30 bases (degrees 0..5 for five triples).
     maxsize = monogenic_basis.cache_info().maxsize
-    assert 30 <= maxsize < float("inf")
+    assert 6 <= maxsize < float("inf")
     monogenic_basis.cache_clear()
     first = monogenic_basis(2, P)
     for n in range(maxsize):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +22,7 @@ from diracdunkl.closedform import (
     squared_norm_factor,
     wavefunctions,
 )
-from diracdunkl.exact import GRational, HALF, I, Params, factorial, pochhammer
+from diracdunkl.exact import GRational, HALF, Params, factorial, pochhammer
 from diracdunkl.operators import (
     bi_generator,
     involution,
@@ -76,39 +77,6 @@ def test_jacobi_against_three_term_recurrence():
             assert lhs == rhs, (n, alpha, beta)
 
 
-def test_homogenization_identity():
-    # Three independent routes to the same two-variable polynomial:
-    # series substitution, coefficient substitution, and the terminating
-    # hypergeometric form in powers of the first variable.
-    rng = random.Random(5)
-    x = ScalarPoly.variable(1)
-    y = ScalarPoly.variable(2)
-    for m in range(5):
-        for _ in range(3):
-            alpha = Fraction(rng.randint(0, 9), rng.randint(1, 4))
-            beta = Fraction(rng.randint(0, 9), rng.randint(1, 4))
-            route_a = homogenized_jacobi(m, alpha, beta, scalar_column(x), scalar_column(y))
-
-            coeffs = jacobi(m, alpha, beta).coeffs
-            route_b = ScalarPoly.zero()
-            for i, c in enumerate(coeffs):
-                route_b = route_b + ((x - y) ** i * (x + y) ** (m - i)).scale(c)
-
-            route_c = ScalarPoly.zero()
-            for j in range(m + 1):
-                c = (
-                    pochhammer(alpha + 1, m)
-                    * pochhammer(Fraction(-m), j)
-                    * pochhammer(Fraction(-m) - beta, j)
-                    * Fraction(-1) ** j
-                    / (factorial(m) * factorial(j) * pochhammer(alpha + 1, j))
-                )
-                if c:
-                    route_c = route_c + ((y**j) * (x ** (m - j))).scale(c)
-
-            assert route_a == scalar_column(route_b) == scalar_column(route_c), (m, alpha, beta)
-
-
 def _jacobi_parameters(m):
     """Random rational pairs, then negative-integer and half-integer values
     and pairs that make m + alpha + beta + 1 zero or a negative integer, so
@@ -126,27 +94,62 @@ def _jacobi_parameters(m):
     return pairs
 
 
-# (X, Y): monomial X, X = x1^2 + x2^2 as in the lift factor, and
-# Gaussian-rational coefficients over different denominators.
-JACOBI_ARGUMENTS = [
-    (ScalarPoly.monomial((2, 0, 0)), ScalarPoly.monomial((0, 2, 0))),
-    (ScalarPoly.monomial((2, 0, 0)) + ScalarPoly.monomial((0, 2, 0)),
-     ScalarPoly.monomial((0, 0, 2))),
-    (ScalarPoly.monomial((1, 0, 0), GRational(Fraction(1, 2), Fraction(-2, 3)))
-     + ScalarPoly.monomial((0, 2, 1), 3),
-     ScalarPoly.monomial((0, 0, 1), I * Fraction(5, 7)) + ScalarPoly.constant(Fraction(1, 4))),
+# (tangent, axis) as `lift` passes them: the line and the plane of each
+# cyclic axis order (the psi and upsilon orders among them), so every axis
+# is the lift axis once below one tangent axis and once below two.
+LIFT_SHAPES = [
+    shape
+    for a1, a2, a3 in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    for shape in (((a1,), a2), ((a1, a2), a3))
 ]
+
+
+def _big_x_y(tangent, axis):
+    """X = the sum of the squares of the tangent coordinates, Y = x_axis^2."""
+    big_x = ScalarPoly.zero()
+    for a in tangent:
+        big_x = big_x + ScalarPoly.variable(a) ** 2
+    return big_x, ScalarPoly.variable(axis) ** 2
+
+
+def test_homogenization_identity():
+    # Three independent routes to the same polynomial in X and Y: the
+    # two-binomial sum, coefficient substitution, and the terminating
+    # hypergeometric form in powers of X.
+    for m, (tangent, axis) in itertools.product(range(5), LIFT_SHAPES):
+        x, y = _big_x_y(tangent, axis)
+        for alpha, beta in _jacobi_parameters(m):
+            alpha, beta = Fraction(alpha), Fraction(beta)
+            route_a = homogenized_jacobi(m, alpha, beta, tangent, axis)
+
+            coeffs = jacobi(m, alpha, beta).coeffs
+            route_b = ScalarPoly.zero()
+            for i, c in enumerate(coeffs):
+                route_b = route_b + ((x - y) ** i * (x + y) ** (m - i)).scale(c)
+
+            route_c = ScalarPoly.zero()
+            for j in range(m + 1):
+                c = (
+                    pochhammer(alpha + j + 1, m - j)
+                    * pochhammer(Fraction(-m), j)
+                    * pochhammer(Fraction(-m) - beta, j)
+                    * Fraction(-1) ** j
+                    / (factorial(m) * factorial(j))
+                )
+                if c:
+                    route_c = route_c + ((y**j) * (x ** (m - j))).scale(c)
+
+            assert route_a == scalar_column(route_b) == scalar_column(route_c), (
+                m, alpha, beta, tangent, axis)
 
 
 @pytest.mark.parametrize("m", range(-1, 11))
 def test_homogenized_jacobi_matches_the_series_reference(m):
     for alpha, beta in _jacobi_parameters(m):
-        for big_x, big_y in JACOBI_ARGUMENTS:
-            assert homogenized_jacobi(
-                m, alpha, beta, scalar_column(big_x), scalar_column(big_y)
-            ) == scalar_column(
-                reference.homogenized_jacobi(m, alpha, beta, big_x, big_y)
-            ), (m, alpha, beta, big_x, big_y)
+        for tangent, axis in LIFT_SHAPES:
+            assert homogenized_jacobi(m, alpha, beta, tangent, axis) == scalar_column(
+                reference.homogenized_jacobi(m, alpha, beta, *_big_x_y(tangent, axis))
+            ), (m, alpha, beta, tangent, axis)
 
 
 # --------------------------------------------------------------------------
@@ -580,3 +583,23 @@ def test_orthogonality_suite_names_first_non_orthogonal_pair(
         ("overlap sign sectors decouple N=2", {"N": 2, "s": 0, "k": 1}),
         ("overlap sum rule N=2", {"N": 2, "sector": 1, "cols": [3, 3]}),
     ]
+
+
+def test_orthogonality_suite_fails_a_zero_cycled_wavefunction(monkeypatch):
+    # Zero passes the eigenvalue equations (0 = lambda 0), so the sum rule,
+    # which divides by the cycled Gram diagonal, must fail it.
+    original = closedform.closed_basis_pair
+
+    def vanishing(N, k, params, axes=closedform.PSI_AXES, even_parameter_shift=0):
+        pair = original(N, k, params, axes, even_parameter_shift)
+        if axes == closedform.UPSILON_AXES and (N, k) == (1, 1):
+            return SpinorPoly.zero(), SpinorPoly.zero()
+        return pair
+
+    monkeypatch.setattr(closedform, "closed_basis_pair", vanishing)
+    failures = [
+        (check["name"], check["counterexample"])
+        for check in suites.suite_orthogonality(P, 2)
+        if check["status"] != "pass"
+    ]
+    assert failures == [("overlap sum rule N=1", {"N": 1, "sector": 1, "cols": [1, 1]})]
