@@ -11,10 +11,13 @@ column by column on one merged graph of `operators`, so each costs O(N)
 column work.  Anticommutator relations, spectra and the Casimir value are
 similarity invariant, so nothing is lost.
 The spectrum of K1 is certified by evaluating its characteristic polynomial
-at the expected eigenvalues.  `match_function_realization` evaluates the
-generators on the monogenic basis on one merged graph too, composed with the
-embedding of the element keys (k, sign).  Both return one `IdentityReport`
-per degree, whose counterexample names the first failing check.
+at the expected eigenvalues.  `match_function_realization` checks that each
+sign sector of the degree-N monogenic basis carries this realization exactly:
+with E the embedding of the element keys (k, sign), K_i E = E rho(K_i)^T is
+an operator identity on those keys, read off the same band entries, and all
+of its identities go through one `first_failures` call.  Both return one
+`IdentityReport` per degree, whose counterexample names the first failing
+check.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from . import linalg
 from .ck import monogenic_basis
 from .exact import HALF, Params, rational_str
 from .operators import (
@@ -33,7 +35,9 @@ from .operators import (
     bi_generator,
     casimir,
     embedding_op,
+    first_failures,
     image_columns,
+    involution,
     matrix_op,
     scalar_op,
 )
@@ -194,9 +198,9 @@ def rep_matrices(N: int, params: Params) -> RepMatrices:
     )
 
 
-def generator_ops(rep: RepMatrices) -> tuple[LinOp, LinOp, LinOp]:
-    """Rational realization (K1, K2, K3) of the band data as operators on
-    the states (k,), k = 0..N: K3 diagonal, K1 tridiagonal and
+def _band_entries(rep: RepMatrices) -> tuple[dict, dict, dict]:
+    """The entries {(row, column): value} of the rational realization
+    (K1, K2, K3) on the states k = 0..N: K3 diagonal, K1 tridiagonal and
     K2 = {K3, K1} - w2, whose entries are (lambda_i + lambda_j) K1[i][j]
     because K3 is diagonal."""
     lam = rep.eigenvalues
@@ -210,9 +214,15 @@ def generator_ops(rep: RepMatrices) -> tuple[LinOp, LinOp, LinOp]:
         for (i, j), value in k1.items()
     }
     k3 = {(k, k): value for k, value in enumerate(lam)}
+    return k1, k2, k3
+
+
+def generator_ops(rep: RepMatrices) -> tuple[LinOp, LinOp, LinOp]:
+    """The rational realization (K1, K2, K3) of the band data as matrix
+    operators on the states (k,), k = 0..N."""
     return tuple(
         matrix_op({((i,), (j,)): value for (i, j), value in entries.items()})
-        for entries in (k1, k2, k3)
+        for entries in _band_entries(rep)
     )
 
 
@@ -382,84 +392,50 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
 
 
 def match_function_realization(N: int, params: Params) -> IdentityReport:
-    """Expand the operator realization of the generators over the monogenic
-    basis and compare against the abstract matrix data, exactly: K3 and the
-    Casimir on each element, K1 entry by entry up to the diagonal
-    similarity, and K2 through the invariants of that similarity.
+    """Check that the degree-N monogenic basis carries the band data: with
+    E the embedding of the elements on their keys (k, sign), every element
+    is nonzero and, on one merged graph of `first_failures`,
 
-    Every operator image comes from one `image_columns` call over the
-    element keys (k, sign), through the embedding E that sends a key to its
-    element: K1 E and K2 E feed one solve, and K3 E, E diag(lambda), Q E and
-    q_N E are the sides of the eigenvalue equations."""
+        K3 E = E rho(K3)^T,  Z3 E = E diag(z3),  Q E = q_N E,
+        K1 E = E rho(K1)^T,  K2 E = E rho(K2)^T.
+
+    rho(K_i)^T is block-diagonal by the sign sector eps, whose state k is
+    the key (k, eps (-1)^(N-k)): K1 el_k = C_k el_(k-1) + V_k el_k +
+    A_k el_(k+1).  Nonzero joint eigenvectors of (K3, Z3) whose eigenvalues
+    (lambda_k, +-1) are pairwise distinct are independent, and |lambda_k|
+    grows strictly with k, so a pass also certifies that the elements are
+    linearly independent.  The counterexample names the first failing check and its first
+    failing element."""
     rep = rep_matrices(N, params)
     elements = monogenic_basis(N, params).elements
     report = partial(IdentityReport, f"function realization of the representation N={N}",
                      degrees=(N, N), basis_size=len(elements))
+    zero = next((el for el in elements if not el.poly), None)
+    if zero is not None:
+        return report({"check": "nonzero element", "k": zero.k, "sign": zero.sign})
 
     keys = [(el.k, el.sign) for el in elements]
     embed = embedding_op({key: el.poly.column for key, el in zip(keys, elements)})
-    k1_images, k2_images, k3_images, k3_expected, q_images, q_expected = image_columns([
-        bi_generator(params, 1) * embed,
-        bi_generator(params, 2) * embed,
-        bi_generator(params, 3) * embed,
-        embed * matrix_op({(key, key): k3_eigenvalue(key[0], params) for key in keys}),
-        casimir(params) * embed,
-        rep.casimir * embed,
-    ], keys)
-    # The expansions of K1 and K2 on each element, from one solve; a singular
-    # basis or an image outside its span fails here.
-    try:
-        expansions = linalg.solve([el.poly.column for el in elements], k1_images + k2_images)
-    except ValueError:
-        return report({"check": "expansion in the basis"})
-    k2_expansions = expansions[len(elements):]
 
-    # The generators commute with the sign-sector involution Z3, so the
-    # invariant chains alternate the +/- label along k.
-    def sector(el) -> int:
-        return z3_eigenvalue(N, el.k, el.sign)
+    def state(k: int, eps: int) -> tuple[int, int]:
+        return (k, eps * (-1) ** (N - k))
 
-    index = {key: pos for pos, key in enumerate(keys)}
-
-    def off_diagonal(check: str, coefs: list, products) -> IdentityReport | None:
-        for eps in (1, -1):
-            for k in range(N):
-                here = index[(k, eps * (-1) ** (N - k))]
-                there = index[(k + 1, eps * (-1) ** (N - k - 1))]
-                product = coefs[here][there] * coefs[there][here]
-                if product != products[k]:
-                    return report({"check": check, "k": k, "sector": eps, "got": str(product),
-                                   "expected": rational_str(products[k])})
-        return None
-
-    for pos, el in enumerate(elements):
-        if k3_images[pos] != k3_expected[pos]:
-            return report({"check": "K3 eigenvalue", "k": el.k, "sign": el.sign})
-        if q_images[pos] != q_expected[pos]:
-            return report({"check": "casimir eigenvalue", "k": el.k, "sign": el.sign})
-        coefs = expansions[pos]
-        for other_pos, value in enumerate(coefs):
-            other = elements[other_pos]
-            active = sector(other) == sector(el) and abs(other.k - el.k) <= 1
-            if value and not active:
-                return report({"check": "tridiagonal support",
-                               "from": [el.k, el.sign], "to": [other.k, other.sign]})
-        if coefs[pos] != rep.diag[el.k]:
-            return report({"check": "diagonal coefficient", "k": el.k, "sign": el.sign,
-                           "got": str(coefs[pos]), "expected": rational_str(rep.diag[el.k])})
-
-    failure = off_diagonal("off-diagonal product", expansions, rep.u_squared)
-    if failure:
-        return failure
-    # K2 = {K3, K1} - w2 in the diagonally similar realization, so its
-    # similarity invariants are the diagonal 2 lambda_k V_k - w2 and the
-    # off-diagonal products (lambda_k + lambda_(k+1))^2 u_(k+1)^2.
-    eig = rep.eigenvalues
-    for pos, el in enumerate(elements):
-        expected = 2 * eig[el.k] * rep.diag[el.k] - rep.omega[1]
-        if k2_expansions[pos][pos] != expected:
-            return report({"check": "K2 diagonal coefficient", "k": el.k, "sign": el.sign,
-                           "got": str(k2_expansions[pos][pos]),
-                           "expected": rational_str(expected)})
-    products = [(eig[k] + eig[k + 1]) ** 2 * u2 for k, u2 in enumerate(rep.u_squared)]
-    return off_diagonal("K2 off-diagonal product", k2_expansions, products) or report()
+    m1, m2, m3 = (
+        matrix_op({(state(j, eps), state(i, eps)): value
+                   for (i, j), value in entries.items() for eps in (1, -1)})
+        for entries in _band_entries(rep)
+    )
+    z3 = matrix_op({(key, key): z3_eigenvalue(N, *key) for key in keys})
+    checks = [
+        ("K3 eigenvalue", bi_generator(params, 3) * embed, embed * m3),
+        ("Z3 eigenvalue", involution(3) * embed, embed * z3),
+        ("casimir eigenvalue", casimir(params) * embed, rep.casimir * embed),
+        ("K1 E = E rho(K1)^T", bi_generator(params, 1) * embed, embed * m1),
+        ("K2 E = E rho(K2)^T", bi_generator(params, 2) * embed, embed * m2),
+    ]
+    failures = first_failures([(lhs, rhs) for _, lhs, rhs in checks], keys)
+    for (label, _, _), failure in zip(checks, failures):
+        if failure is not None:
+            k, sign = keys[failure[0]]
+            return report({"check": label, "k": k, "sign": sign})
+    return report()

@@ -21,8 +21,9 @@ Jacobi factors.  `scalar_column` turns a `ScalarPoly` into the scalar column
 `gamma2`, `raising_norm_sq` and `lowering_norm_sq` are band quantities only
 the tests use.  `monogenic_element_checks`, `cycled_family_checks` and
 `function_realization` apply each operator to one basis element at a time
-and compare with the scaled element: the reference for the element checks
-that `diracdunkl` runs as operator identities over element keys.
+and compare with the scaled element, or with the explicit band sum over its
+sign sector: the reference for the element checks that `diracdunkl` runs as
+operator identities over element keys.
 
 `fischer_components` is the Fischer decomposition by one linear solve on the
 columns x^k M over the monogenic bases: the reference for the
@@ -39,7 +40,7 @@ import math
 from fractions import Fraction
 
 from diracdunkl import birep, ck, closedform, linalg, operators
-from diracdunkl.exact import HALF, as_grational, factorial, pochhammer, rational_str
+from diracdunkl.exact import HALF, as_grational, factorial, pochhammer
 from diracdunkl.poly import (
     ScalarPoly,
     SpinorPoly,
@@ -395,72 +396,60 @@ def cycled_family_checks(params, n_max: int) -> list[dict]:
 
 
 def function_realization(N: int, params) -> dict:
-    """The JSON report of `birep.match_function_realization`, with the K3
-    and Casimir eigenvalue checks applied element by element."""
+    """The JSON report of `birep.match_function_realization`, with each
+    operator applied to one element at a time and compared with its
+    expected image: the scaled element for K3, Z3 and the Casimir, and the
+    explicit band sums over the sign sector for K1 and K2,
+    K1 el_k = C_k el_(k-1) + V_k el_k + A_k el_(k+1) and
+    K2 el_k = (l_k + l_(k-1)) C_k el_(k-1) + (2 l_k V_k - w2) el_k
+              + (l_k + l_(k+1)) A_k el_(k+1),
+    where the neighbours el_(k+-1) of the element (k, sign) have the keys
+    (k +- 1, -sign)."""
     rep = birep.rep_matrices(N, params)
     elements = birep.monogenic_basis(N, params).elements
+    polys = {(el.k, el.sign): el.poly for el in elements}
+    lam = rep.eigenvalues
 
-    def report(check=None, **detail):
+    def report(check=None, el=None):
         return {
             "name": f"function realization of the representation N={N}",
             "degrees": [N, N],
             "basis_size": len(elements),
             "status": "pass" if check is None else "fail",
-            "counterexample": None if check is None else {"check": check, **detail},
+            "counterexample": None if check is None else {
+                "check": check, "k": el.k, "sign": el.sign,
+            },
         }
 
-    k3_op = birep.bi_generator(params, 3)
-    q_op = birep.casimir(params)
-    try:
-        expansions = linalg.solve(
-            [el.poly.column for el in elements],
-            [birep.bi_generator(params, i)(el.poly).column for i in (1, 2) for el in elements],
-        )
-    except ValueError:
-        return report("expansion in the basis")
-    k2_expansions = expansions[len(elements):]
+    def band(el, weight):
+        """The band sum of el with each entry of K1 scaled by weight(k, j)
+        for the entry from state k to state j."""
+        k = el.k
+        out = el.poly.scale(weight(k, k) * rep.diag[k])
+        if k > 0:
+            out = out + polys[k - 1, -el.sign].scale(weight(k, k - 1) * rep.lower[k])
+        if k < N:
+            out = out + polys[k + 1, -el.sign].scale(weight(k, k + 1) * rep.upper[k])
+        return out
 
-    def sector(el) -> int:
-        return birep.z3_eigenvalue(N, el.k, el.sign)
-
-    index = {(el.k, el.sign): pos for pos, el in enumerate(elements)}
-
-    def off_diagonal(check, coefs, products):
-        for eps in (1, -1):
-            for k in range(N):
-                here = index[(k, eps * (-1) ** (N - k))]
-                there = index[(k + 1, eps * (-1) ** (N - k - 1))]
-                product = coefs[here][there] * coefs[there][here]
-                if product != products[k]:
-                    return report(check, k=k, sector=eps, got=str(product),
-                                  expected=rational_str(products[k]))
-        return None
-
-    for pos, el in enumerate(elements):
-        if k3_op(el.poly) != el.poly.scale(birep.k3_eigenvalue(el.k, params)):
-            return report("K3 eigenvalue", k=el.k, sign=el.sign)
-        if q_op(el.poly) != el.poly.scale(rep.casimir):
-            return report("casimir eigenvalue", k=el.k, sign=el.sign)
-        coefs = expansions[pos]
-        for other_pos, value in enumerate(coefs):
-            other = elements[other_pos]
-            if value and not (sector(other) == sector(el) and abs(other.k - el.k) <= 1):
-                return report("tridiagonal support", **{
-                    "from": [el.k, el.sign], "to": [other.k, other.sign]})
-        if coefs[pos] != rep.diag[el.k]:
-            return report("diagonal coefficient", k=el.k, sign=el.sign, got=str(coefs[pos]),
-                          expected=rational_str(rep.diag[el.k]))
-    failure = off_diagonal("off-diagonal product", expansions, rep.u_squared)
-    if failure:
-        return failure
-    eig = rep.eigenvalues
-    for pos, el in enumerate(elements):
-        expected = 2 * eig[el.k] * rep.diag[el.k] - rep.omega[1]
-        if k2_expansions[pos][pos] != expected:
-            return report("K2 diagonal coefficient", k=el.k, sign=el.sign,
-                          got=str(k2_expansions[pos][pos]), expected=rational_str(expected))
-    products = [(eig[k] + eig[k + 1]) ** 2 * u2 for k, u2 in enumerate(rep.u_squared)]
-    return off_diagonal("K2 off-diagonal product", k2_expansions, products) or report()
+    checks = [
+        ("K3 eigenvalue", birep.bi_generator(params, 3), lambda el: el.poly.scale(lam[el.k])),
+        ("Z3 eigenvalue", operators.involution(3),
+         lambda el: el.poly.scale(birep.z3_eigenvalue(N, el.k, el.sign))),
+        ("casimir eigenvalue", birep.casimir(params), lambda el: el.poly.scale(rep.casimir)),
+        ("K1 E = E rho(K1)^T", birep.bi_generator(params, 1),
+         lambda el: band(el, lambda k, j: 1)),
+        ("K2 E = E rho(K2)^T", birep.bi_generator(params, 2),
+         lambda el: band(el, lambda k, j: lam[k] + lam[j]) - el.poly.scale(rep.omega[1])),
+    ]
+    zero = next((el for el in elements if not el.poly), None)
+    if zero is not None:
+        return report("nonzero element", zero)
+    for check, op, expected in checks:
+        bad = next((el for el in elements if op(el.poly) != expected(el)), None)
+        if bad is not None:
+            return report(check, bad)
+    return report()
 
 
 def fischer_components(f, params) -> tuple:

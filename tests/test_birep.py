@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import EDGE_MUS, mu_triples
 from reference import lowering_norm_sq, raising_norm_sq
 
@@ -31,6 +33,7 @@ from diracdunkl.operators import (
     dunkl_op,
     image_columns,
 )
+from diracdunkl.poly import SpinorPoly
 
 P = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 ZERO = Params(0, 0, 0)
@@ -399,7 +402,8 @@ def test_verify_rep_reports_golden_digest():
 
 def test_match_function_realization_reports_golden_digest():
     # sha256 of the JSON reports for every EDGE_MUS triple and N = 0..8,
-    # recorded with the Fraction Gauss-Jordan elimination.
+    # all passing; recorded when the check still solved for the expansions
+    # of K1 and K2, and unchanged by the intertwining identities.
     reports = [
         match_function_realization(N, params).to_json_dict()
         for params in EDGE_MUS for N in range(9)
@@ -408,72 +412,125 @@ def test_match_function_realization_reports_golden_digest():
     assert digest == "a2b83a469b00bdffd108f676e8a2431de4d7265e388f0a4b12b897d88965d8be"
 
 
-def test_match_function_realization_bumped_band_data_golden_digest(monkeypatch):
-    # A raised last diagonal entry or last off-diagonal product makes the
-    # report print the solved coefficient ("got"), so this digest pins the
-    # values of the linear solve; recorded with the Fraction elimination.
-    reports = []
-    for field in ("diag", "u_squared"):
-        monkeypatch.setattr(birep, "rep_matrices", _bumped(rep_matrices, field, -1))
-        reports += [
-            match_function_realization(N, params).to_json_dict()
-            for params in EDGE_MUS for N in (3, 6)
-        ]
-    assert {r["counterexample"]["check"] for r in reports} == {
-        "diagonal coefficient", "off-diagonal product",
-    }
-    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
-    assert digest == "8a2d3bf3474ab522f5016388701a25fcc97ba23c478fac5a1f88af3be4ea3843"
+_K1 = "K1 E = E rho(K1)^T"
+_K2 = "K2 E = E rho(K2)^T"
+
+# Counterexamples of the function realization at N = 3 after one entry of
+# the band data is raised by 1/3, for every triple: the first element whose
+# column of rho(K_i)^T moved.  A_N, C_0, the products u_k^2, w1 and w3 are
+# not entries of rho(K1) and rho(K2), and only verify_rep reads them.
+BUMPED_BAND_REALIZATION = {
+    ("eigenvalues", 0): {"check": "K3 eigenvalue", "k": 0, "sign": 1},
+    ("eigenvalues", 3): {"check": "K3 eigenvalue", "k": 3, "sign": 1},
+    ("diag", 0): {"check": _K1, "k": 0, "sign": 1},
+    ("diag", 3): {"check": _K1, "k": 3, "sign": 1},
+    ("upper", 0): {"check": _K1, "k": 0, "sign": 1},
+    ("upper", 2): {"check": _K1, "k": 2, "sign": 1},
+    ("upper", 3): None,
+    ("lower", 0): None,
+    ("lower", 1): {"check": _K1, "k": 1, "sign": 1},
+    ("lower", 3): {"check": _K1, "k": 3, "sign": 1},
+    ("u_squared", 2): None,
+    ("omega", 0): None,
+    ("omega", 1): {"check": _K2, "k": 0, "sign": 1},
+    ("omega", 2): None,
+}
 
 
-def test_match_function_realization_checks_k2_against_the_band_data(monkeypatch):
-    # A raised w2 moves only the expected K2 diagonal 2 lambda_k V_k - w2.
-    monkeypatch.setattr(birep, "rep_matrices", _bumped(rep_matrices, "omega", 1))
-    for params in [ZERO, P] + EDGE_MUS[:3]:
-        for N in range(4):
-            report = match_function_realization(N, params)
-            assert report.counterexample["check"] == "K2 diagonal coefficient", (N, params)
-    monkeypatch.undo()
-    # K2 + [K3, K1] keeps the diagonal, as K3 is diagonal on the basis, and
-    # scales the off-diagonal products by 1 - ((l_k - l_(k+1)) / (l_k + l_(k+1)))^2.
-    generator = birep.bi_generator
-
-    def skewed(params, i):
-        if i != 2:
-            return generator(params, i)
-        return generator(params, 2) + commutator(generator(params, 3), generator(params, 1))
-
-    monkeypatch.setattr(birep, "bi_generator", skewed)
-    for params in [ZERO, P]:
-        assert match_function_realization(0, params).passed
-        for N in range(1, 4):
-            report = match_function_realization(N, params)
-            assert report.counterexample["check"] == "K2 off-diagonal product", (N, params)
+def test_match_function_realization_counterexamples_of_bumped_band_data(monkeypatch):
+    for params in [P] + EDGE_MUS:
+        for (field, index), expected in BUMPED_BAND_REALIZATION.items():
+            monkeypatch.setattr(birep, "rep_matrices", _bumped(rep_matrices, field, index))
+            report = match_function_realization(3, params)
+            assert report.counterexample == expected, (params, field, index)
 
 
-def test_match_function_realization_reports_images_outside_the_basis(monkeypatch):
-    # K1 + x1 T2 maps the degree-N basis to degree N + 1, out of its span.
-    generator = birep.bi_generator
-
-    def leaking(params, i):
-        if i != 1:
-            return generator(params, i)
-        return generator(params, 1) + coordinate_op(1) * dunkl_op(2, params)
-
-    monkeypatch.setattr(birep, "bi_generator", leaking)
-    report = match_function_realization(2, P)
-    assert report.counterexample == {"check": "expansion in the basis"}
+def _similar(N, params):
+    """The band data under the diagonal similarity that scales every A_k by
+    3 and every C_(k+1) by 1/3: the same u_k^2, spectra and relations."""
+    rep = rep_matrices(N, params)
+    return dataclasses.replace(rep, upper=tuple(3 * a for a in rep.upper),
+                               lower=tuple(c / 3 for c in rep.lower))
 
 
-def test_match_function_realization_reports_a_singular_basis(monkeypatch):
-    basis = birep.monogenic_basis
+def _plant_realization_defect(monkeypatch, defect):
+    generator, basis = birep.bi_generator, birep.monogenic_basis
 
-    def doubled(N, params):
-        built = basis(N, params)
-        first = built.elements[0]
-        twin = dataclasses.replace(built.elements[1], poly=first.poly)
-        return dataclasses.replace(built, elements=(first, twin) + built.elements[2:])
+    def with_generator(i, build):
+        monkeypatch.setattr(birep, "bi_generator", lambda params, j: (
+            build(params) if j == i else generator(params, j)
+        ))
 
-    monkeypatch.setattr(birep, "monogenic_basis", doubled)
-    report = match_function_realization(2, P)
-    assert report.counterexample == {"check": "expansion in the basis"}
+    def with_element(key, poly):
+        def replaced(N, params):
+            built = basis(N, params)
+            return dataclasses.replace(built, elements=tuple(
+                dataclasses.replace(el, poly=poly(N, built.elements))
+                if (el.k, el.sign) == key else el
+                for el in built.elements
+            ))
+        monkeypatch.setattr(birep, "monogenic_basis", replaced)
+
+    if defect == "K1 at mu3 + 1":
+        with_generator(1, lambda p: generator(dataclasses.replace(p, mu3=p.mu3 + 1), 1))
+    elif defect == "K1 + x1 T2":
+        with_generator(1, lambda p: generator(p, 1) + coordinate_op(1) * dunkl_op(2, p))
+    elif defect == "K2 + [K3, K1]":
+        with_generator(2, lambda p: generator(p, 2) + commutator(generator(p, 3),
+                                                                 generator(p, 1)))
+    elif defect == "band data under a diagonal similarity":
+        monkeypatch.setattr(birep, "rep_matrices", _similar)
+    elif defect == "(0, -) repeats (0, +)":
+        with_element((0, -1), lambda N, elements: elements[0].poly)
+    elif defect == "(0, +) is zero":
+        with_element((0, 1), lambda N, elements: SpinorPoly.zero())
+    elif defect == "(1, +) is x1^N chi+, not monogenic":
+        with_element((1, 1), lambda N, elements: SpinorPoly.monomial((N, 0, 0), 1))
+
+
+# The first degree N at which each defect fails the function realization
+# at mu = P, and its counterexample at every N from there to 3.  Below that
+# degree the defect is invisible: T2 and [K3, K1] vanish on N = 0, a
+# similarity has no off-diagonal entries to scale there, and N = 0 has no
+# element (1, +).
+REALIZATION_DEFECTS = {
+    "K1 at mu3 + 1": (0, {"check": _K1, "k": 0, "sign": 1}),
+    "K1 + x1 T2": (1, {"check": _K1, "k": 0, "sign": 1}),
+    "K2 + [K3, K1]": (1, {"check": _K2, "k": 0, "sign": 1}),
+    "band data under a diagonal similarity": (1, {"check": _K1, "k": 0, "sign": 1}),
+    # Equal K3 eigenvalues, opposite sign sectors: a repeat is no basis.
+    "(0, -) repeats (0, +)": (0, {"check": "Z3 eigenvalue", "k": 0, "sign": -1}),
+    # A zero element satisfies every intertwining identity at N = 0.
+    "(0, +) is zero": (0, {"check": "nonzero element", "k": 0, "sign": 1}),
+    "(1, +) is x1^N chi+, not monogenic": (1, {"check": "K3 eigenvalue", "k": 1, "sign": 1}),
+}
+
+
+@pytest.mark.parametrize("defect", list(REALIZATION_DEFECTS))
+def test_match_function_realization_counterexamples_of_defects(monkeypatch, defect):
+    _plant_realization_defect(monkeypatch, defect)
+    first, expected = REALIZATION_DEFECTS[defect]
+    for N in range(4):
+        report = match_function_realization(N, P)
+        assert report.counterexample == (expected if N >= first else None), N
+        assert report.basis_size == 2 * (N + 1)
+
+
+def test_verify_rep_passes_band_data_under_a_diagonal_similarity(monkeypatch):
+    # The relations are similarity invariant, so only the realization's
+    # entry by entry comparison tells the similar band data apart.
+    monkeypatch.setattr(birep, "rep_matrices", _similar)
+    assert all(verify_rep(N, P).passed for N in range(5))
+
+
+_EDGE_HEIGHTS = sorted({mu for params in EDGE_MUS for mu in (params.mu1, params.mu2, params.mu3)})
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.tuples(*[st.sampled_from(_EDGE_HEIGHTS)] * 3))
+def test_function_realization_holds_for_edge_heights(mu):
+    # Zeros, mixed zeros and the large and odd heights of EDGE_MUS.
+    params = Params(*mu)
+    for N in range(4):
+        report = match_function_realization(N, params)
+        assert report.passed, (N, params, report.counterexample)
