@@ -433,7 +433,7 @@ def match_function_realization(N: int, params: Params) -> IdentityReport:
         ("K1 E = E rho(K1)^T", bi_generator(params, 1) * embed, embed * m1),
         ("K2 E = E rho(K2)^T", bi_generator(params, 2) * embed, embed * m2),
     ]
-    failures = first_failures([(lhs, rhs) for _, lhs, rhs in checks], keys)
+    failures = first_failures([(lhs, rhs) for _, lhs, rhs in checks], [keys])
     for (label, _, _), failure in zip(checks, failures):
         if failure is not None:
             k, sign = keys[failure[0]]

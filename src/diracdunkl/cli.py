@@ -4,9 +4,12 @@ Subcommands run the exact verification suites or emit JSON artifacts for the
 bases, wavefunctions, representation matrices, overlaps and moments.  All
 output is deterministic: identical arguments (including the seed) produce
 byte-identical files.  Exit codes: 0 on success, 1 when a verification check
-fails, 2 on a usage error or an `--out` path that cannot be written.  A
-directory, or a file in a directory that does not exist, is refused before
-any work starts.
+fails, 2 on a usage error or on output that cannot be written: an `--out`
+path that cannot be opened or written, or a standard output that fails,
+such as a pipe whose reader has closed it (`moments --N 60 ... | head -1`).
+Each write error is one `diracdunkl: error: cannot write ...` line on
+stderr.  A directory, or a file in a directory that does not exist, is
+refused as `--out` before any work starts.
 
 `verify --degree` and each artifact command's `--N` have an upper limit,
 checked before any work starts.  Each limit is the size whose run took about
@@ -28,8 +31,8 @@ from itertools import chain, islice
 from . import birep, ck, closedform, poly, suites
 from .exact import Params, rational_str
 
-# Measured at the limit: verify 21-24 s CPU, 11-15 s wall on 2 CPUs, 53 MB per
-# process (125 MB summed over the parent and its 2 workers); basis 15 s / 163 MB;
+# Measured at the limit: verify 13-14 s CPU, 7.5-8 s wall on 2 CPUs, 51 MB per
+# process (115 MB summed over the parent and its 2 workers); basis 15 s / 163 MB;
 # wavefunctions 8 s / 162 MB; rep 41 s / 385 MB; overlaps 53 s / 251 MB;
 # moments 5 s / 227 MB (with streamed JSON, basis, wavefunctions, moments: below the rule).
 MAX_DEGREE = 16
@@ -86,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unwritable(out: str, reason: str):
-    sys.stderr.write(f"diracdunkl: error: cannot write --out {out}: {reason}\n")
+def _unwritable(target: str, reason: str):
+    sys.stderr.write(f"diracdunkl: error: cannot write {target}: {reason}\n")
     raise SystemExit(2)
 
 
@@ -100,9 +103,16 @@ def _emit(payload: dict, out: str | None) -> None:
             with open(out, "w") as handle:
                 handle.writelines(batches)
         except OSError as exc:
-            _unwritable(out, exc.strerror or str(exc))
+            _unwritable(f"--out {out}", exc.strerror or str(exc))
     else:
-        sys.stdout.writelines(batches)
+        try:
+            sys.stdout.writelines(batches)
+            sys.stdout.flush()
+        except OSError as exc:
+            # A closed pipe, say: the interpreter flushes stdout again at
+            # exit, so point it at the null device, where that cannot fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _unwritable("stdout", exc.strerror or str(exc))
 
 
 def main(argv=None) -> int:
@@ -125,9 +135,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(merged)
     if args.out:
         if os.path.isdir(args.out):
-            _unwritable(args.out, "is a directory")
+            _unwritable(f"--out {args.out}", "is a directory")
         if not os.path.isdir(os.path.dirname(args.out) or "."):
-            _unwritable(args.out, "no such directory")
+            _unwritable(f"--out {args.out}", "no such directory")
 
     if args.command == "verify":
         if args.mu is not None:

@@ -4,13 +4,14 @@ checker over explicit keys.
 Every operator here is linear over the Gaussian rationals, so an identity
 that holds on each basis vector of a list of keys holds on their whole span.
 The checker (`first_failures`) applies both sides of each identity to the
-basis vector of each key in order and demands exact equality, reporting the
-first key at which they differ.  `verify_identities` runs it on the
-monomial-spinor keys (sign, exps) of degrees 0..d, which certifies an
-identity on all spinor polynomials of degree at most d.  An embedding
-(`embedding_op`) sends element keys, such as the (k, sign) of a monogenic
-basis, to the elements' columns, so "op v = lambda v for every element v"
-is the identity op E = E diag(lambda) on the element keys.
+basis vectors of its keys, one slice of keys at a time, and demands exact
+equality, reporting the first key at which they differ.
+`verify_identities` runs it on the monomial spinors of degrees 0..d, one
+slice per degree, which certifies an identity on all spinor polynomials of
+degree at most d.  An embedding (`embedding_op`) sends element keys, such
+as the (k, sign) of a monogenic basis, to the elements' columns, so "op v =
+lambda v for every element v" is the identity op E = E diag(lambda) on the
+element keys.
 
 Operators are expression trees over primitives that are plain data: a
 hashable tag such as ("dunkl", axis, mu) or ("pauli", i), whose integer
@@ -20,19 +21,36 @@ a coordinate is a "multiply" primitive like any scalar polynomial.  The
 as the states (k,) of a finite-dimensional representation (see
 `image_columns`).
 
-Evaluation, both for `LinOp.__call__` and for the checker, first merges
-structurally equal nodes of the trees it is given and folds each sum of
-scaled terms into one linear combination.  Each merged node gets one
-denominator when the graph is compiled, and nodes pass unreduced integer
-entry dicts to each other: the image of entries / d is some result / (d *
-den(node)).  Only the result at a root is reduced, once, to the column that
-`poly` defines and `SpinorPoly` stores.  The checker compiles one difference
-root lhs - rhs per identity, so a passing identity reduces nothing.
-A merged node with two or more parents is shared: it caches the integer
-image of each basis vector and applies to a column by linearity.
-A cache lasts as long as its merged graph: a `LinOp` compiles its tree on
-its first call and keeps the graph, and `first_failures` and `image_columns`
-compile one graph per call, whose caches serve every key of that call.
+Inside this module a monomial spinor x^a chi_s is one int, its packed key:
+a1, a2 and a3 sit in fixed-width fields and the sign in the low bit (0 for
+chi+), and the spinor kernels read and shift exponents with masks.  Keys
+are packed where spinor columns come in (`LinOp.__call__`, `embedding_op`,
+`spinor_keys`, `verify_identities`) and unpacked where they go out (the
+result of a `LinOp` call and the counterexamples of `verify_identities`);
+`image_columns` and `first_failures` return columns over the keys they
+evaluate.  An exponent that does not fit its field is a ValueError, and so
+is a graph whose degree rise, bounded when it is compiled, could carry one
+past it.
+
+Evaluation first merges structurally equal nodes of the trees it is given
+and folds each sum of scaled terms into one linear combination.  Each
+merged node gets one denominator when the graph is compiled, and nodes pass
+unreduced integer entry dicts to each other: the image of entries / d is
+some result / (d * den(node)).  Only the result at a root is reduced, once,
+to the column that `poly` defines and `SpinorPoly` stores.  The checker
+compiles one difference root lhs - rhs per identity, so a passing identity
+reduces nothing.
+
+The graph runs node by node over a batch of columns: a `LinOp` call is a
+batch of one column, `image_columns` one batch of unit columns, and
+`first_failures` one batch per slice, in which a pair that failed on an
+earlier slice is not evaluated again.  A merged node with two or more
+parents is shared: it memoizes the integer image of each basis vector,
+filled for all of a batch's missing keys at once, and applies to a column
+by linearity.  A memo lasts as long as its merged graph: a `LinOp` compiles
+its tree on its first call and keeps the graph, and `first_failures` and
+`image_columns` compile one graph per call, whose memos serve every key of
+that call.
 """
 
 from __future__ import annotations
@@ -40,11 +58,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .exact import HALF, MINUS_I, GRational, Params, as_grational
 from .poly import (
     SpinorPoly,
-    accumulate,
     integer_form,
     lcm_of_denominators,
     reduced,
@@ -87,7 +105,10 @@ class LinOp:
             (root,) = _compile([self])
             self._root = root
         den, entries = f.column
-        return SpinorPoly.from_column(reduced(den * root.den, _eval(root, entries)))
+        column = {_pack(sign, exps): value for (sign, exps), value in entries.items()}
+        _check_fits([root], column)
+        (image,) = _evaluate(root, [column])
+        return SpinorPoly.from_column(_unpacked(reduced(den * root.den, image)))
 
     def __add__(self, other: "LinOp") -> "LinOp":
         return LinOp("add", (self, other))
@@ -146,7 +167,7 @@ def dunkl_op(axis: int, params: Params) -> LinOp:
 
 
 def coordinate_op(axis: int) -> LinOp:
-    return multiply_op((1, {_shift((0, 0, 0), axis - 1, 1): (1, 0)}))
+    return multiply_op((1, {tuple(int(a == axis) for a in (1, 2, 3)): (1, 0)}))
 
 
 def multiply_op(scalar: tuple) -> LinOp:
@@ -169,11 +190,12 @@ def matrix_op(entries: dict) -> LinOp:
 
 def embedding_op(columns: dict) -> LinOp:
     """The linear map sending the basis vector of each key to its reduced
-    column, for {key: (den, {row: (re, im)})}: a "matrix" primitive over
-    the common denominator, built on the integer entries."""
+    spinor column, for {key: (den, {(sign, exps): (re, im)})}: a "matrix"
+    primitive over the common denominator and the packed rows, built on the
+    integer entries."""
     den = math.lcm(*(d for d, _ in columns.values()))
     return primitive("matrix", den, tuple(
-        ((key, row), re * (den // d), im * (den // d))
+        ((key, _pack(*row)), re * (den // d), im * (den // d))
         for key, (d, entries) in columns.items() for row, (re, im) in entries.items()
     ))
 
@@ -309,90 +331,150 @@ def central_element(params: Params) -> LinOp:
 
 
 # ---------------------------------------------------------------------------
+# Packed monomial keys.
+
+# Bits per exponent field of a packed key, far above the exponents that the
+# commands reach (`basis --N 60`).  Three fields and the sign bit make 31
+# bits, two CPython digits; 19-bit fields would still fit in two, and 9-bit
+# fields, one digit, measured no faster.
+_FIELD = 10
+_LIMIT = (1 << _FIELD) - 1
+_SHIFTS = (2 * _FIELD + 1, _FIELD + 1, 1)  # of a1, a2, a3
+
+
+def _pack(sign: int, exps: tuple) -> int:
+    """The packed key of x^exps chi_sign; ValueError for an exponent that
+    does not fit its field."""
+    a1, a2, a3 = exps
+    if not (0 <= a1 <= _LIMIT and 0 <= a2 <= _LIMIT and 0 <= a3 <= _LIMIT):
+        raise ValueError(f"exponents {tuple(exps)!r} do not fit {_FIELD}-bit fields")
+    return a1 << _SHIFTS[0] | a2 << _SHIFTS[1] | a3 << 1 | (1 if sign < 0 else 0)
+
+
+def _unpack(key: int) -> tuple:
+    """(sign, exps) of a packed key."""
+    return (-1 if key & 1 else 1,
+            (key >> _SHIFTS[0] & _LIMIT, key >> _SHIFTS[1] & _LIMIT, key >> 1 & _LIMIT))
+
+
+def _unpacked(column: tuple) -> tuple:
+    """A column over packed keys as the column over (sign, exps) keys."""
+    den, entries = column
+    return den, {_unpack(key): value for key, value in entries.items()}
+
+
+def spinor_keys(degree: int) -> list[int]:
+    """The packed keys of the monomial spinors of one degree, in the order
+    of `spinor_basis_labels`: the keys to pass to `image_columns` and
+    `first_failures` for spinor inputs."""
+    return [_pack(sign, exps) for exps, sign in spinor_basis_labels(degree)]
+
+
+def _top(keys) -> int:
+    """The largest exponent of the packed keys among keys, 0 if none: every
+    int key is a packed key."""
+    top = 0
+    for key in keys:
+        if type(key) is int:
+            top = max(top, key >> _SHIFTS[0] & _LIMIT, key >> _SHIFTS[1] & _LIMIT,
+                      key >> 1 & _LIMIT)
+    return top
+
+
+def _check_fits(roots: list, keys) -> None:
+    """ValueError unless every exponent that the roots can reach from keys
+    fits its field: the largest exponent of the keys plus the largest rise."""
+    rise = max((root.rise for root in roots), default=0)
+    top = _top(keys) if rise else 0
+    if top + rise > _LIMIT:
+        raise ValueError(
+            f"an operator raising exponents by up to {rise} would carry an exponent of "
+            f"{top} past its {_FIELD}-bit field"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Integer kernels of the primitives.
 
-def _shift(exps: tuple, i: int, delta: int) -> tuple:
-    low = list(exps)
-    low[i] += delta
-    return tuple(low)
+_MINUS = (-1, 0)
+_PLUS_I = (0, 1)
+_MINUS_I = (0, -1)
 
 
 def _kernel(tag: tuple):
-    """(den, image) for a primitive tag, where image(key) is the integer
-    entry dict {key': (re, im)} of the image of the basis vector of key: the
-    sum of (re + i im) / den times the basis vector of key'.  The spinor
-    kernels take monomial-spinor keys (sign, exps); "scalar" and "matrix"
-    act on any hashable keys."""
+    """(den, rise, image) for a primitive tag, where image(key) is the
+    integer entry dict {key': (re, im)} of the image of the basis vector of
+    key: the sum of (re + i im) / den times the basis vector of key'.  The
+    spinor kernels take packed keys; "scalar" and "matrix" act on any
+    hashable keys.  rise bounds how far the primitive can raise an exponent:
+    a "multiply" by its degree, a "matrix", whose images are its rows, by
+    the largest exponent of its packed rows."""
     name = tag[0]
     if name == "scalar":
         value = tag[1]
         den = lcm_of_denominators((value.re, value.im))
         entry = (scaled(value.re, den), scaled(value.im, den))
         if entry == (0, 0):
-            return 1, lambda key: _EMPTY
-        return den, lambda key: {key: entry}
+            return 1, 0, lambda key: _EMPTY
+        return den, 0, lambda key: {key: entry}
     if name == "matrix":
         columns: dict = {}
         for (column, row), re, im in tag[2]:
             columns.setdefault(column, {})[row] = (re, im)
-        return tag[1], lambda key: columns.get(key, _EMPTY)
+        rise = _top(row for (_, row), _, _ in tag[2])
+        return tag[1], rise, lambda key: columns.get(key, _EMPTY)
     if name == "pauli":
         index = tag[1]
         if index == 1:
-            return 1, lambda key: {(-key[0], key[1]): _UNIT}
+            return 1, 0, lambda key: {key ^ 1: _UNIT}
         if index == 2:  # chi+ -> i chi-, chi- -> -i chi+
-            return 1, lambda key: {(-key[0], key[1]): (0, key[0])}
-        return 1, lambda key: {key: (key[0], 0)}
+            return 1, 0, lambda key: {key ^ 1: _MINUS_I if key & 1 else _PLUS_I}
+        return 1, 0, lambda key: {key: _MINUS if key & 1 else _UNIT}
     if name == "reflect":
-        i = tag[1] - 1
-        return 1, lambda key: {key: (-1 if key[1][i] % 2 else 1, 0)}
+        parity = 1 << _SHIFTS[tag[1] - 1]  # the low bit of the exponent
+        return 1, 0, lambda key: {key: _MINUS if key & parity else _UNIT}
     if name == "euler":
+        s1, s2 = _SHIFTS[:2]
+
         def euler_image(key):
-            d = sum(key[1])
+            d = (key >> s1 & _LIMIT) + (key >> s2 & _LIMIT) + (key >> 1 & _LIMIT)
             return {key: (d, 0)} if d else _EMPTY
 
-        return 1, euler_image
+        return 1, 0, euler_image
     if name == "dunkl":
         # T(x^a) = a x^(a-1) for even a, (a + 2 mu) x^(a-1) for odd a.
-        i, mu = tag[1] - 1, tag[2]
+        shift, mu = _SHIFTS[tag[1] - 1], tag[2]
+        one = 1 << shift
         p, q = mu.numerator, mu.denominator
 
         def dunkl_image(key):
-            sign, exps = key
-            a = exps[i]
+            a = key >> shift & _LIMIT
             factor = a * q if a % 2 == 0 else a * q + 2 * p
-            return {(sign, _shift(exps, i, -1)): (factor, 0)} if factor else _EMPTY
+            return {key - one: (factor, 0)} if factor else _EMPTY
 
-        return q, dunkl_image
+        return q, 0, dunkl_image
     if name == "laplace_explicit":
         mus = tag[1:]
         den = lcm_of_denominators(mus)
-        nums = [scaled(mu, den) for mu in mus]
+        fields = [(shift, 2 << shift, scaled(mu, den)) for shift, mu in zip(_SHIFTS, mus)]
 
         def laplace_image(key):
-            sign, exps = key
             out = {}
-            for i in range(3):
-                a = exps[i]
+            for shift, two, num in fields:
+                a = key >> shift & _LIMIT
                 if a < 2:
                     continue
-                factor = a * (a - 1) * den + nums[i] * (2 * a - (1 - (-1) ** a))
+                factor = a * (a - 1) * den + num * 2 * (a - a % 2)
                 if factor:
-                    out[sign, _shift(exps, i, -2)] = (factor, 0)
+                    out[key - two] = (factor, 0)
             return out
 
-        return den, laplace_image
+        return den, 0, laplace_image
     if name == "multiply":
         den, terms = tag[1], tag[2]
-
-        def multiply_image(key):
-            sign, exps = key
-            return {
-                (sign, (exps[0] + e[0], exps[1] + e[1], exps[2] + e[2])): (re, im)
-                for e, re, im in terms
-            }
-
-        return den, multiply_image
+        offsets = tuple((_pack(1, e), re, im) for e, re, im in terms)
+        rise = max((sum(e) for e, _, _ in terms), default=0)
+        return den, rise, lambda key: {key + offset: (re, im) for offset, re, im in offsets}
     raise ValueError(f"unknown primitive {name!r}")
 
 
@@ -404,13 +486,13 @@ class _Node:
     and merged `args`.  `_compile` rewrites sums, differences, negations and
     scalings into "linear" nodes whose `data` lists (cr, ci, child) terms,
     child None standing for the identity; a primitive keeps its kernel's
-    image function in `data`.  `den` is fixed at compile time: the node maps
-    integer entries e over any denominator d to integer entries over
-    d * den, with no reduction (see `_compile`).  `memo` caches the integer
-    image entries of each basis vector at shared nodes and is None
-    elsewhere."""
+    image function in `data`.  `den` and `rise` are fixed at compile time:
+    the node maps integer entries e over any denominator d to integer
+    entries over d * den, with no reduction (see `_compile`), and raises no
+    exponent by more than `rise`.  `memo` caches the integer image entries
+    of each basis vector at shared nodes and is None elsewhere."""
 
-    __slots__ = ("kind", "args", "payload", "den", "data", "parents", "memo")
+    __slots__ = ("kind", "args", "payload", "den", "rise", "data", "parents", "memo")
 
     def __init__(self, kind: str, args: tuple, payload):
         self.kind = kind
@@ -472,11 +554,13 @@ def _compile(roots: list[LinOp]) -> list[_Node]:
     node.  Returns the merged roots; each entry of roots counts as one
     parent of its node, and every shared node gets an empty `memo`.
 
-    Denominators are fixed in one pass, children first (the order in which
-    `_merge` creates them): a primitive keeps its kernel's, a composition
-    takes the product of its two children's, and a linear node takes the
-    lcm of its coefficients' denominators times the lcm L of its children's,
-    each coefficient scaled by L / den(child)."""
+    Denominators and rises are fixed in one pass, children first (the order
+    in which `_merge` creates them): a primitive keeps its kernel's, a
+    composition takes the product of its two children's denominators and
+    the sum of their rises, and a linear node takes the largest rise of its
+    children and, as its denominator, the lcm of its coefficients'
+    denominators times the lcm L of its children's, each coefficient scaled
+    by L / den(child)."""
     merged: dict = {}
     by_id: dict = {}
     out = [_merge(op, merged, by_id) for op in roots]
@@ -491,15 +575,17 @@ def _compile(roots: list[LinOp]) -> list[_Node]:
             expansions[node] = [(child, c) for child, c in terms.items() if c]
     for node in nodes:
         if node.kind == "primitive":
-            node.den, node.data = _kernel(node.payload)
+            node.den, node.rise, node.data = _kernel(node.payload)
         elif node.kind == "compose":
-            node.den = node.args[0].den * node.args[1].den
+            outer, inner = node.args
+            node.den, node.rise = outer.den * inner.den, outer.rise + inner.rise
         else:
             terms = expansions[node]
             dens = [1 if child is None else child.den for child, _ in terms]
             common = math.lcm(*dens)
             den = lcm_of_denominators(part for _, c in terms for part in (c.re, c.im))
             node.kind, node.args, node.den = "linear", (), den * common
+            node.rise = max((child.rise for child, _ in terms if child is not None), default=0)
             node.data = [
                 (scaled(c.re, den) * (common // d), scaled(c.im, den) * (common // d), child)
                 for (child, c), d in zip(terms, dens)
@@ -509,52 +595,76 @@ def _compile(roots: list[LinOp]) -> list[_Node]:
     return out
 
 
-def _eval(node: _Node, entries: dict) -> dict:
-    """Integer entries of the image under node of a column with these
-    entries: the image of entries / d is the result / (d * node.den)."""
+def _evaluate(node: _Node, columns: list[dict], memoized: bool = True) -> list[dict]:
+    """Integer entries of the image under node of each of a batch of
+    columns: the image of entries / d is the result / (d * node.den).
+
+    The graph runs node by node over the whole batch.  A shared node first
+    evaluates itself, with memoized False, on one batch of unit columns for
+    the keys of the batch that its memo lacks, then applies by linearity.
+    A result may be a memo entry or a kernel's dict: no caller mutates it."""
     memo = node.memo
-    if memo is None:
-        return _direct(node, entries)
-    parts = []
-    # An entry whose terms cancelled is an explicit zero and is evaluated
-    # like any other: too rare to test for (20 of 187,050 memo entries in a
-    # default sweep, and skipping them measured no faster).
-    for key, value in entries.items():
-        image = memo.get(key)
-        if image is None:
-            image = memo[key] = _direct(node, {key: _UNIT})
-        parts.append((*value, image))
-    if len(parts) == 1 and parts[0][:2] == _UNIT:
-        return parts[0][2]
-    return accumulate(parts)
-
-
-def _direct(node: _Node, entries: dict) -> dict:
+    if memo is not None and memoized:
+        # An entry whose terms cancelled is an explicit zero and is evaluated
+        # like any other: too rare to test for (20 of 187,050 memo entries in a
+        # default sweep, and skipping them measured no faster).
+        missing = [key for key in dict.fromkeys(chain.from_iterable(columns)) if key not in memo]
+        if missing:
+            memo.update(zip(missing, _evaluate(node, [{key: _UNIT} for key in missing], False)))
+        return _apply(memo.__getitem__, columns)
     kind = node.kind
     if kind == "linear":
-        return accumulate([
-            (cr, ci, entries if child is None else _eval(child, entries))
-            for cr, ci, child in node.data
-        ])
+        out = [{} for _ in columns]
+        for cr, ci, child in node.data:
+            images = columns if child is None else _evaluate(child, columns)
+            for acc, entries in zip(out, images):
+                get = acc.get
+                for key, (re, im) in entries.items():
+                    x = cr * re - ci * im
+                    y = cr * im + ci * re
+                    previous = get(key)
+                    acc[key] = (x, y) if previous is None else (previous[0] + x, previous[1] + y)
+        return out
     if kind == "compose":
-        inner = _eval(node.args[1], entries)
-        return _eval(node.args[0], inner) if inner else inner
+        inner = _evaluate(node.args[1], columns)
+        return _evaluate(node.args[0], inner) if any(inner) else inner
     if kind == "primitive":
-        image = node.data
-        if len(entries) == 1:
-            ((key, value),) = entries.items()
-            if value == _UNIT:
-                return image(key)
-        return accumulate([(*value, image(key)) for key, value in entries.items()])
+        return _apply(node.data, columns)
     raise ValueError(f"unknown operator node {kind!r}")
+
+
+def _apply(image, columns: list[dict]) -> list[dict]:
+    """The integer entries of the sum of value * image(key) over the entries
+    of each column; the image of a unit column is image(key) itself."""
+    out = []
+    for column in columns:
+        if len(column) == 1:
+            ((key, value),) = column.items()
+            if value == _UNIT:
+                out.append(image(key))
+                continue
+        acc: dict = {}
+        get = acc.get
+        for key, (cr, ci) in column.items():
+            for key2, (re, im) in image(key).items():
+                x = cr * re - ci * im
+                y = cr * im + ci * re
+                previous = get(key2)
+                acc[key2] = (x, y) if previous is None else (previous[0] + x, previous[1] + y)
+        out.append(acc)
+    return out
 
 
 def image_columns(ops: list[LinOp], keys: list) -> list[list[tuple]]:
     """The image column of each op on the basis vector of each key, from
-    one merged graph whose shared nodes memoize their images across ops and
-    keys: result[i][j] is ops[i] applied to keys[j], reduced once."""
+    one merged graph evaluated on one batch of unit columns, whose shared
+    nodes memoize their images across ops and keys: result[i][j] is ops[i]
+    applied to keys[j], reduced once.  Spinor keys are packed (see
+    `spinor_keys`), and so are the rows of the spinor columns returned."""
     roots = _compile(ops)
-    return [[reduced(root.den, _eval(root, {key: _UNIT})) for key in keys] for root in roots]
+    _check_fits(roots, keys)
+    units = [{key: _UNIT} for key in keys]
+    return [[reduced(root.den, image) for image in _evaluate(root, units)] for root in roots]
 
 
 # ---------------------------------------------------------------------------
@@ -591,27 +701,35 @@ class IdentityReport:
         return out
 
 
-def first_failures(pairs: list[tuple[LinOp, LinOp]], keys: list) -> list[tuple | None]:
+def first_failures(pairs: list[tuple[LinOp, LinOp]], slices: list[list]) -> list[tuple | None]:
     """For each (lhs, rhs) pair, the first position i at which the sides
     differ on the basis vector of keys[i], as (i, lhs column, rhs column),
-    or None when they agree on every key.
+    or None when they agree on every key; keys is the concatenation of the
+    slices.
 
-    Keys are taken in order, and at each key the pairs in order; a pair that
-    has failed is not applied again.  Each pair is checked as one difference
-    root lhs - rhs, all of them on one merged graph whose shared nodes cache
-    their images for the whole call, so an operator that lowers the degree
-    reuses the images of earlier keys.  A pair fails at the first key where
-    the difference has a nonzero entry; only then are its two sides
-    evaluated and reduced, for the counterexample.
+    Each pair is checked as one difference root lhs - rhs, all of them on
+    one merged graph whose shared nodes memoize their images for the whole
+    call, so an operator that lowers the degree reuses the images of earlier
+    slices.  The slices are evaluated in order, each as one batch of unit
+    columns through the roots of the pairs that have not failed yet.  A pair
+    fails at the first key where the difference has a nonzero entry; only
+    then are its two sides evaluated and reduced, for the counterexample.
     """
     roots = _compile([lhs - rhs for lhs, rhs in pairs])
     failures: list[tuple | None] = [None] * len(roots)
-    for position, key in enumerate(keys):
-        unit = {key: _UNIT}
+    position = 0
+    for keys in slices:
+        _check_fits(roots, keys)
+        units = [{key: _UNIT} for key in keys]
         for index, root in enumerate(roots):
-            if failures[index] is None and any(map(any, _eval(root, unit).values())):
-                (left,), (right,) = image_columns(list(pairs[index]), [key])
-                failures[index] = (position, left, right)
+            if failures[index] is not None:
+                continue
+            for offset, image in enumerate(_evaluate(root, units)):
+                if any(map(any, image.values())):
+                    (left,), (right,) = image_columns(list(pairs[index]), [keys[offset]])
+                    failures[index] = (position + offset, left, right)
+                    break
+        position += len(keys)
     return failures
 
 
@@ -620,33 +738,30 @@ def verify_identities(
     max_degree: int,
 ) -> list[IdentityReport]:
     """Check each (name, lhs, rhs) item with `first_failures` on the
-    monomial-spinor keys (sign, exps) of degrees 0..max_degree, in the order
-    of `spinor_basis_labels`.
+    monomial spinors of degrees 0..max_degree, one slice per degree, each
+    in the order of `spinor_basis_labels`.
 
     Passing certifies an identity on the full space of those degrees, by
     linearity.  A failing identity records its first counterexample.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    keys = [
-        (sign, exps)
-        for degree in range(max_degree + 1)
-        for exps, sign in spinor_basis_labels(degree)
-    ]
-    failures = first_failures([(lhs, rhs) for _, lhs, rhs in items], keys)
+    slices = [spinor_keys(degree) for degree in range(max_degree + 1)]
+    keys = list(chain.from_iterable(slices))
+    failures = first_failures([(lhs, rhs) for _, lhs, rhs in items], slices)
     reports = []
     for (name, _, _), failure in zip(items, failures):
         if failure is None:
             reports.append(IdentityReport(name, None, (0, max_degree), len(keys)))
             continue
         position, left, right = failure
-        sign, exps = keys[position]
+        sign, exps = _unpack(keys[position])
         reports.append(IdentityReport(name, {
             "degree": sum(exps),
             "exponents": list(exps),
             "spinor": "+" if sign == 1 else "-",
-            "lhs": SpinorPoly.from_column(left).to_json_dict(),
-            "rhs": SpinorPoly.from_column(right).to_json_dict(),
+            "lhs": SpinorPoly.from_column(_unpacked(left)).to_json_dict(),
+            "rhs": SpinorPoly.from_column(_unpacked(right)).to_json_dict(),
         }, (0, max_degree), position + 1))
     return reports
 

@@ -6,9 +6,11 @@ sign 1 and chi- = (0, 1) sign -1; this ordering fixes the sign conventions
 of the second and third Pauli actions.  Columns are reduced (den > 0, no zero
 entries, den coprime to the entries, den = 1 for zero), so equal polynomials
 have equal columns, and `combine` sums and scales them with integer products
-(`accumulate`) and one gcd.  `operators` evaluates on integer entries over
-fixed denominators, also over other hashable keys (a scalar polynomial is a
-column over exponent triples), and reduces once per result; `linalg`
+(`accumulate`) and one gcd.  A scalar polynomial is the same column over
+exponent triples.  `operators` evaluates on integer entries over fixed
+denominators, with the accumulation loop inlined, on packed int keys of its
+own for the monomial spinors (converted where columns enter and leave it)
+and also over other hashable keys, and reduces once per result; `linalg`
 eliminates on reduced columns directly.  No code mutates an entry dict once
 built: an intermediate image can share its dict with a memo entry of an
 operator graph.
@@ -339,10 +341,14 @@ def reduced(den: int, entries: dict) -> tuple:
 def accumulate(parts) -> dict:
     """The integer entries of the sum of (cr + i ci) * entries over the
     (cr, ci, entries) triples in parts, unreduced: a key whose terms cancel
-    keeps an explicit zero.  The one accumulation loop of the package, for
-    `combine` and for the operator graphs of `operators`.  The one other is
-    `closedform.scalar_products`' bilinear loops: a dual built here needs a
-    dict of moments per key (`overlaps --N 24`: no faster, 37 -> 42 MB)."""
+    keeps an explicit zero.  The accumulation loop of `combine`.  The
+    evaluator of `operators` runs the same loop inline, in place in each
+    output column, where one call per output column measured slower
+    (`symmetry` + `osp12` over the five seed-0 triples at degree 5, in
+    process, medians of 3 alternating rounds: 0.82 s against 0.63 s).  The
+    one other loop is `closedform.scalar_products`' bilinear loops: a
+    dual built here needs a dict of moments per key (`overlaps --N 24`: no
+    faster, 37 -> 42 MB)."""
     out: dict = {}
     get = out.get
     for cr, ci, entries in parts:

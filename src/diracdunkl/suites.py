@@ -40,6 +40,7 @@ from .operators import (
     scalar_op,
     spherical_dirac,
     spherical_dirac_commutator,
+    spinor_keys,
     symmetry,
     verify_identities,
     x_underline,
@@ -65,7 +66,7 @@ def _failing_elements(families: dict, equations: list) -> dict:
     equation]}.  With E_N the embedding of the degree-N elements, this is
     the identity op E_N = E_N diag(eigenvalue) on the keys (N, key); the
     kernel is eigenvalue zero.  Every degree is checked by one
-    `first_failures` call, on one merged graph."""
+    `first_failures` call, on one merged graph, one slice per degree."""
     pairs = []
     for N, elements in families.items():
         embed = embedding_op({(N, key): column for key, column in elements.items()})
@@ -75,8 +76,9 @@ def _failing_elements(families: dict, equations: list) -> dict:
             }))
             for op, eigenvalue in equations
         ]
-    keys = [(N, key) for N, elements in families.items() for key in elements]
-    failures = first_failures(pairs, keys)
+    slices = [[(N, key) for key in elements] for N, elements in families.items()]
+    keys = [key for part in slices for key in part]
+    failures = first_failures(pairs, slices)
     count = len(equations)
     return {
         N: [None if failure is None else keys[failure[0]][1]
@@ -290,7 +292,7 @@ def suite_monogenic(params: Params, n_max: int, mutation: str | None = None) -> 
             None if ok_count and ok_rank else {"expected": 2 * (N + 1)},
         ))
 
-        keys = [(sign, exps) for exps, sign in spinor_basis_labels(N)]
+        keys = spinor_keys(N)
         (images,) = image_columns([dd], keys)
         nullity = len(keys) - linalg.rank(images)
         reports.append(IdentityReport(

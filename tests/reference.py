@@ -32,8 +32,10 @@ back-substitution of `diracdunkl.ck.fischer_decompose`.
 `evaluate` walks a `LinOp` tree as it was built, with no merging and no
 memo, and reduces the image column of every node with `poly.combine`:
 the reference for the merged graphs of `diracdunkl.operators`, which fix one
-denominator per node and reduce only at a root.  `first_failures` and
-`image_columns` are the checker and the batch evaluator on top of it.
+denominator per node and reduce only at a root.  It runs on its own
+primitive kernels (`kernel`), over (sign, exps) keys, not on the
+packed-key kernels of `operators`.  `first_failures` and `image_columns`
+are the checker and the batch evaluator on top of it.
 """
 
 import math
@@ -477,7 +479,94 @@ def fischer_components(f, params) -> tuple:
 # ---------------------------------------------------------------------------
 # Operator trees evaluated node by node, every image reduced.
 
+_UNIT = (1, 0)
+_EMPTY: dict = {}
 _SIGNS = {"add": (1, 1), "sub": (1, -1), "neg": (-1,)}
+
+
+def _shift(exps: tuple, i: int, delta: int) -> tuple:
+    low = list(exps)
+    low[i] += delta
+    return tuple(low)
+
+
+def kernel(tag: tuple):
+    """(den, image) for a primitive tag, where image(key) is the integer
+    entry dict {key': (re, im)} of the image of the basis vector of key: the
+    sum of (re + i im) / den times the basis vector of key'.  The spinor
+    kernels take monomial-spinor keys (sign, exps), not the packed keys of
+    `operators`."""
+    name = tag[0]
+    if name == "scalar":
+        value = tag[1]
+        den = lcm_of_denominators((value.re, value.im))
+        entry = (scaled(value.re, den), scaled(value.im, den))
+        if entry == (0, 0):
+            return 1, lambda key: _EMPTY
+        return den, lambda key: {key: entry}
+    if name == "matrix":
+        columns: dict = {}
+        for (column, row), re, im in tag[2]:
+            columns.setdefault(column, {})[row] = (re, im)
+        return tag[1], lambda key: columns.get(key, _EMPTY)
+    if name == "pauli":
+        index = tag[1]
+        if index == 1:
+            return 1, lambda key: {(-key[0], key[1]): _UNIT}
+        if index == 2:  # chi+ -> i chi-, chi- -> -i chi+
+            return 1, lambda key: {(-key[0], key[1]): (0, key[0])}
+        return 1, lambda key: {key: (key[0], 0)}
+    if name == "reflect":
+        i = tag[1] - 1
+        return 1, lambda key: {key: (-1 if key[1][i] % 2 else 1, 0)}
+    if name == "euler":
+        def euler_image(key):
+            d = sum(key[1])
+            return {key: (d, 0)} if d else _EMPTY
+
+        return 1, euler_image
+    if name == "dunkl":
+        # T(x^a) = a x^(a-1) for even a, (a + 2 mu) x^(a-1) for odd a.
+        i, mu = tag[1] - 1, tag[2]
+        p, q = mu.numerator, mu.denominator
+
+        def dunkl_image(key):
+            sign, exps = key
+            a = exps[i]
+            factor = a * q if a % 2 == 0 else a * q + 2 * p
+            return {(sign, _shift(exps, i, -1)): (factor, 0)} if factor else _EMPTY
+
+        return q, dunkl_image
+    if name == "laplace_explicit":
+        mus = tag[1:]
+        den = lcm_of_denominators(mus)
+        nums = [scaled(mu, den) for mu in mus]
+
+        def laplace_image(key):
+            sign, exps = key
+            out = {}
+            for i in range(3):
+                a = exps[i]
+                if a < 2:
+                    continue
+                factor = a * (a - 1) * den + nums[i] * (2 * a - (1 - (-1) ** a))
+                if factor:
+                    out[sign, _shift(exps, i, -2)] = (factor, 0)
+            return out
+
+        return den, laplace_image
+    if name == "multiply":
+        den, terms = tag[1], tag[2]
+
+        def multiply_image(key):
+            sign, exps = key
+            return {
+                (sign, (exps[0] + e[0], exps[1] + e[1], exps[2] + e[2])): (re, im)
+                for e, re, im in terms
+            }
+
+        return den, multiply_image
+    raise ValueError(f"unknown primitive {name!r}")
 
 
 def evaluate(op, column: tuple) -> tuple:
@@ -485,7 +574,7 @@ def evaluate(op, column: tuple) -> tuple:
     primitives' kernels up through the tree of op, one node at a time."""
     kind, args = op.kind, op.operands
     if kind == "primitive":
-        den, image = operators._kernel(op.payload)
+        den, image = kernel(op.payload)
         d, entries = column
         return combine([(re, im, (1, image(key))) for key, (re, im) in entries.items()], d * den)
     if kind == "compose":

@@ -387,3 +387,19 @@ def test_out_write_error_exits_with_usage_code(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         f"diracdunkl: error: cannot write --out {out}: Permission denied\n"
     )
+
+
+def test_closed_stdout_is_a_write_error():
+    # The reader takes one byte and closes the pipe: the rest of the
+    # artifact cannot be written, which is exit code 2 and one stderr line,
+    # not a traceback and the code of a failed check.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "diracdunkl", "moments", "--N", "30", "--mu", MU],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"diracdunkl: error: cannot write stdout: Broken pipe\n"

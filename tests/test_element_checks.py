@@ -17,9 +17,10 @@ from diracdunkl.operators import (
     embedding_op,
     first_failures,
     matrix_op,
+    spinor_keys,
     zero_op,
 )
-from diracdunkl.poly import SpinorPoly
+from diracdunkl.poly import SpinorPoly, spinor_basis_labels
 
 P = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 N_MAX = 3
@@ -187,19 +188,23 @@ def test_element_identity_on_keys():
     columns = {(el.k, el.sign): el.poly.column for el in elements}
     keys = list(columns)
     embed = embedding_op(columns)
-    assert first_failures([(dirac(P) * embed, zero_op())], keys) == [None]
+    assert first_failures([(dirac(P) * embed, zero_op())], [keys]) == [None]
     planted = {**columns, (1, -1): SpinorPoly.monomial((2, 0, 0), 1).column}
     ((position, left, right),) = first_failures(
-        [(dirac(P) * embedding_op(planted), zero_op())], keys
+        [(dirac(P) * embedding_op(planted), zero_op())], [keys]
     )
     assert keys[position] == (1, -1) and left[1] and right == (1, {})
     # The embedding built on integer entries equals the matrix operator of
-    # the same rational entries, and E diag(lambda) scales each element.
+    # the same rational entries on the packed rows, and E diag(lambda)
+    # scales each element.
+    packed = dict(zip(
+        [(sign, exps) for exps, sign in spinor_basis_labels(2)], spinor_keys(2)
+    ))
     entries = {
-        (row, key): GRational(Fraction(re, den), Fraction(im, den))
+        (packed[row], key): GRational(Fraction(re, den), Fraction(im, den))
         for key, (den, column) in columns.items() for row, (re, im) in column.items()
     }
     assert first_failures([
         (embed, matrix_op(entries)),
         (embed * matrix_op({(key, key): 3 for key in keys}), 3 * embed),
-    ], keys) == [None, None]
+    ], [keys]) == [None, None]

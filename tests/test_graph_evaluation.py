@@ -7,7 +7,9 @@ compares the two sides of a pair through one difference root.  Each test
 here gives `first_failures`, `image_columns` and `LinOp.__call__` the same
 operators as the reference, which reduces every node's image, and demands
 equal results: the same failure positions and the same reduced columns.
-The large fixed denominators come from `EDGE_MUS` (997/3 and 1000).
+The graphs run on packed spinor keys and the reference on (sign, exps)
+keys, with kernels of its own, so columns are compared unpacked.  The large
+fixed denominators come from `EDGE_MUS` (997/3 and 1000).
 """
 
 import random
@@ -36,13 +38,34 @@ from diracdunkl.operators import (
     matrix_op,
     reflect_op,
     scalar_op,
+    spinor_keys,
     symmetry,
     x_underline,
     zero_op,
 )
 from diracdunkl.poly import SpinorPoly, spinor_basis_labels
 
-KEYS = [(sign, exps) for degree in range(4) for exps, sign in spinor_basis_labels(degree)]
+SLICES = [spinor_keys(degree) for degree in range(4)]
+KEYS = [key for part in SLICES for key in part]
+LABELS = [(sign, exps) for degree in range(4) for exps, sign in spinor_basis_labels(degree)]
+
+
+def _image_columns(ops, keys):
+    """`image_columns` with its columns over (sign, exps) keys."""
+    return [[operators._unpacked(column) for column in row] for row in image_columns(ops, keys)]
+
+
+def _first_failures(pairs, slices):
+    """`first_failures` with the columns of its failures over (sign, exps)
+    keys."""
+    unpacked = operators._unpacked
+    return [failure if failure is None else (failure[0], unpacked(failure[1]), unpacked(failure[2]))
+            for failure in first_failures(pairs, slices)]
+
+
+def test_spinor_keys_follow_the_basis_labels():
+    assert [operators._unpack(key) for key in KEYS] == LABELS
+    assert len(set(KEYS)) == len(KEYS)
 
 
 def _suite_items(params, mutation=None) -> list:
@@ -76,12 +99,12 @@ def test_suite_identities_match_tree_evaluation(params):
     items = _suite_items(params)
     assert len(items) == 80
     sides = [op for _, lhs, rhs in items for op in (lhs, rhs)]
-    expected = reference.image_columns(sides, KEYS)
-    assert image_columns(sides, KEYS) == expected
+    expected = reference.image_columns(sides, LABELS)
+    assert _image_columns(sides, KEYS) == expected
     # The reference's checker would find no failure: each pair's sides
     # have equal columns on every key.
     assert expected[::2] == expected[1::2]
-    assert first_failures(list(zip(sides[::2], sides[1::2])), KEYS) == [None] * 80
+    assert first_failures(list(zip(sides[::2], sides[1::2])), SLICES) == [None] * 80
 
 
 @pytest.mark.parametrize("params", EDGE_MUS[2:4], ids=str)
@@ -94,9 +117,9 @@ def test_planted_failures_match_tree_evaluation(params):
         (lhs, rhs) for mutation in ("gamma3+1", "quad+1")
         for _, lhs, rhs in _suite_items(params, mutation)
     ]
-    got = first_failures(pairs, KEYS)
-    assert got == reference.first_failures(pairs, KEYS)
-    first_cubic = next(i for i, (_, exps) in enumerate(KEYS) if exps[0] == 3)
+    got = _first_failures(pairs, SLICES)
+    assert got == reference.first_failures(pairs, LABELS)
+    first_cubic = next(i for i, (_, exps) in enumerate(LABELS) if exps[0] == 3)
     assert [f[0] for f in got[:80]] == [first_cubic] * 80
     failing = [f for f in got[80:] if f is not None]
     assert len(failing) == 3 and all(f[0] == 0 and f[1] != f[2] for f in failing)
@@ -117,12 +140,12 @@ def test_sides_with_different_denominators():
         (x_underline(), Fraction(1, 997) * x_underline()),
         (scalar_op(Fraction(1, 3)) * 3 * t1, t1),
     ]
-    got = first_failures(pairs, KEYS)
-    assert got == reference.first_failures(pairs, KEYS)
+    got = _first_failures(pairs, SLICES)
+    assert got == reference.first_failures(pairs, LABELS)
     assert [f if f is None else f[0] for f in got] == [None, None, 0, 0, None]
-    assert got[2][1] == (3, {KEYS[0]: (3994, 0)}) and got[2][2] == (1000, {KEYS[0]: (1, 0)})
-    columns = image_columns([op for pair in pairs for op in pair], KEYS)
-    assert columns == reference.image_columns([op for pair in pairs for op in pair], KEYS)
+    assert got[2][1] == (3, {LABELS[0]: (3994, 0)}) and got[2][2] == (1000, {LABELS[0]: (1, 0)})
+    columns = _image_columns([op for pair in pairs for op in pair], KEYS)
+    assert columns == reference.image_columns([op for pair in pairs for op in pair], LABELS)
 
 
 def test_cancelling_commutator_leaves_explicit_zeros():
@@ -132,7 +155,7 @@ def test_cancelling_commutator_leaves_explicit_zeros():
     params = EDGE_MUS[3]
     bracket = commutator(coordinate_op(1), coordinate_op(2))
     (root,) = operators._compile([bracket])
-    unreduced = operators._eval(root, {KEYS[0]: (1, 0)})
+    (unreduced,) = operators._evaluate(root, [{KEYS[0]: (1, 0)}])
     assert unreduced and not any(map(any, unreduced.values()))
     cancelling = [
         bracket,
@@ -141,7 +164,7 @@ def test_cancelling_commutator_leaves_explicit_zeros():
         - anticommutator(bi_generator(params, 2), bi_generator(params, 1)),
     ]
     pairs = [(op, zero_op()) for op in cancelling]
-    assert first_failures(pairs, KEYS) == reference.first_failures(pairs, KEYS) == [None] * 3
+    assert first_failures(pairs, SLICES) == reference.first_failures(pairs, LABELS) == [None] * 3
     assert image_columns(cancelling, KEYS) == [[(1, {})] * len(KEYS)] * 3
     f = random_spinor(random.Random(5), 3)
     assert all(op(f) == SpinorPoly.zero() for op in cancelling)
@@ -173,7 +196,7 @@ def test_matrix_keys_match_tree_evaluation():
             (a * (b + c), a * b + a * c),
             ((a + b) * c, a * c + b * c + Fraction(1, 997) * a * a * a),
         ]
-        got = first_failures(pairs, MATRIX_KEYS)
+        got = first_failures(pairs, [MATRIX_KEYS])
         assert got == reference.first_failures(pairs, MATRIX_KEYS)
         assert got[1] is None and got[2] is None
 
@@ -208,7 +231,7 @@ def test_reduction_only_at_roots(monkeypatch):
     monkeypatch.setattr(operators, "reduced", counted)
     params = EDGE_MUS[3]
     pairs = [(lhs, rhs) for _, lhs, rhs in _suite_items(params)]
-    assert first_failures(pairs, KEYS) == [None] * len(pairs)
+    assert first_failures(pairs, SLICES) == [None] * len(pairs)
     assert calls == []
     ops = [casimir(params), dirac(params), identity(), scalar_op(Fraction(1, 997))]
     image_columns(ops, KEYS)
@@ -217,5 +240,29 @@ def test_reduction_only_at_roots(monkeypatch):
     image_columns([matrix_op({((0,), (1,)): 2})], [(0,), (1,), (2,)])
     assert len(calls) == 3
     calls.clear()
-    (failure,) = first_failures([(x_underline(), Fraction(1, 997) * x_underline())], KEYS)
+    (failure,) = first_failures([(x_underline(), Fraction(1, 997) * x_underline())], SLICES)
     assert failure[0] == 0 and len(calls) == 2
+
+
+def test_failed_pair_is_not_evaluated_on_later_slices(monkeypatch):
+    # A primitive whose kernel raises on any key past degree 0: its pair
+    # fails on the degree-0 slice and is never run on the next ones, while
+    # the other pair is checked on every slice.
+    kernel = operators._kernel
+
+    def with_degree_zero_only(tag):
+        if tag != ("degree zero only",):
+            return kernel(tag)
+
+        def image(key):
+            if key not in SLICES[0]:
+                raise AssertionError("evaluated past the degree-0 slice")
+            return {key: (1, 0)}
+
+        return 1, 0, image
+
+    monkeypatch.setattr(operators, "_kernel", with_degree_zero_only)
+    pairs = [(operators.primitive("degree zero only"), zero_op()), (x_underline(), x_underline())]
+    ((position, left, right), passed) = _first_failures(pairs, SLICES)
+    assert passed is None
+    assert (position, left, right) == (0, (1, {LABELS[0]: (1, 0)}), (1, {}))

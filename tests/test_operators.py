@@ -393,7 +393,7 @@ def _mixed_scalar(rng):
 
 
 def test_primitive_kernels_match_poly_references():
-    rng = random.Random(31)
+    rng, top_rng = random.Random(31), random.Random(37)
     for params in EDGE_MUS:
         for _ in range(3):
             f = _mixed_spinor(rng)
@@ -424,6 +424,72 @@ def test_primitive_kernels_match_poly_references():
             assert x_underline()(f) == xx
             assert norm_sq()(f) == r2
         assert dirac(params)(SpinorPoly.zero()) == SpinorPoly.zero()
+        _check_kernels_at_the_top_of_the_field(params, top_rng)
+
+
+def _check_kernels_at_the_top_of_the_field(params, rng):
+    """The kernels on monomials whose exponents fill their packed fields,
+    and the coordinates on monomials one below: no carry, borrow or parity
+    reaches a neighbouring field or the sign bit."""
+    top = (1 << operators._FIELD) - 1
+    f = (up((top, top, top), _mixed_coefficient(rng)) + down((top, 0, top - 1))
+         + up((0, top - 1, top), _mixed_coefficient(rng)) + down((1, top, 0), I))
+    for axis in (1, 2, 3):
+        assert dunkl_op(axis, params)(f) == dunkl(f, axis, params)
+        assert pauli_op(axis)(f) == pauli(f, axis)
+        assert reflect_op(axis)(f) == reflect(f, axis)
+    assert euler_op()(f) == euler(f)
+    composed = SpinorPoly.zero()
+    for a in (1, 2, 3):
+        composed = composed + dunkl(dunkl(f, a, params), a, params)
+    assert laplace_explicit(params)(f) == composed == laplace(params)(f)
+    g = up((top - 1, top - 1, top - 1), _mixed_coefficient(rng)) + down((0, top - 1, 1))
+    for axis in (1, 2, 3):
+        assert coordinate_op(axis)(g) == coordinate_multiply(g, axis)
+        assert (dunkl_op(axis, params) * coordinate_op(axis))(g) == (
+            dunkl(coordinate_multiply(g, axis), axis, params))
+
+
+def test_exponents_beyond_the_field_are_refused():
+    # An exponent that does not fit its field, in an input, in an embedded
+    # column or in a multiplier, is a ValueError rather than a carry into
+    # the next field.
+    big = 1 << operators._FIELD
+    with pytest.raises(ValueError):
+        identity()(up((0, big, 0)))
+    with pytest.raises(ValueError):
+        dirac(P)(down((big, 0, 0)))
+    with pytest.raises(ValueError):
+        operators.embedding_op({(0,): up((0, 0, big)).column})
+    with pytest.raises(ValueError):
+        multiply_op((1, {(big, 0, 0): (1, 0)}))(CHI_PLUS)
+    assert identity()(up((0, big - 1, 0))) == up((0, big - 1, 0))
+
+
+def test_graphs_that_could_raise_past_the_field_are_refused():
+    # The rise of a graph is bounded when it is compiled: a coordinate
+    # raises by one, a composition by the sum and a sum by the largest; an
+    # embedding by the largest exponent of its columns.  A lowering factor
+    # counts zero, so x1 T1 is refused at the top of the field too.
+    top = (1 << operators._FIELD) - 1
+    x1 = coordinate_op(1)
+    for op in (x1, x1 * dunkl_op(1, P), dunkl_op(1, P) + x1 * x1, x_underline()):
+        with pytest.raises(ValueError):
+            op(up((top, 0, 0)))
+    assert (dunkl_op(1, P) * x1)(up((top - 1, 0, 0))) == dunkl(
+        coordinate_multiply(up((top - 1, 0, 0)), 1), 1, P)
+    with pytest.raises(ValueError):
+        norm_sq()(down((0, 0, top - 1)))
+    with pytest.raises(ValueError):
+        (x1 ** 2)(down((top - 1, 0, 0)))
+    with pytest.raises(ValueError):
+        multiply_op((1, {(top, 0, 0): (1, 0)}))(up((0, 1, 0)))
+    embed = operators.embedding_op({(0,): up((0, top, 0)).column})
+    assert image_columns([dirac(P) * embed], [(0,)])[0][0][1]
+    with pytest.raises(ValueError):
+        image_columns([coordinate_op(3) * embed], [(0,)])
+    with pytest.raises(ValueError):
+        operators.first_failures([(coordinate_op(3) * embed, zero_op())], [[(0,)]])
 
 
 def test_columns_are_reduced():
