@@ -44,11 +44,15 @@ reduces nothing.
 The graph runs node by node over a batch of columns: a `LinOp` call is a
 batch of one column, `image_columns` one batch of unit columns, and
 `first_failures` one batch per slice, in which a pair that failed on an
-earlier slice is not evaluated again.  A merged node with two or more
-parents is shared: it memoizes the integer image of each basis vector,
-filled for all of a batch's missing keys at once, and applies to a column
-by linearity.  A memo lasts as long as its merged graph: a `LinOp` compiles
-its tree on its first call and keeps the graph, and `first_failures` and
+earlier slice is not evaluated again.  Evaluation pushes: a node is handed
+its caller's accumulators and a Gaussian-integer coefficient, and adds its
+scaled image straight into them, so a sum builds no column of its own per
+term; only the inner image of a composition is materialized, as the
+columns of its outer factor.  A merged node with two or more parents is
+shared: it memoizes the integer image of each basis vector, filled for all
+of a batch's missing keys at once, and applies to a column by linearity.
+A memo lasts as long as its merged graph: a `LinOp` compiles its tree on
+its first call and keeps the graph, and `first_failures` and
 `image_columns` compile one graph per call, whose memos serve every key of
 that call.
 """
@@ -483,14 +487,15 @@ def _kernel(tag: tuple):
 
 class _Node:
     """A node of the merged graph, with the kind and payload of its LinOp
-    and merged `args`.  `_compile` rewrites sums, differences, negations and
-    scalings into "linear" nodes whose `data` lists (cr, ci, child) terms,
-    child None standing for the identity; a primitive keeps its kernel's
-    image function in `data`.  `den` and `rise` are fixed at compile time:
-    the node maps integer entries e over any denominator d to integer
-    entries over d * den, with no reduction (see `_compile`), and raises no
-    exponent by more than `rise`.  `memo` caches the integer image entries
-    of each basis vector at shared nodes and is None elsewhere."""
+    and merged `args`.  `_compile` rewrites the sums, differences, negations
+    and scalings that it does not absorb into "linear" nodes whose `data`
+    lists (cr, ci, child) terms, child None standing for the identity; a
+    primitive keeps its kernel's image function in `data`.  `den` and
+    `rise` are fixed at compile time: the node maps integer entries e over
+    any denominator d to integer entries over d * den, with no reduction
+    (see `_compile`), and raises no exponent by more than `rise`.  `memo`
+    caches the integer image entries of each basis vector at shared nodes
+    and is None elsewhere."""
 
     __slots__ = ("kind", "args", "payload", "den", "rise", "data", "parents", "memo")
 
@@ -552,7 +557,9 @@ def _compile(roots: list[LinOp]) -> list[_Node]:
     """Merge structurally equal nodes of the graphs spanned by roots, and
     flatten each maximal sum of unshared linear nodes into one "linear"
     node.  Returns the merged roots; each entry of roots counts as one
-    parent of its node, and every shared node gets an empty `memo`.
+    parent of its node, and every shared node gets an empty `memo`.  A
+    linear node whose one parent is linear is absorbed into that parent's
+    expansion: it is never evaluated, so it is neither expanded nor sized.
 
     Denominators and rises are fixed in one pass, children first (the order
     in which `_merge` creates them): a primitive keeps its kernel's, a
@@ -566,7 +573,11 @@ def _compile(roots: list[LinOp]) -> list[_Node]:
     out = [_merge(op, merged, by_id) for op in roots]
     for node in out:
         node.parents += 1
-    nodes = list(merged.values())
+    absorbed = {
+        arg for node in merged.values() if node.kind in _LINEAR
+        for arg in node.args if arg.kind in _LINEAR and arg.parents == 1
+    }
+    nodes = [node for node in merged.values() if node not in absorbed]
     expansions = {}
     for node in nodes:
         if node.kind in _LINEAR:
@@ -595,42 +606,77 @@ def _compile(roots: list[LinOp]) -> list[_Node]:
     return out
 
 
-def _evaluate(node: _Node, columns: list[dict], memoized: bool = True) -> list[dict]:
-    """Integer entries of the image under node of each of a batch of
-    columns: the image of entries / d is the result / (d * node.den).
+def _evaluate(node: _Node, columns: list[dict], out: list[dict] | None = None,
+              cr: int = 1, ci: int = 0, memoized: bool = True) -> list[dict]:
+    """Add (cr + i ci) times the integer entries of the image under node of
+    each of a batch of columns to the matching accumulator of out (a fresh
+    list of empty dicts when out is None), and return out: the image of
+    entries / d is the result / (d * node.den).
 
-    The graph runs node by node over the whole batch.  A shared node first
-    evaluates itself, with memoized False, on one batch of unit columns for
-    the keys of the batch that its memo lacks, then applies by linearity.
-    A result may be a memo entry or a kernel's dict: no caller mutates it."""
+    Evaluation pushes: each node adds its scaled image straight into its
+    caller's accumulators.  A linear node passes each child its own
+    accumulators and the product of the two coefficients, a primitive or a
+    memoized node applies and accumulates in one loop, and only the inner
+    image of a composition is materialized (`_images`), as the columns of
+    its outer node.  The graph runs node by node over the whole batch.  A
+    shared node first evaluates itself, with memoized False, on one batch
+    of unit columns for the keys of the batch that its memo lacks."""
+    if out is None:
+        out = [{} for _ in columns]
     memo = node.memo
     if memo is not None and memoized:
-        # An entry whose terms cancelled is an explicit zero and is evaluated
-        # like any other: too rare to test for (20 of 187,050 memo entries in a
-        # default sweep, and skipping them measured no faster).
-        missing = [key for key in dict.fromkeys(chain.from_iterable(columns)) if key not in memo]
-        if missing:
-            memo.update(zip(missing, _evaluate(node, [{key: _UNIT} for key in missing], False)))
-        return _apply(memo.__getitem__, columns)
+        _fill(node, columns)
+        _accumulate(memo.__getitem__, columns, cr, ci, out)
+        return out
     kind = node.kind
     if kind == "linear":
-        out = [{} for _ in columns]
-        for cr, ci, child in node.data:
-            images = columns if child is None else _evaluate(child, columns)
-            for acc, entries in zip(out, images):
+        for tr, ti, child in node.data:
+            xr, xi = cr * tr - ci * ti, cr * ti + ci * tr
+            if child is not None:
+                _evaluate(child, columns, out, xr, xi)
+                continue
+            for column, acc in zip(columns, out):
                 get = acc.get
-                for key, (re, im) in entries.items():
-                    x = cr * re - ci * im
-                    y = cr * im + ci * re
+                for key, (re, im) in column.items():
+                    x = xr * re - xi * im
+                    y = xr * im + xi * re
                     previous = get(key)
                     acc[key] = (x, y) if previous is None else (previous[0] + x, previous[1] + y)
-        return out
-    if kind == "compose":
-        inner = _evaluate(node.args[1], columns)
-        return _evaluate(node.args[0], inner) if any(inner) else inner
-    if kind == "primitive":
+    elif kind == "compose":
+        inner = _images(node.args[1], columns)
+        if any(inner):
+            _evaluate(node.args[0], inner, out, cr, ci)
+    elif kind == "primitive":
+        _accumulate(node.data, columns, cr, ci, out)
+    else:
+        raise ValueError(f"unknown operator node {kind!r}")
+    return out
+
+
+def _fill(node: _Node, columns: list[dict]) -> None:
+    """Memoize the image under the shared node of each key of the columns
+    that its memo lacks, from one batch of unit columns."""
+    memo = node.memo
+    # An entry whose terms cancelled is an explicit zero and is evaluated
+    # like any other: too rare to test for (20 of 187,050 memo entries in a
+    # default sweep, and skipping them measured no faster).
+    missing = [key for key in dict.fromkeys(chain.from_iterable(columns)) if key not in memo]
+    if missing:
+        memo.update(zip(missing, _evaluate(node, [{key: _UNIT} for key in missing],
+                                           memoized=False)))
+
+
+def _images(node: _Node, columns: list[dict]) -> list[dict]:
+    """The integer entries of the image under node of each column, as the
+    columns of an outer node: a primitive's or a memo's image of a unit
+    column is the kernel's dict or the memo entry itself, which no caller
+    mutates."""
+    if node.kind == "primitive":
         return _apply(node.data, columns)
-    raise ValueError(f"unknown operator node {kind!r}")
+    if node.memo is not None:
+        _fill(node, columns)
+        return _apply(node.memo.__getitem__, columns)
+    return _evaluate(node, columns)
 
 
 def _apply(image, columns: list[dict]) -> list[dict]:
@@ -644,15 +690,24 @@ def _apply(image, columns: list[dict]) -> list[dict]:
                 out.append(image(key))
                 continue
         acc: dict = {}
-        get = acc.get
-        for key, (cr, ci) in column.items():
-            for key2, (re, im) in image(key).items():
-                x = cr * re - ci * im
-                y = cr * im + ci * re
-                previous = get(key2)
-                acc[key2] = (x, y) if previous is None else (previous[0] + x, previous[1] + y)
+        _accumulate(image, [column], 1, 0, [acc])
         out.append(acc)
     return out
+
+
+def _accumulate(image, columns: list[dict], cr: int, ci: int, out: list[dict]) -> None:
+    """Add (cr + i ci) times the sum of value * image(key) over the entries
+    of each column to the matching accumulator of out."""
+    for column, acc in zip(columns, out):
+        get = acc.get
+        for key, (re, im) in column.items():
+            ar = cr * re - ci * im
+            ai = cr * im + ci * re
+            for key2, (xr, xi) in image(key).items():
+                x = ar * xr - ai * xi
+                y = ar * xi + ai * xr
+                previous = get(key2)
+                acc[key2] = (x, y) if previous is None else (previous[0] + x, previous[1] + y)
 
 
 def image_columns(ops: list[LinOp], keys: list) -> list[list[tuple]]:

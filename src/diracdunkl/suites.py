@@ -419,14 +419,18 @@ def suite_orthogonality(params: Params, n_max: int, mutation: str | None = None)
         ), None)
         reports.append(IdentityReport(f"overlap sign sectors decouple N={N}", ce))
 
+        # Each overlap divided once by its row's Gram entry; None for a zero
+        # entry, as a zero wavefunction has no place in an orthogonal basis.
+        weighted = [[o / gram[i] for o in row] if gram[i] else None
+                    for (i, _), row in zip(rows, overlaps)]
+
         def sum_rule_holds(side: int, c1: int, c2: int) -> bool:
-            # A zero wavefunction has no place in an orthogonal basis.
             total = GRational(0)
-            for r, (i, u) in enumerate(rows):
+            for r, (_, u) in enumerate(rows):
                 if sector(u) == side:
-                    if not gram[i]:
+                    if weighted[r] is None:
                         return False
-                    total = total + overlaps[r][c1].conjugate() * overlaps[r][c2] / gram[i]
+                    total = total + overlaps[r][c1].conjugate() * weighted[r][c2]
             return total == (gram[cols[c1][0]] if c1 == c2 else GRational(0))
 
         in_sector = {side: [c for c, (_, w) in enumerate(cols) if sector(w) == side]
@@ -515,10 +519,14 @@ def seeded_mu_samples(count: int, seed: int) -> list[Params]:
     ]
 
 
-# A verify run splits into three tasks per triple.  The five construction
-# sections form one task, as they share `ck.monogenic_basis` and the
-# closed-form caches.
+# A verify run splits into three tasks per triple, reported in this order.
+# The five construction sections form one task, as they share
+# `ck.monogenic_basis` and the closed-form caches.
 _PARTS = ("osp12", "symmetry", "constructions")
+# The order in which the tasks are handed to the workers, part by part over
+# all triples: the long ones first and the short osp12 tasks last, so that
+# no worker idles while another runs a long task that was handed out late.
+_RUN_ORDER = ("symmetry", "constructions", "osp12")
 
 
 def _run_part(task: tuple) -> list[tuple[str, list[dict]]]:
@@ -612,15 +620,19 @@ def run_verify(
     seed: int = 0,
 ) -> dict:
     """The `verify` report.  Its (part, triple) tasks share no state and run
-    on every usable CPU (`_map_tasks`); the report does not depend on how
-    many."""
+    on every usable CPU (`_map_tasks`) in `_RUN_ORDER`; the report lists
+    them triple by triple, and does not depend on how many CPUs run them or
+    in which order."""
     if mutation is not None and mutation not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutation!r}")
-    tasks = [(part, params, degree, mutation) for params in mu_list for part in _PARTS]
+    order = [(part, index) for part in _RUN_ORDER for index in range(len(mu_list))]
+    tasks = [(part, mu_list[index], degree, mutation) for part, index in order]
+    results = dict(zip(order, _map_tasks(_run_part, tasks)))
     sections = [
-        {"section": section, "mu": task[1].mu_strings(), "checks": check_list}
-        for task, pairs in zip(tasks, _map_tasks(_run_part, tasks))
-        for section, check_list in pairs
+        {"section": section, "mu": params.mu_strings(), "checks": check_list}
+        for index, params in enumerate(mu_list)
+        for part in _PARTS
+        for section, check_list in results[part, index]
     ]
     failures = [
         {"section": s["section"], "mu": s["mu"], "name": c["name"],

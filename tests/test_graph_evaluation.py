@@ -266,3 +266,103 @@ def test_failed_pair_is_not_evaluated_on_later_slices(monkeypatch):
     ((position, left, right), passed) = _first_failures(pairs, SLICES)
     assert passed is None
     assert (position, left, right) == (0, (1, {LABELS[0]: (1, 0)}), (1, {}))
+
+
+def _nested_ops(params, rng, levels: int = 3) -> list:
+    """Operators in which linear nodes nest through compositions at the
+    given number of levels, every coefficient non-real: each level's three
+    operators are sums of compositions of the level below, with one operator
+    of that level in several terms (a shared node), a fresh sum as an outer
+    factor (an unshared linear node that is pushed into) and a copy of an
+    earlier level's sum built apart (merged, and so shared)."""
+    def coef() -> GRational:
+        return GRational(Fraction(rng.randint(-5, 5), rng.choice((1, 3, 997))),
+                         Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 1000))))
+
+    def base():
+        return [dunkl_op(1, params), dunkl_op(3, params), coordinate_op(2),
+                operators.pauli_op(2), reflect_op(1), scalar_op(coef())]
+
+    leaves = base()
+    layer = [coef() * a + coef() * b - coef() * c for a, b, c in (rng.sample(leaves, 3) for _ in range(3))]
+    first = layer[0]
+    for _ in range(levels - 1):
+        shared, other, last = layer
+        rebuilt = coef() * base()[0] + coef() * base()[2]
+        fresh = coef() * other + coef() * rng.choice(leaves)
+        layer = [
+            coef() * (shared * other) - coef() * (other * shared) + coef() * identity(),
+            coef() * (fresh * shared) + coef() * (last * rebuilt),
+            coef() * (shared * last) + coef() * (first * rebuilt) - coef() * shared,
+        ]
+    return layer
+
+
+def _graph(roots) -> list:
+    """The nodes of a compiled graph reachable from its roots."""
+    seen: dict = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen[id(node)] = node
+        stack.extend([child for *_, child in node.data] if node.kind == "linear" else node.args)
+    return list(seen.values())
+
+
+def _linear_levels(node) -> int:
+    """The most linear nodes on one path down from node."""
+    if node is None:
+        return 0
+    below = [child for *_, child in node.data] if node.kind == "linear" else node.args
+    return (node.kind == "linear") + max(map(_linear_levels, below), default=0)
+
+
+@pytest.mark.parametrize("params", EDGE_MUS[2:5], ids=str)
+def test_nested_push_evaluation_matches_tree_evaluation(params):
+    rng = random.Random(73)
+    ops = _nested_ops(params, rng)
+    roots = operators._compile(ops)
+    nodes = _graph(roots)
+    linear = [node for node in nodes if node.kind == "linear"]
+    assert min(map(_linear_levels, roots)) >= 3
+    assert all(any(ci for _, ci, _ in node.data) for node in linear)
+    assert any(node.memo is not None for node in linear)
+    assert any(node.memo is None and node not in roots for node in linear)
+    assert _image_columns(ops, KEYS) == reference.image_columns(ops, LABELS)
+    inputs = [random_spinor(rng, 3), SpinorPoly.monomial((1, 2, 0), -1, I), SpinorPoly.zero()]
+    inputs.append(inputs[0].scale(GRational(Fraction(1, 1000), Fraction(-3, 997))))
+    for op in ops:
+        for f in inputs + inputs[::-1]:
+            assert op(f).column == reference.evaluate(op, f.column)
+    pairs = [(ops[0], ops[0]), (ops[1], ops[1] + I * ops[2] - I * ops[2]),
+             (ops[2], ops[2] + Fraction(1, 997) * _planted(params)), (ops[0], ops[1])]
+    got = _first_failures(pairs, SLICES)
+    assert got == reference.first_failures(pairs, LABELS)
+    assert got[0] is None and got[1] is None and got[2] is not None
+
+
+def test_compiling_a_nested_sum_expands_each_term_once(monkeypatch):
+    # A left-nested sum of n terms is n - 1 "add" nodes, each of which has
+    # one linear parent but the outermost: only that one is expanded, each
+    # of the n - 1 sums expanding its two operands once.
+    calls = []
+    expand = operators._expand
+
+    def counted(node, coef, terms):
+        calls.append(node)
+        expand(node, coef, terms)
+
+    monkeypatch.setattr(operators, "_expand", counted)
+    counts = []
+    for n in (8, 16, 32):
+        terms = [operators.multiply_op((1, {(k, 0, 1): (1, 0)})) for k in range(n)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        calls.clear()
+        (root,) = operators._compile([total])
+        counts.append(len(calls))
+        assert len(root.data) == n
+    assert counts == [2 * (n - 1) for n in (8, 16, 32)]

@@ -153,3 +153,27 @@ def test_no_worker_outlives_a_killed_run():
         for child in children:
             if _running(child):
                 os.kill(child, signal.SIGKILL)
+
+
+def test_report_does_not_depend_on_the_order_of_the_tasks(monkeypatch):
+    # A map that runs the tasks in reverse order: the report still lists
+    # the sections triple by triple, as each task computes them alone.
+    mu_list = suites.seeded_mu_samples(3, 2)
+    handed = []
+
+    def reversed_map(fn, tasks):
+        handed.extend(task[:2] for task in tasks)
+        return [fn(task) for task in tasks[::-1]][::-1]
+
+    monkeypatch.setattr(suites, "_map_tasks", reversed_map)
+    report = suites.run_verify(mu_list, 2)
+    assert report["sections"] == [
+        {"section": section, "mu": params.mu_strings(), "checks": checks}
+        for params in mu_list for part in ("osp12", "symmetry", "constructions")
+        for section, checks in suites._run_part((part, params, 2, None))
+    ]
+    assert report["status"] == "pass"
+    # Tasks go out part by part over all triples, the short osp12 ones last.
+    assert handed == [
+        (part, params) for part in ("symmetry", "constructions", "osp12") for params in mu_list
+    ]
