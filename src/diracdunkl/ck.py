@@ -12,7 +12,8 @@ polynomial p free of x_e to
 where Dt is the Dirac-Dunkl operator in the remaining coordinates and (q)_a
 is the rising factorial.  The series terminates because Dt lowers degree by
 one; the result restricts to p at x_e = 0 and lies in the kernel of the full
-Dirac-Dunkl operator.  Substituting x_e = 0 inverts the map.
+Dirac-Dunkl operator.  Substituting x_e = 0 inverts the map.  The tower of the
+two extensions is only the reference for `monogenic_basis`'s closed form.
 
 `fischer_decompose` peels the Fischer decomposition off by the constants of
 the osp(1|2) relations, with no monogenic basis and no linear solve.
@@ -29,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import HALF, Params, pochhammer
+from .closedform import closed_basis_pair
+from .exact import Params
 from .operators import coordinate_op, dirac, pauli_op, x_underline
 from .poly import SpinorPoly
 # Kept importable from here because benchmarks/test_harness.py patches and
@@ -38,43 +40,40 @@ from .poly import dunkl  # noqa: F401
 
 
 def _ck_extend(
-    p: SpinorPoly, ext_axis: int, tangent_axes: tuple[int, ...], params: Params
-) -> SpinorPoly:
+    polys: list[SpinorPoly], ext_axis: int, tangent_axes: tuple[int, ...], params: Params
+) -> list[SpinorPoly]:
     mu = params.mu(ext_axis)
     # x_e commutes with Dt, so x_e^alpha Dt^alpha p = (x_e Dt)^alpha p.
     step = coordinate_op(ext_axis) * dirac(params, tangent_axes)
     sigma = pauli_op(ext_axis)
-    result = SpinorPoly.zero()
-    current = p  # holds x_e^alpha Dt^alpha p
-    alpha = 0
-    while current:
-        a, odd = divmod(alpha, 2)
-        coef = Fraction((-1) ** (a + odd), 4**a) / (
-            pochhammer(mu + HALF, a)
-            if not odd
-            else 2 * (mu + HALF) * pochhammer(mu + Fraction(3, 2), a)
-        )
-        coef /= pochhammer(1, a)  # a!
-        result = result + (sigma(current) if odd else current).scale(coef)
-        current = step(current)
-        alpha += 1
-    return result
+    out = []
+    for p in polys:
+        result = SpinorPoly.zero()
+        current, coef, alpha = p, Fraction(1), 0  # current holds x_e^alpha Dt^alpha p
+        while current:
+            result = result + (sigma(current) if alpha % 2 else current).scale(coef)
+            current = step(current)
+            alpha += 1
+            # c_alpha / c_(alpha-1) is -1 / (2 mu_e + alpha) for odd alpha, 1 / alpha for even.
+            coef /= -(2 * mu + alpha) if alpha % 2 else alpha
+        out.append(result)
+    return out
 
 
-def ck_extend_x3(p: SpinorPoly, params: Params) -> SpinorPoly:
-    """Extend a spinor polynomial in x1, x2 to the kernel of the full
+def ck_extend_x3(polys: list[SpinorPoly], params: Params) -> list[SpinorPoly]:
+    """Extend each spinor polynomial in x1, x2 to the kernel of the full
     Dirac-Dunkl operator; restricting to x3 = 0 recovers the input."""
-    if p.involves(3):
+    if any(p.involves(3) for p in polys):
         raise ValueError("input must not involve x3")
-    return _ck_extend(p, 3, (1, 2), params)
+    return _ck_extend(polys, 3, (1, 2), params)
 
 
-def ck_extend_x2(p: SpinorPoly, params: Params) -> SpinorPoly:
-    """Extend a spinor polynomial in x1 alone to the kernel of the
+def ck_extend_x2(polys: list[SpinorPoly], params: Params) -> list[SpinorPoly]:
+    """Extend each spinor polynomial in x1 alone to the kernel of the
     two-coordinate Dirac-Dunkl operator sigma1 T1 + sigma2 T2."""
-    if p.involves(2) or p.involves(3):
+    if any(p.involves(2) or p.involves(3) for p in polys):
         raise ValueError("input must involve x1 only")
-    return _ck_extend(p, 2, (1,), params)
+    return _ck_extend(polys, 2, (1,), params)
 
 
 @dataclass(frozen=True)
@@ -98,26 +97,22 @@ class MonogenicBasis:
 
 
 # Only one triple's construction task in `verify` reads this cache back: its
-# sections ask for degrees 0..min(degree, 5).  A default sweep hits 75 of its
-# 100 calls, `--degree 16` 80 of 110 (25 with 5 entries).  `basis --N` never
-# hits.
+# monogenic section asks for degrees 0..min(degree, 5), the function
+# realization and Fischer for 0..min(degree, 4).  A default sweep hits 50 of
+# its 75 calls, `--degree 16` 50 of 80 (25 with 5 entries).  `basis --N`
+# never hits.
 @lru_cache(maxsize=6)
 def monogenic_basis(N: int, params: Params) -> MonogenicBasis:
-    """Build the degree-N basis by the two-step extension tower.
-
-    Element (k, sign) is the x3-extension of xt^(N-k) times the
-    x2-extension of x1^k chi_sign, where xt is the in-plane Clifford
-    coordinate sum.
-    """
+    """The degree-N basis from the closed form: elements (k, +) and (k, -)
+    are `closedform.closed_basis_pair(N, k, params)`.  The extension tower
+    builds the same polynomials, and the closedform section of `verify`
+    checks the two against each other."""
     if N < 0:
         raise ValueError("N must be >= 0")
     elements = []
     for k in range(N + 1):
-        for sign in (1, -1):
-            seed = SpinorPoly.monomial((k, 0, 0), sign)
-            planar = ck_extend_x2(seed, params)
-            lifted = (x_underline((1, 2)) ** (N - k))(planar)
-            elements.append(BasisElement(k, sign, ck_extend_x3(lifted, params)))
+        pair = closed_basis_pair(N, k, params)
+        elements.extend(BasisElement(k, sign, poly) for sign, poly in zip((1, -1), pair))
     return MonogenicBasis(N, params, tuple(elements))
 
 

@@ -32,7 +32,7 @@ from . import birep, ck, closedform, poly, suites
 from .exact import Params, rational_str
 
 # Measured at the limit: verify 10-11.7 s CPU, 5.2-6.1 s wall on 2 shared CPUs,
-# 52 MB in its largest process (CPython 3.11.7, 5 runs); basis 15 s / 163 MB;
+# 52 MB in its largest process (CPython 3.11.7, 5 runs); basis 5-6 s / 163 MB;
 # wavefunctions 8 s / 162 MB; rep 41 s / 385 MB; overlaps 53 s / 251 MB;
 # moments 5 s / 227 MB (with streamed JSON, basis, wavefunctions, moments: below the rule).
 MAX_DEGREE = 16

@@ -124,11 +124,11 @@ def lift(
     return pref * op
 
 
-# Only `verify` reads this cache back, and only within one triple:
-# `suite_closedform` asks for psi k = 0..min(degree, 5) once per N >= k,
-# and `suite_orthogonality` for psi and upsilon k = 0..min(degree, 3), so at
-# most 10 entries (12 were both sections to reach degree 5).  A default
-# sweep hits 130 of its 175 calls.  A command builds one N, so it never hits.
+# Only `verify` reads this cache back, within one triple: `suite_closedform`
+# and `ck.monogenic_basis` ask for psi k = 0..min(degree, 5) once per N >= k,
+# `suite_orthogonality` for psi and upsilon k = 0..min(degree, 3): at most 10
+# entries, 12 if orthogonality reached degree 5.  A default sweep hits 205 of
+# its 250 calls.  A command builds one N, so it never hits.
 @lru_cache(maxsize=12)
 def _planar_images(k: int, params: Params, axes: tuple[int, int, int]) -> tuple:
     """The planar factor of `closed_basis_pair` applied to chi+ and chi-:

@@ -27,7 +27,9 @@ operator identities over element keys.
 
 `fischer_components` is the Fischer decomposition by one linear solve on the
 columns x^k M over the monogenic bases: the reference for the
-back-substitution of `diracdunkl.ck.fischer_decompose`.
+back-substitution of `diracdunkl.ck.fischer_decompose`.  `extension_tower`
+builds a monogenic basis by the two Cauchy-Kovalevskaia extensions of
+`diracdunkl.ck`: the reference for the closed form of `ck.monogenic_basis`.
 
 `evaluate` walks a `LinOp` tree as it was built, with no merging and no
 memo, and reduces the image column of every node with `poly.combine`:
@@ -474,6 +476,17 @@ def fischer_components(f, params) -> tuple:
             part = part + element.poly.scale(coef)
         parts.append(part)
     return tuple(parts)
+
+
+def extension_tower(N: int, params) -> list:
+    """The degree-N monogenic basis polynomials in basis order (k ascending,
+    + before -), by the extension tower: element (k, sign) is
+    `ck.ck_extend_x3` of xt^(N-k) times `ck.ck_extend_x2` of x1^k chi_sign.
+    The reference for the closed form that `ck.monogenic_basis` uses."""
+    seeds = [SpinorPoly.monomial((k, 0, 0), sign) for k in range(N + 1) for sign in (1, -1)]
+    xt = operators.x_underline((1, 2))
+    planar = ck.ck_extend_x2(seeds, params)
+    return ck.ck_extend_x3([(xt ** (N - i // 2))(p) for i, p in enumerate(planar)], params)
 
 
 # ---------------------------------------------------------------------------

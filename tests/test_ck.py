@@ -76,13 +76,14 @@ def _is_real(f):
 
 
 def test_extension_of_constants():
-    assert ck_extend_x3(CHI_PLUS, P) == CHI_PLUS
-    assert ck_extend_x2(CHI_MINUS, P) == CHI_MINUS
+    assert ck_extend_x3([CHI_PLUS, CHI_MINUS], P) == [CHI_PLUS, CHI_MINUS]
+    assert ck_extend_x2([CHI_MINUS], P) == [CHI_MINUS]
+    assert ck_extend_x3([], P) == []
 
 
 def test_extension_x3_linear_input():
     # x1 chi+ picks up exactly one correction term.
-    result = ck_extend_x3(up((1, 0, 0)), P)
+    (result,) = ck_extend_x3([up((1, 0, 0))], P)
     ratio = (1 + 2 * P.mu1) / (1 + 2 * P.mu3)
     correction = pauli(pauli(SpinorPoly.monomial((0, 0, 1), 1, -ratio), 1), 3)
     assert result == up((1, 0, 0)) + correction
@@ -90,14 +91,14 @@ def test_extension_x3_linear_input():
 
 
 def test_extension_x2_linear_input():
-    result = ck_extend_x2(up((1, 0, 0)), P)
+    (result,) = ck_extend_x2([up((1, 0, 0))], P)
     ratio = (P.mu1 + Fraction(1, 2)) / (P.mu2 + Fraction(1, 2))
     correction = pauli(pauli(SpinorPoly.monomial((0, 1, 0), 1, -ratio), 1), 2)
     assert result == up((1, 0, 0)) + correction
 
 
 def test_extension_x2_quadratic_input():
-    result = ck_extend_x2(up((2, 0, 0)), P)
+    (result,) = ck_extend_x2([up((2, 0, 0))], P)
     r = (2 * P.mu1 + 1) / (2 * P.mu2 + 1)
     expected = (
         up((2, 0, 0))
@@ -110,28 +111,24 @@ def test_extension_x2_quadratic_input():
 def test_extension_matches_poly_reference():
     rng = random.Random(53)
     for params in EDGE_MUS:
-        for _ in range(2):
-            f = random_spinor(rng, 5, axes=(1, 2))
-            assert not f.is_homogeneous() and not _is_real(f)
-            assert ck_extend_x3(f, params) == ck_extend_reference(f, 3, (1, 2), params)
-            g = random_spinor(rng, 6, axes=(1,))
-            assert not g.is_homogeneous() and not _is_real(g)
-            assert ck_extend_x2(g, params) == ck_extend_reference(g, 2, (1,), params)
-        assert ck_extend_x3(SpinorPoly.zero(), params) == SpinorPoly.zero()
+        fs = [random_spinor(rng, 5, axes=(1, 2)) for _ in range(2)] + [SpinorPoly.zero()]
+        gs = [random_spinor(rng, 6, axes=(1,)) for _ in range(2)]
+        assert not any(p.is_homogeneous() or _is_real(p) for p in fs[:2] + gs)
+        assert ck_extend_x3(fs, params) == [ck_extend_reference(f, 3, (1, 2), params) for f in fs]
+        assert ck_extend_x2(gs, params) == [ck_extend_reference(g, 2, (1,), params) for g in gs]
 
 
 def test_extension_preconditions():
     with pytest.raises(ValueError):
-        ck_extend_x3(up((0, 0, 1)), P)
+        ck_extend_x3([CHI_PLUS, up((0, 0, 1))], P)
     with pytest.raises(ValueError):
-        ck_extend_x2(up((0, 1, 0)), P)
+        ck_extend_x2([up((0, 1, 0))], P)
 
 
 def test_restriction_inverts_extension():
     rng = random.Random(31)
-    for _ in range(4):
-        f = random_spinor(rng, 4, axes=(1, 2))
-        g = ck_extend_x3(f, P)
+    fs = [random_spinor(rng, 4, axes=(1, 2)) for _ in range(4)]
+    for f, g in zip(fs, ck_extend_x3(fs, P)):
         restricted = SpinorPoly(
             g.up.set_coordinate_zero(3), g.down.set_coordinate_zero(3)
         )
@@ -156,13 +153,11 @@ def test_classical_reduction_without_third_parameter():
             factorial *= alpha
         return total
 
-    seeds = [
-        ck_extend_x2(up((1, 0, 0)), params),  # m_1 in the plane
-        ck_extend_x2(SpinorPoly.monomial((2, 0, 0), -1), params),
-        up((1, 2, 0)),
-    ]
-    for seed in seeds:
-        assert ck_extend_x3(seed, params) == classical(seed)
+    seeds = ck_extend_x2([
+        up((1, 0, 0)),  # m_1 in the plane
+        SpinorPoly.monomial((2, 0, 0), -1),
+    ], params) + [up((1, 2, 0))]
+    assert ck_extend_x3(seeds, params) == [classical(seed) for seed in seeds]
 
 
 def test_power_identities_for_tangent_operators():
@@ -170,7 +165,7 @@ def test_power_identities_for_tangent_operators():
     # operator acting on in-plane Clifford powers of planar monogenics.
     gamma2 = reference.gamma2(P)
     for k in range(3):
-        mk = ck_extend_x2(up((k, 0, 0)), P)
+        (mk,) = ck_extend_x2([up((k, 0, 0))], P)
         for beta in range(3):  # 2 beta <= 4
             for alpha in range(4):
                 even_target = (XT ** (2 * beta))(mk)
@@ -257,14 +252,32 @@ def test_monogenic_basis_smallest_cases():
     assert [(el.k, el.sign) for el in basis.elements] == [(0, 1), (0, -1)]
 
 
+def test_monogenic_basis_builds_no_extension_tower(monkeypatch):
+    # The basis comes from the closed form; the tower is only the reference
+    # that the closedform section checks it against.
+    def refuse(*args):
+        raise AssertionError("the basis must not call this")
+
+    for name in ("ck_extend_x2", "ck_extend_x3", "_ck_extend"):
+        monkeypatch.setattr(ck, name, refuse)
+    monogenic_basis.cache_clear()
+    basis = monogenic_basis(4, P)
+    monogenic_basis.cache_clear()
+    assert [(el.k, el.sign, el.poly) for el in basis.elements] == [
+        (k, sign, poly) for k in range(5)
+        for sign, poly in zip((1, -1), closed_basis_pair(4, k, P))
+    ]
+
+
 def test_monogenic_basis_cache_holds_one_construction_task():
     # `verify` reads the cache back only within one triple's construction
     # task, which asks for degrees 0..5 whatever --degree says: each basis
-    # is built once.
+    # is built once, and the closedform section, which builds its own
+    # extension tower, reads none.
     monogenic_basis.cache_clear()
     suites._run_part(("constructions", P, 16, None))
     info = monogenic_basis.cache_info()
-    assert (info.misses, info.hits) == (6, 16)
+    assert (info.misses, info.hits) == (6, 10)
 
 
 def test_monogenic_basis_cache_evicts_past_its_bound():

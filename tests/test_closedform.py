@@ -9,7 +9,7 @@ import reference
 from conftest import EDGE_MUS, mu_triples, random_spinor
 from reference import UnivariatePoly, jacobi, scalar_column
 
-from diracdunkl import closedform, suites
+from diracdunkl import ck, closedform, suites
 from diracdunkl.birep import k1_eigenvalue
 from diracdunkl.ck import ck_extend_x2, ck_extend_x3, monogenic_basis
 from diracdunkl.closedform import (
@@ -174,15 +174,15 @@ def test_lift_matches_the_extension_tower(params):
     xt = x_underline((1, 2))
     for sign in (1, -1):
         chi = SpinorPoly.unit(sign)
-        for j in range(8):
+        planars = ck_extend_x2([SpinorPoly.monomial((j, 0, 0), sign) for j in range(8)], params)
+        for j, tower in enumerate(planars):
             closed = lift(j, 0, (1,), 2, params)((pauli_op(1) ** j)(chi))
-            tower = ck_extend_x2(SpinorPoly.monomial((j, 0, 0), sign), params)
             assert closed == tower, (j, sign)
-        for k in range(8):
-            planar = ck_extend_x2(SpinorPoly.monomial((k, 0, 0), sign), params)
-            for j in range(8 - k):
+        for k, planar in enumerate(planars):
+            towers = ck_extend_x3([(xt ** j)(planar) for j in range(8 - k)], params)
+            for j, tower in enumerate(towers):
                 closed = lift(j, k, (1, 2), 3, params)(planar)
-                assert closed == ck_extend_x3((xt ** j)(planar), params), (j, k, sign)
+                assert closed == tower, (j, k, sign)
 
 
 def test_lift_small_cases():
@@ -208,25 +208,59 @@ def test_lift_rejects_negative_degrees():
 
 
 def test_closed_form_equals_tower():
-    for params in mu_triples(2, seed=59):
-        for N in range(6):
+    # Beyond the N <= 5 that `verify` compares, as `basis --N` rests on the
+    # closed form up to N = 60.
+    cases = [(params, range(6)) for params in mu_triples(2, seed=59)]
+    cases += [(params, (6, 8, 11)) for params in EDGE_MUS]
+    for params, degrees in cases:
+        for N in degrees:
             basis = monogenic_basis(N, params)
-            for el in basis.elements:
-                plus, minus = closed_basis_pair(N, el.k, params)
-                closed = plus if el.sign == 1 else minus
-                assert closed == el.poly, (N, el.k, el.sign)
+            assert [(el.k, el.sign) for el in basis.elements] == [
+                (k, sign) for k in range(N + 1) for sign in (1, -1)]
+            tower = reference.extension_tower(N, params)
+            for el, poly in zip(basis.elements, tower, strict=True):
+                assert el.poly == poly, (N, el.k, el.sign)
 
 
 def test_lift_parameter_variant_is_inconsistent():
     # The even-branch leading Jacobi parameter admits two published variants
     # differing by one; only the one used here reproduces the extension
     # tower, the other is rejected by the same cross-check.
-    basis = monogenic_basis(2, P)
-    el = basis.elements[0]  # k = 0, sign +, N - k even
-    good, _ = closed_basis_pair(2, el.k, P, even_parameter_shift=0)
-    bad, _ = closed_basis_pair(2, el.k, P, even_parameter_shift=1)
-    assert good == el.poly
-    assert bad != el.poly
+    tower = reference.extension_tower(2, P)[0]  # k = 0, sign +, N - k even
+    good, _ = closed_basis_pair(2, 0, P, even_parameter_shift=0)
+    bad, _ = closed_basis_pair(2, 0, P, even_parameter_shift=1)
+    assert good == tower
+    assert bad != tower
+
+
+def test_closedform_suite_checks_against_its_own_tower(monkeypatch):
+    # The verdicts rest on the tower the suite builds, whatever
+    # `ck.monogenic_basis` returns: here the shifted closed form, which would
+    # agree with the lift-parameter+1 mutant.
+    def shifted(N, params):
+        return ck.MonogenicBasis(N, params, tuple(
+            ck.BasisElement(k, sign, poly) for k in range(N + 1)
+            for sign, poly in zip((1, -1), closed_basis_pair(N, k, params, even_parameter_shift=1))
+        ))
+
+    def failures(checks):
+        return [(c["name"], c["counterexample"]) for c in checks if c["status"] != "pass"]
+
+    monkeypatch.setattr(ck, "monogenic_basis", shifted)
+    assert failures(suites.suite_closedform(P, 3, "lift-parameter+1")) == [
+        ("closed form equals extension tower N=2", {"N": 2, "k": 0, "sign": "+"}),
+        ("closed form equals extension tower N=3", {"N": 3, "k": 1, "sign": "+"}),
+    ]
+    # A wrong tower element: x3^2 chi+ added to the extension of every
+    # degree-2 input.
+    extend = ck.ck_extend_x3
+    monkeypatch.setattr(ck, "ck_extend_x3", lambda polys, params: [
+        q + SpinorPoly.monomial((0, 0, 2), 1) if p.degree() == 2 else q
+        for p, q in zip(polys, extend(polys, params))
+    ])
+    assert failures(suites.suite_closedform(P, 3)) == [
+        ("closed form equals extension tower N=2", {"N": 2, "k": 0, "sign": "+"}),
+    ]
 
 
 # --------------------------------------------------------------------------
