@@ -22,10 +22,18 @@ from fractions import Fraction
 HALF = Fraction(1, 2)
 
 
+class DigitLimitError(ValueError):
+    """A rational with more digits than the interpreter converts to text
+    (`sys.get_int_max_str_digits()`)."""
+
+
 def rational_str(value) -> str:
     """Serialize a rational as "p/q" with q > 0 and gcd(|p|, q) = 1."""
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # the only ValueError int-to-str raises
+        raise DigitLimitError(str(exc)) from None
 
 
 # Size limits of a rational literal: characters after stripping, and the

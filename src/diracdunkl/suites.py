@@ -15,7 +15,7 @@ import os
 import random
 from fractions import Fraction
 
-from . import birep, ck, closedform, linalg, operators
+from . import MUTATIONS, birep, ck, closedform, linalg, operators
 from .exact import GRational, I, Params
 from .operators import (
     IdentityReport,
@@ -47,16 +47,6 @@ from .operators import (
     zero_op,
 )
 from .poly import SpinorPoly, spinor_basis_labels
-
-MUTATIONS = {
-    "gamma3+1": "osp12: shift the conformal constant in expected right sides",
-    "quad+1": "symmetry: shift the constant of the quadratic relation",
-    "eigenvalue+1": "monogenic: shift the expected degree eigenvalue",
-    "lift-parameter+1": "closedform: shift a Jacobi parameter of the lift factor",
-    "norm-factor*2": "orthogonality: scale odd-index squared norm factors",
-    "omega3+1": "representation: shift a structure constant in expected relations",
-    "component*2": "fischer: scale the last nonzero component before reconstructing",
-}
 
 
 def _failing_elements(families: dict, equations: list) -> dict:

@@ -2,8 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracdunkl import birep, ck, cli, closedform, suites
 
@@ -403,3 +406,94 @@ def test_closed_stdout_is_a_write_error():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 2
     assert err == b"diracdunkl: error: cannot write stdout: Broken pipe\n"
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+def _json_text(value) -> str:
+    pieces = []
+    cli._write_json(value, pieces.append)
+    return "".join(pieces)
+
+
+def _assert_same_text(text: str, expected: str) -> None:
+    # Names the first difference: pytest's diff of two long texts can take
+    # minutes.
+    if text != expected:
+        at = next((i for i, pair in enumerate(zip(text, expected)) if len(set(pair)) > 1),
+                  min(len(text), len(expected)))
+        pytest.fail(f"differs at {at}: {text[at - 30:at + 30]!r} != "
+                    f"{expected[at - 30:at + 30]!r}")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=30,
+)
+
+ESCAPES = "\"\\/\b\f\n\r\t\x00\x1f\x7fé \ud800\U0001d11e"
+
+
+def _nested(depth: int):
+    value = []
+    for level in range(depth):
+        value = {"level": level, "inner": [value, ()]} if level % 2 else [value, {}]
+    return value
+
+
+@settings(derandomize=True, max_examples=400)
+@given(json_values)
+@example(ESCAPES)
+@example({ESCAPES: [ESCAPES, {ESCAPES: ESCAPES}]})
+@example([[], {}, (), [[]], {"": {}}, ""])
+@example(_nested(200))
+@example([10**400, -(10**400), -1, 0, True, False, None, (1, (2, ()))])
+def test_json_writer_matches_json_dumps(value):
+    _assert_same_text(_json_text(value), json.dumps(value, indent=2))
+
+
+def test_json_writer_streams_in_bounded_pieces():
+    value = {"rows": [{"exp": [i, -i, 2], "coef": f"{i}/7"} for i in range(3 * cli._PIECE)],
+             "flat": [str(i) for i in range(3 * cli._PIECE)]}
+    pieces = []
+    cli._write_json(value, pieces.append)
+    _assert_same_text("".join(pieces), json.dumps(value, indent=2))
+    assert len(pieces) > 4
+    # A part here is a short line, or a few with opening brackets: no piece
+    # holds much more than _PIECE lines.
+    assert max(piece.count("\n") for piece in pieces) <= 2 * cli._PIECE
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(1, 2), 0.5, [1, 2.0], {"value": Fraction(3)}, {1: "int key"},
+], ids=["fraction", "float", "float-in-list", "fraction-in-dict", "int-key"])
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+# An output value of the moments below has more than 640 digits.
+HIGH_MU = ("99999999999999999999/7777777777777777777,7777777777777777777/99999999999999999999,"
+           "99999999999999999999/1")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on int-to-str conversion")
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "--out"])
+def test_value_over_the_digit_limit_is_a_usage_error(out, tmp_path):
+    # Exit code 2 and one stderr line before anything is written, not a
+    # traceback.
+    target = tmp_path / "moments.json"
+    argv = ["moments", "--N", "12", "--mu", HIGH_MU, *(["--out", str(target)] if out else [])]
+    code = ("import sys; sys.set_int_max_str_digits(640); "
+            "from diracdunkl import cli; sys.exit(cli.main(sys.argv[1:]))")
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert not target.exists()
+    assert result.stderr == (
+        "diracdunkl: error: an output value has more than 640 digits, the interpreter's "
+        "limit for integer string conversion (PYTHONINTMAXSTRDIGITS raises it)\n"
+    )

@@ -98,15 +98,30 @@ def test_an_error_in_a_task_reaches_the_caller(monkeypatch, count):
     assert pools == ([] if count == 1 else [2])
 
 
-def test_artifact_commands_do_not_import_the_pool():
+# The library modules each artifact command loads besides `cli`: only those
+# it runs, and never `suites` or `linalg`.
+CLOSED_FORM = ["closedform", "exact", "operators", "poly"]
+ARTIFACT_MODULES = {
+    "overlaps": CLOSED_FORM,
+    "wavefunctions": CLOSED_FORM,
+    "moments": CLOSED_FORM,
+    "basis": sorted(["ck", *CLOSED_FORM]),
+    "rep": sorted(["birep", "ck", *CLOSED_FORM]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_MODULES))
+def test_artifact_commands_do_not_import_the_pool(command):
     code = (
         "import sys; from diracdunkl import cli; "
-        "cli.main(['rep', '--N', '2', '--mu', '1/2,1/3,2/5']); "
-        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))))"
+        f"cli.main([{command!r}, '--N', '2', '--mu', '1/2,1/3,2/5', '--out', sys.argv[1]]); "
+        "print(sorted(m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing')))); "
+        "print(sorted(m[11:] for m in sys.modules if m.startswith('diracdunkl.')))"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code, os.devnull], env=_env(),
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines() == ["[]", str(sorted(["cli", *ARTIFACT_MODULES[command]]))]
 
 
 def _children(pid: int) -> list[int]:
