@@ -22,16 +22,15 @@ MUTATIONS = {
     "gamma3+1": "osp12: shift the conformal constant in expected right sides",
     "quad+1": "symmetry: shift the constant of the quadratic relation",
     "eigenvalue+1": "monogenic: shift the expected degree eigenvalue",
-    "lift-parameter+1": "closedform: shift a Jacobi parameter of the lift factor",
+    "lift-parameter+1": "closedform: read the basis at mu3 + 1, the axis parameter of its lift",
     "norm-factor*2": "orthogonality: scale odd-index squared norm factors",
-    "omega3+1": "representation: shift a structure constant in expected relations",
+    "omega3+1": "representation: shift the structure constant w3 of the band data",
     "component*2": "fischer: scale the last nonzero component before reconstructing",
 }
 
 _HOMES = {
     "exact": ("GRational", "Params", "pochhammer"),
-    "poly": ("ScalarPoly", "SpinorPoly", "divide_by_coordinate", "dunkl", "euler",
-             "pauli", "reflect"),
+    "poly": ("SpinorPoly",),
     "operators": ("IdentityReport", "LinOp", "angular", "bi_generator", "casimir", "dirac",
                   "involution", "laplace", "laplace_explicit", "laplace_s2",
                   "spherical_dirac", "symmetry", "verify_identity"),

@@ -285,20 +285,25 @@ def _first_difference(lhs: list, rhs: list) -> tuple | None:
     ), default=None)
 
 
-def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityReport:
-    """Exact verification of the representation data on degree N.
+def verify_rep(N: int, params: Params) -> IdentityReport:
+    """Exact verification of the representation data on degree N:
+    `verify_band_data` of `rep_matrices(N, params)`."""
+    return verify_band_data(rep_matrices(N, params))
+
+
+def verify_band_data(rep: RepMatrices) -> IdentityReport:
+    """Exact verification of band data against the relations of its degree
+    N and parameters.
 
     Checks the anticommutator relations {K1,K2} and {K2,K3} ({K3,K1} =
     K2 + w2 defines K2), the Casimir value, truncation, positivity and
     irreducibility of the tridiagonal data, the ladder-norm identities and
-    the full spectrum factorization of the similar generator.  omega3_shift
-    perturbs the expected structure constant so the suite can demonstrate
-    sensitivity.
+    the full spectrum factorization of the similar generator, each with the
+    structure constants and Casimir value that `rep` carries.
     """
-    rep = rep_matrices(N, params)
+    N, params = rep.N, rep.params
     n = N + 1
     w1, w2, w3 = rep.omega
-    w3_expected = w3 + omega3_shift
     report = partial(
         IdentityReport, f"bannai-ito representation N={N}", degrees=(N, N), basis_size=n
     )
@@ -309,7 +314,7 @@ def verify_rep(N: int, params: Params, *, omega3_shift: int = 0) -> IdentityRepo
     k1_k2_squares = k1 * k1 + k2 * k2
     k3_w3 = k3 + scalar_op(w3)
     relations = [
-        ("{K1,K2} = K3 + w3", anticommutator(k1, k2), k3 + scalar_op(w3_expected)),
+        ("{K1,K2} = K3 + w3", anticommutator(k1, k2), k3 + scalar_op(w3)),
         ("{K2,K3} = K1 + w1", anticommutator(k2, k3), k1 + scalar_op(w1)),
         ("K1^2 + K2^2 + K3^2 = q_N", k1_k2_squares + k3 * k3, scalar_op(rep.casimir)),
     ]

@@ -97,16 +97,16 @@ class MonogenicBasis:
 
 
 # Only one triple's construction task in `verify` reads this cache back: its
-# monogenic section asks for degrees 0..min(degree, 5), the function
-# realization and Fischer for 0..min(degree, 4).  A default sweep hits 50 of
-# its 75 calls, `--degree 16` 50 of 80 (25 with 5 entries).  `basis --N`
-# never hits.
+# monogenic and closedform sections ask for degrees 0..min(degree, 5), the
+# function realization and Fischer for 0..min(degree, 4).  A default sweep
+# hits 75 of its 100 calls, `--degree 16` 80 of 110 (25 with 5 entries).
+# `basis --N` never hits.
 @lru_cache(maxsize=6)
 def monogenic_basis(N: int, params: Params) -> MonogenicBasis:
     """The degree-N basis from the closed form: elements (k, +) and (k, -)
     are `closedform.closed_basis_pair(N, k, params)`.  The extension tower
     builds the same polynomials, and the closedform section of `verify`
-    checks the two against each other."""
+    checks this basis against it."""
     if N < 0:
         raise ValueError("N must be >= 0")
     elements = []

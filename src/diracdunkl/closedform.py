@@ -77,14 +77,7 @@ def _conformal_constant(axes: tuple[int, ...], params: Params) -> Fraction:
     return sum((params.mu(a) for a in axes), Fraction(len(axes), 2))
 
 
-def lift(
-    j: int,
-    k: int,
-    tangent: tuple[int, ...],
-    axis: int,
-    params: Params,
-    even_parameter_shift: int = 0,
-) -> LinOp:
+def lift(j: int, k: int, tangent: tuple[int, ...], axis: int, params: Params) -> LinOp:
     """Closed form of the Cauchy-Kovalevskaia extension into `axis` of
     x_t^j M, for M a degree-k Dunkl monogenic in the `tangent` axes and
     x_t = x_underline(tangent): a matrix-valued polynomial acting on M.
@@ -97,11 +90,8 @@ def lift(
     `homogenized_jacobi(..., tangent, axis)`, with at most one Clifford
     factor, as in the Jacobi-polynomial extensions of De Bie, Orsted,
     Somberg and Van der Jeugt (Trans. AMS 2012).  At j = 0 it is the
-    identity, whatever the shift.
-
-    even_parameter_shift perturbs the second Jacobi parameter of the even
-    branch's leading term; it exists only so the verification suite can show
-    that the cross-validation against the extension tower is sensitive to it.
+    identity.  The even branch leads with P^(m - 1/2, s); the published
+    variant with s + 1 there is not the extension.
     """
     if j < 0 or k < 0:
         raise ValueError("need j >= 0 and k >= 0")
@@ -115,7 +105,7 @@ def lift(
         return multiply_op(homogenized_jacobi(n, a, b, tangent, axis))
 
     if not odd:
-        first = jacobi(beta, m - HALF, s + even_parameter_shift)
+        first = jacobi(beta, m - HALF, s)
         op = first - pauli_op(axis) * xt * x * jacobi(beta - 1, m + HALF, s + 1)
     else:
         first = xt * jacobi(beta, m - HALF, s + 1)
@@ -124,11 +114,11 @@ def lift(
     return pref * op
 
 
-# Only `verify` reads this cache back, within one triple: `suite_closedform`
-# and `ck.monogenic_basis` ask for psi k = 0..min(degree, 5) once per N >= k,
-# `suite_orthogonality` for psi and upsilon k = 0..min(degree, 3): at most 10
-# entries, 12 if orthogonality reached degree 5.  A default sweep hits 205 of
-# its 250 calls.  A command builds one N, so it never hits.
+# Only `verify` reads this cache back, within one triple: `ck.monogenic_basis`
+# asks for psi k = 0..min(degree, 5) once per N >= k, `suite_orthogonality`
+# for psi and upsilon k = 0..min(degree, 3): at most 10 entries, 12 if
+# orthogonality reached degree 5.  A default sweep hits 130 of its 175 calls,
+# `--degree 16` 155 of 205.  A command builds one N, so it never hits.
 @lru_cache(maxsize=12)
 def _planar_images(k: int, params: Params, axes: tuple[int, int, int]) -> tuple:
     """The planar factor of `closed_basis_pair` applied to chi+ and chi-:
@@ -142,11 +132,7 @@ def _planar_images(k: int, params: Params, axes: tuple[int, int, int]) -> tuple:
 
 
 def closed_basis_pair(
-    N: int,
-    k: int,
-    params: Params,
-    axes: tuple[int, int, int] = PSI_AXES,
-    even_parameter_shift: int = 0,
+    N: int, k: int, params: Params, axes: tuple[int, int, int] = PSI_AXES
 ) -> tuple[SpinorPoly, SpinorPoly]:
     """The closed-form basis spinors (N, k, +) and (N, k, -), the
     extensions of x_a1^k chi+ and x_a1^k chi-.  On the line x_a1^k chi is
@@ -155,12 +141,11 @@ def closed_basis_pair(
     space.  The two lifts are applied one after the other: composed into one
     operator, the node sigma_a1 x_a1 they share would be evaluated one
     monomial at a time.  The planar images come from `_planar_images`, once
-    per (k, params, axes).  At N = k the outer lift is the identity,
-    whatever the shift."""
+    per (k, params, axes).  At N = k the outer lift is the identity."""
     if not 0 <= k <= N:
         raise ValueError("need 0 <= k <= N")
     a1, a2, a3 = axes
-    outer = lift(N - k, k, (a1, a2), a3, params, even_parameter_shift)
+    outer = lift(N - k, k, (a1, a2), a3, params)
     plus, minus = (outer(f) for f in _planar_images(k, params, axes))
     return plus, minus
 

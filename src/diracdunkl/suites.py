@@ -4,13 +4,15 @@ Each suite returns the JSON dicts of its `IdentityReport`s: "name", "status"
 and "counterexample", plus "degrees" and "basis_size" for the identities
 checked on a basis.  The kernel and eigenvalue checks on basis elements are
 operator identities over the element keys (N, k, sign) (see
-`_failing_elements`).  The optional `mutation` argument plants one
-deliberate defect in exactly one suite, which the test suite uses to
-demonstrate that every section is sensitive (no check is vacuous).
+`_failing_elements`).  The optional `mutation` argument, a name of
+`MUTATIONS`, plants one deliberate defect in exactly one suite, on a value
+the suite builds itself, to show that every section is sensitive (no check
+is vacuous).  No library function takes a defect of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 from fractions import Fraction
@@ -307,16 +309,19 @@ def suite_monogenic(params: Params, n_max: int, mutation: str | None = None) -> 
 
 
 def suite_closedform(params: Params, n_max: int, mutation: str | None = None) -> list[dict]:
-    """Closed-form basis spinors against the extension tower, built here for
-    N <= n_max as the reference: each planar extension x1^k chi once, carried
-    to degree N by powers of xt and extended into x3.  The pair (k, k) is the
-    planar monogenic, as its lift factor is the identity."""
-    shift = 1 if mutation == "lift-parameter+1" else 0
-    closed = {}  # (N, k, sign) -> closed-form spinor
-    for N in range(n_max + 1):
-        for k in range(N + 1):
-            pair = closedform.closed_basis_pair(N, k, params, even_parameter_shift=shift)
-            closed.update(((N, k, sign), poly) for sign, poly in zip((1, -1), pair))
+    """The closed-form basis `ck.monogenic_basis` emits against the
+    extension tower, built here for N <= n_max as the reference: each planar
+    extension x1^k chi once, carried to degree N by powers of xt and extended
+    into x3.  The pair (k, k) is the planar monogenic, as its lift factor is
+    the identity.  The lift-parameter+1 mutant reads the basis at mu3 + 1,
+    the axis parameter of the lift into x3, and keeps the tower at params."""
+    basis_params = params
+    if mutation == "lift-parameter+1":
+        basis_params = Params(params.mu1, params.mu2, params.mu3 + 1)
+    closed = {  # (N, k, sign) -> closed-form spinor
+        (N, el.k, el.sign): el.poly
+        for N in range(n_max + 1) for el in ck.monogenic_basis(N, basis_params).elements
+    }
     seeds = [(k, sign) for k in range(n_max + 1) for sign in (1, -1)]
     planar = dict(zip(seeds, ck.ck_extend_x2(
         [SpinorPoly.monomial((k, 0, 0), sign) for k, sign in seeds], params)))
@@ -444,8 +449,13 @@ def suite_representation(
     n_match: int,
     mutation: str | None = None,
 ) -> list[dict]:
-    shift = 1 if mutation == "omega3+1" else 0
-    reports = [birep.verify_rep(N, params, omega3_shift=shift) for N in range(n_max + 1)]
+    reports = []
+    for N in range(n_max + 1):
+        rep = birep.rep_matrices(N, params)
+        if mutation == "omega3+1":
+            w1, w2, w3 = rep.omega
+            rep = dataclasses.replace(rep, omega=(w1, w2, w3 + 1))
+        reports.append(birep.verify_band_data(rep))
     reports += [birep.match_function_realization(N, params) for N in range(n_match + 1)]
     return [report.to_json_dict() for report in reports]
 

@@ -93,8 +93,8 @@ def test_criterion_4_closed_form_equivalence():
         if not good:
             ok, first = False, name
             break
-    # The rejected one-shifted Jacobi parameter variant must disagree,
-    # documenting which published form the cross-validation selects.
+    # The basis read at mu3 + 1, the lift-parameter+1 mutant, must disagree
+    # with the tower, which stays at the true parameters.
     if ok:
         params = Params(Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
         variant = suites.suite_closedform(params, 3, mutation="lift-parameter+1")

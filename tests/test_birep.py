@@ -20,8 +20,10 @@ from diracdunkl.birep import (
     ladder_norms,
     ladder_ops,
     match_function_realization,
+    RepMatrices,
     rep_matrices,
     structure_constants,
+    verify_band_data,
     verify_rep,
 )
 from diracdunkl import birep, linalg
@@ -116,8 +118,15 @@ def test_verify_rep_passes():
             assert report.passed, (N, params, report.counterexample)
 
 
+def _shifted_omega3(N: int, params: Params, shift: int) -> RepMatrices:
+    """The band data of degree N with w3 shifted, as the omega3+1 mutant."""
+    rep = rep_matrices(N, params)
+    w1, w2, w3 = rep.omega
+    return dataclasses.replace(rep, omega=(w1, w2, w3 + shift))
+
+
 def test_verify_rep_detects_shifted_constant():
-    report = verify_rep(3, P, omega3_shift=1)
+    report = verify_band_data(_shifted_omega3(3, P, 1))
     assert not report.passed
     assert report.counterexample["check"] == "{K1,K2} = K3 + w3"
 
@@ -390,10 +399,11 @@ def test_verify_rep_counterexamples_of_bumped_ladder_norms(monkeypatch):
 
 
 def test_verify_rep_reports_golden_digest():
-    # sha256 of the JSON reports for omega3_shift in (0, 1, -3), every
-    # EDGE_MUS triple and N = 0..12, recorded with the dense-matrix checks.
+    # sha256 of the JSON reports for w3 shifted by 0, 1 and -3, every
+    # EDGE_MUS triple and N = 0..12, recorded with the dense-matrix checks
+    # and a shift argument of the expected w3 in `verify_rep`.
     reports = [
-        verify_rep(N, params, omega3_shift=shift).to_json_dict()
+        verify_band_data(_shifted_omega3(N, params, shift)).to_json_dict()
         for shift in (0, 1, -3) for params in EDGE_MUS for N in range(13)
     ]
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()

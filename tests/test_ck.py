@@ -272,12 +272,12 @@ def test_monogenic_basis_builds_no_extension_tower(monkeypatch):
 def test_monogenic_basis_cache_holds_one_construction_task():
     # `verify` reads the cache back only within one triple's construction
     # task, which asks for degrees 0..5 whatever --degree says: each basis
-    # is built once, and the closedform section, which builds its own
-    # extension tower, reads none.
+    # is built once, by the monogenic section, and the closedform section
+    # reads all six back.
     monogenic_basis.cache_clear()
     suites._run_part(("constructions", P, 16, None))
     info = monogenic_basis.cache_info()
-    assert (info.misses, info.hits) == (6, 10)
+    assert (info.misses, info.hits) == (6, 16)
 
 
 def test_monogenic_basis_cache_evicts_past_its_bound():

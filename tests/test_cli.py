@@ -165,7 +165,7 @@ def test_degree_flag_spellings(flag):
     (("--mutate", "eigenvalue+1"), 1,
      "f24523f771d91e28b02e242771c39e213bd05507fa4d96ee489f1b24c2bb6e19"),
     (("--mutate", "lift-parameter+1"), 1,
-     "395f437e165bcb30db3ec2b6865dd8a0a02e462e0d1c013a447b7351fbc21b45"),
+     "24b936c58513f81f9bf236bf097e060b49b59005a31735a8c2c91534a68b36b3"),
     (("--mutate", "omega3+1"), 1,
      "e8f7bec42a50ecc231d78ed14c8d926bd33e415e688cc2b535c84a09b053532c"),
     (("--mutate", "norm-factor*2"), 1,
@@ -176,11 +176,23 @@ def test_verify_report_golden_digest(extra, returncode, digest):
     # cached operator columns (the first two rows), evaluated operators
     # on Gaussian-integer columns (the next three), built the extension
     # tower from operator trees (the next three) or stored representations
-    # as band data only (the last two); any change to checks, counts or
-    # counterexamples shows here.  A later --mu replaces MU.
+    # as band data only (the last two); the lift-parameter+1 row was
+    # recorded again when that mutant moved from a shifted Jacobi parameter
+    # of the lift to the basis read at mu3 + 1.  Any change to checks,
+    # counts or counterexamples shows here.  A later --mu replaces MU.
     result = run_cli("verify", "--degree", "2", "--mu", MU, *extra)
     assert result.returncode == returncode
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mutation", sorted(suites.MUTATIONS))
+def test_every_mutant_fails_only_its_section_at_degree_one(mutation):
+    # Degree 1 is the lowest at which every planted defect has something to
+    # act on; the section it names in `MUTATIONS` fails, and no other.
+    result = run_cli("verify", "--degree", "1", "--mu", MU, "--mutate", mutation)
+    assert result.returncode == 1
+    failing = {f["section"] for f in json.loads(result.stdout)["failures"]}
+    assert failing == {suites.MUTATIONS[mutation].split(":")[0]}
 
 
 @pytest.mark.parametrize("args, digest", [
@@ -474,19 +486,25 @@ def test_json_writer_rejects_other_types(value):
         _json_text(value)
 
 
-# An output value of the moments below has more than 640 digits.
+# An output value of each artifact below has more than 640 digits.
 HIGH_MU = ("99999999999999999999/7777777777777777777,7777777777777777777/99999999999999999999,"
            "99999999999999999999/1")
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no limit on int-to-str conversion")
-@pytest.mark.parametrize("out", [False, True], ids=["stdout", "--out"])
-def test_value_over_the_digit_limit_is_a_usage_error(out, tmp_path):
+@pytest.mark.parametrize("command, out", [
+    (("moments", "--N", "12"), False),
+    (("moments", "--N", "12"), True),
+    (("basis", "--N", "30"), False),
+    (("overlaps", "--N", "12"), False),
+    (("wavefunctions", "--N", "12"), False),
+], ids=["stdout", "--out", "basis", "overlaps", "wavefunctions"])
+def test_value_over_the_digit_limit_is_a_usage_error(command, out, tmp_path):
     # Exit code 2 and one stderr line before anything is written, not a
     # traceback.
-    target = tmp_path / "moments.json"
-    argv = ["moments", "--N", "12", "--mu", HIGH_MU, *(["--out", str(target)] if out else [])]
+    target = tmp_path / "artifact.json"
+    argv = [*command, "--mu", HIGH_MU, *(["--out", str(target)] if out else [])]
     code = ("import sys; sys.set_int_max_str_digits(640); "
             "from diracdunkl import cli; sys.exit(cli.main(sys.argv[1:]))")
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)

@@ -25,7 +25,9 @@ from diracdunkl.closedform import (
 from diracdunkl.exact import GRational, HALF, Params, factorial, pochhammer
 from diracdunkl.operators import (
     bi_generator,
+    coordinate_op,
     involution,
+    multiply_op,
     pauli_op,
     scalar_op,
     spherical_dirac,
@@ -224,33 +226,45 @@ def test_closed_form_equals_tower():
 
 def test_lift_parameter_variant_is_inconsistent():
     # The even-branch leading Jacobi parameter admits two published variants
-    # differing by one; only the one used here reproduces the extension
-    # tower, the other is rejected by the same cross-check.
+    # differing by one; only the one `lift` uses reproduces the extension
+    # tower, the other is rejected by the same cross-check.  Both are built
+    # here as lift(2, 0, (1, 2), 3): 1 / (mu3 + 1/2) times
+    # P_1^(mu3 - 1/2, s + shift) - sigma3 xt x3 P_0, with s = mu1 + mu2.
+    s, m = P.mu1 + P.mu2, P.mu3
+
+    def even_lift(shift):
+        leading = multiply_op(homogenized_jacobi(1, m - HALF, s + shift, (1, 2), 3))
+        op = leading - pauli_op(3) * x_underline((1, 2)) * coordinate_op(3)
+        return (1 / (m + HALF)) * op
+
     tower = reference.extension_tower(2, P)[0]  # k = 0, sign +, N - k even
-    good, _ = closed_basis_pair(2, 0, P, even_parameter_shift=0)
-    bad, _ = closed_basis_pair(2, 0, P, even_parameter_shift=1)
-    assert good == tower
-    assert bad != tower
+    good, _ = closed_basis_pair(2, 0, P)
+    assert even_lift(0)(CHI_PLUS) == good == tower
+    assert even_lift(1)(CHI_PLUS) != tower
 
 
-def test_closedform_suite_checks_against_its_own_tower(monkeypatch):
-    # The verdicts rest on the tower the suite builds, whatever
-    # `ck.monogenic_basis` returns: here the shifted closed form, which would
-    # agree with the lift-parameter+1 mutant.
-    def shifted(N, params):
-        return ck.MonogenicBasis(N, params, tuple(
-            ck.BasisElement(k, sign, poly) for k in range(N + 1)
-            for sign, poly in zip((1, -1), closed_basis_pair(N, k, params, even_parameter_shift=1))
+def test_closedform_suite_fails_a_wrong_monogenic_basis(monkeypatch):
+    # The section checks the basis `ck.monogenic_basis` emits: here with
+    # its degree-2 element (2, -) doubled, which the planar and the tower
+    # checks both see.
+    original = ck.monogenic_basis
+
+    def wrong(N, params):
+        basis = original(N, params)
+        return dataclasses.replace(basis, elements=tuple(
+            dataclasses.replace(el, poly=el.poly.scale(2)) if (N, el.k, el.sign) == (2, 2, -1)
+            else el for el in basis.elements
         ))
 
     def failures(checks):
         return [(c["name"], c["counterexample"]) for c in checks if c["status"] != "pass"]
 
-    monkeypatch.setattr(ck, "monogenic_basis", shifted)
-    assert failures(suites.suite_closedform(P, 3, "lift-parameter+1")) == [
-        ("closed form equals extension tower N=2", {"N": 2, "k": 0, "sign": "+"}),
-        ("closed form equals extension tower N=3", {"N": 3, "k": 1, "sign": "+"}),
+    monkeypatch.setattr(ck, "monogenic_basis", wrong)
+    assert failures(suites.suite_closedform(P, 3)) == [
+        ("planar monogenic closed form k=2", {"k": 2, "sign": "-"}),
+        ("closed form equals extension tower N=2", {"N": 2, "k": 2, "sign": "-"}),
     ]
+    monkeypatch.setattr(ck, "monogenic_basis", original)
     # A wrong tower element: x3^2 chi+ added to the extension of every
     # degree-2 input.
     extend = ck.ck_extend_x3
@@ -624,8 +638,8 @@ def test_orthogonality_suite_fails_a_zero_cycled_wavefunction(monkeypatch):
     # which divides by the cycled Gram diagonal, must fail it.
     original = closedform.closed_basis_pair
 
-    def vanishing(N, k, params, axes=closedform.PSI_AXES, even_parameter_shift=0):
-        pair = original(N, k, params, axes, even_parameter_shift)
+    def vanishing(N, k, params, axes=closedform.PSI_AXES):
+        pair = original(N, k, params, axes)
         if axes == closedform.UPSILON_AXES and (N, k) == (1, 1):
             return SpinorPoly.zero(), SpinorPoly.zero()
         return pair

@@ -69,6 +69,19 @@ def test_star_import_binds_every_export():
         assert value is getattr(diracdunkl, name)
 
 
+@pytest.mark.parametrize("name", [
+    "ScalarPoly", "divide_by_coordinate", "dunkl", "euler", "pauli", "reflect",
+])
+def test_reference_representation_is_not_exported(name):
+    # The scalar reference representation and its primitives stay in `poly`
+    # for the tests and the benchmark tracer, outside the package's API.
+    from diracdunkl import poly
+
+    assert hasattr(poly, name)
+    assert name not in diracdunkl.__all__
+    assert not hasattr(diracdunkl, name)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         diracdunkl.no_such_name
